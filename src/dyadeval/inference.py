@@ -12,10 +12,15 @@ in disjoint participation quadrants and are therefore independent, so the
 measure's null distribution is the exact convolution of the positive side
 with the negated negative side.
 
-The Poisson-Binomial PMF is computed by sequential convolution of the
-grouped binomial PMFs (success probability depends only on the (p, q) row,
-so a side has at most four distinct probabilities).  This is exact up to
-float rounding and O(N^2) in the side's trial total, with small constants.
+The Poisson-Binomial PMF is computed by sequential direct convolution of
+binomial blocks.  A group's success probability depends only on its (p, q)
+row and its (r, s) outcome set, so groups sharing both are merged into one
+binomial of their summed mass, which is exact in distribution; a side of
+one of the eight measures then has at most four blocks.  Each block's PMF
+is evaluated only on the window where it is >= 1e-300 (entries below that
+are zero in ``DiscreteDistribution`` anyway).  This is exact up to float
+rounding and O(W^2) with W ~ 80 sd per block, instead of O(N^2) in the
+side's trial total.
 
 Tail convention: one-sided inclusive tail in the direction of the observed
 deviation from the null mean, P(M* >= obs) when obs > mean and
@@ -168,19 +173,50 @@ class InferenceConfig:
             raise InputError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
+def _binom_window(n: int, prob: float) -> tuple[int, np.ndarray]:
+    """Binomial(n, prob) PMF on the window of values where it is >= 1e-300.
+
+    Starts from mean +/- (40 sd + 40), clipped to [0, n].  The PMF is
+    unimodal and that range straddles the mode, so an edge entry still at or
+    above the floor means the window is too narrow there: that edge moves
+    out by the current width and the PMF is evaluated again.  Sub-floor
+    entries at either edge are then cut, since ``DiscreteDistribution``
+    would zero them anyway.
+    """
+    mean = n * prob
+    half = 40.0 * (mean * (1.0 - prob)) ** 0.5 + 40.0
+    lo = max(0, int(mean - half))
+    hi = min(n, int(mean + half) + 1)
+    while True:
+        block = binom.pmf(np.arange(lo, hi + 1), n, prob)
+        grow_lo = lo > 0 and block[0] >= _PMF_FLOOR
+        grow_hi = hi < n and block[-1] >= _PMF_FLOOR
+        if not (grow_lo or grow_hi):
+            break
+        width = hi - lo + 1
+        if grow_lo:
+            lo = max(0, lo - width)
+        if grow_hi:
+            hi = min(n, hi + width)
+    kept = np.flatnonzero(block >= _PMF_FLOOR)  # never empty: holds the mode
+    return lo + int(kept[0]), block[kept[0]:kept[-1] + 1]
+
+
 def pb_pmf(groups: Sequence[TrialGroup] | Iterable[TrialGroup]) -> DiscreteDistribution:
     """Exact PMF of the number of successes over all trials of all groups.
 
-    Sequential convolution of the groups' binomial PMFs; an empty input is
-    a point mass at 0.
+    Sequential convolution of the groups' binomial PMFs, each restricted to
+    the window where it is >= 1e-300; an empty input is a point mass at 0.
     """
+    support_min = 0
     pmf = np.array([1.0])
     for g in groups:
         if g.count == 0:
             continue
-        block = binom.pmf(np.arange(g.count + 1), g.count, g.success_prob)
+        lo, block = _binom_window(g.count, g.success_prob)
+        support_min += lo
         pmf = np.convolve(pmf, block)
-    return DiscreteDistribution(0, pmf)
+    return DiscreteDistribution(support_min, pmf)
 
 
 def difference_distribution(pos: DiscreteDistribution,
@@ -228,27 +264,31 @@ def _require_fitted(model: NullModel) -> NullModel:
     return model
 
 
-def _side_trial_groups(model: NullModel, side_groups) -> list[TrialGroup]:
-    groups = []
-    for (x, y, p, q) in sorted(side_groups):
-        mass = int(model.masses[x, y, p, q])
-        if mass == 0:
-            continue
-        row = model.require_row(p, q)
-        prob = float(sum(row[r, s] for (r, s) in sorted(side_groups[(x, y, p, q)])))
-        groups.append(TrialGroup(mass, prob))
-    return groups
+def _side_blocks(model: NullModel, side_groups
+                 ) -> tuple[list[TrialGroup], Fraction | None]:
+    """One walk over a side: its merged binomial blocks and its exact mean.
 
-
-def _side_mean_fraction(model: NullModel, side_groups) -> Fraction:
-    total = Fraction(0)
+    A group's success probability depends only on its (p, q) row and its
+    (r, s) outcome set, so groups sharing both add up to one binomial of
+    their summed mass (exact in distribution).  The mean is the rational
+    sum of mass * successes / row total per block, or None when the model
+    carries no tallies.
+    """
+    masses: dict[tuple[int, int, tuple[tuple[int, int], ...]], int] = {}
     for (x, y, p, q), outcomes in side_groups.items():
         mass = int(model.masses[x, y, p, q])
-        if mass == 0:
-            continue
-        successes = int(sum(model.row_counts[p, q, r, s] for (r, s) in outcomes))
-        total += Fraction(mass * successes, int(model.row_totals[p, q]))
-    return total
+        if mass:
+            key = (p, q, tuple(sorted(outcomes)))
+            masses[key] = masses.get(key, 0) + mass
+    blocks = []
+    mean = None if model.row_counts is None else Fraction(0)
+    for (p, q, outcomes), mass in sorted(masses.items()):
+        row = model.require_row(p, q)
+        blocks.append(TrialGroup(mass, float(sum(row[r, s] for (r, s) in outcomes))))
+        if mean is not None:
+            successes = int(sum(model.row_counts[p, q, r, s] for (r, s) in outcomes))
+            mean += Fraction(mass * successes, int(model.row_totals[p, q]))
+    return blocks, mean
 
 
 _MEAN_TIE_TOL = 1e-9
@@ -261,13 +301,12 @@ def _exact_with_model(table: DyadTable, model: NullModel,
     measure_id = measure if isinstance(measure, MeasureId) else None
     observed = evaluate(table, spec).value
     pos_side, neg_side = spec.grouped()
-    pos_groups = _side_trial_groups(model, pos_side)
-    neg_groups = _side_trial_groups(model, neg_side)
+    pos_groups, pos_mean = _side_blocks(model, pos_side)
+    neg_groups, neg_mean = _side_blocks(model, neg_side)
     dist = difference_distribution(pb_pmf(pos_groups), pb_pmf(neg_groups))
-    if model.row_counts is not None:
+    if pos_mean is not None:
         # fitted models allow deciding observed-vs-mean ties exactly
-        mean_frac = (_side_mean_fraction(model, pos_side)
-                     - _side_mean_fraction(model, neg_side))
+        mean_frac = pos_mean - neg_mean
         null_mean = float(mean_frac)
         deviation = (observed > mean_frac) - (observed < mean_frac)
     else:

@@ -36,7 +36,7 @@ import numpy as np
 
 from ._version import __version__
 from .census import DyadRecord, DyadTable, build_table
-from .errors import DyadevalError, InputError
+from .errors import InputError
 from .inference import InferenceConfig, TestResult, run_all
 from .measures import MeasureId
 from .sim import probabilities_to_counts
@@ -387,8 +387,10 @@ def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
 
     Per-item randomness comes from the children of SeedSequence(seed) in
     item order, so results are reproducible and independent of which other
-    items are present only when the item list is unchanged.  A failing item
-    produces a report carrying its error; other items still run.
+    items are present only when the item list is unchanged.  An item with
+    bad input produces a report carrying its error; other items still run.
+    A ``NumericalIntegrityError`` is a fault of the engine, not of an item,
+    and propagates.
     """
     builders: list[tuple[str, str, Callable[[], tuple[DyadTable, int]]]] = []
     if config.input_mode == "dyad_csv":
@@ -442,7 +444,7 @@ def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
             reports.append(ItemReport(item_id, label, tuple(results),
                                       dyads_used=table.total,
                                       dyads_dropped=n_dropped))
-        except DyadevalError as exc:
+        except InputError as exc:
             reports.append(ItemReport(item_id, label, (), 0, 0, error=str(exc)))
     return reports
 

@@ -12,6 +12,9 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+from scipy.stats import binom
+
 
 def cell_code(x, y, p, q, r, s) -> int:
     # Same documented bit order as the package: x most significant.
@@ -229,3 +232,46 @@ def enumeration_cost(counts, measure: str) -> int:
         if mass > 0:
             cost *= math.comb(mass + 3, 3)
     return cost
+
+
+def exact_test_by_full_convolution(counts, pos_cells: set, neg_cells: set
+                                   ) -> tuple[float, str]:
+    """Exact one-sided p-value and direction of the difference of sums over
+    two cell-coordinate sets, with one full-support binomial per
+    (x, y, p, q) group: no merging of equal-probability groups and no
+    trimming of negligible PMF entries.
+
+    Each group's binomial PMF covers 0..mass; the sides are convolved group
+    by group in float, then the positive side with the reversed negative
+    side.  The direction comes from the exact rational null mean.
+    """
+    n0, _, n_pqrs, n0_group, _ = marginals_by_loops(counts)
+    observed = (sum(int(counts[cell_code(*c)]) for c in pos_cells)
+                - sum(int(counts[cell_code(*c)]) for c in neg_cells))
+
+    def side(cells):
+        pmf, mean = np.array([1.0]), Fraction(0)
+        for group in sorted({c[:4] for c in cells}):
+            mass = n0_group[group]
+            if mass == 0:
+                continue
+            p, q = group[2:]
+            hits = sum(n_pqrs[(p, q, r, s)] for (r, s) in RS_ORDER
+                       if group + (r, s) in cells)
+            block = binom.pmf(np.arange(mass + 1), mass, hits / n0[(p, q)])
+            pmf = np.convolve(pmf, block)
+            mean += Fraction(mass * hits, n0[(p, q)])
+        return pmf, mean
+
+    pos_pmf, pos_mean = side(pos_cells)
+    neg_pmf, neg_mean = side(neg_cells)
+    diff = np.convolve(pos_pmf, neg_pmf[::-1])
+    diff[diff < 1e-300] = 0.0
+    support_min = -(len(neg_pmf) - 1)
+    mean = pos_mean - neg_mean
+    at = observed - support_min
+    if observed > mean:
+        return float(diff[max(at, 0):].sum()), "positive"
+    if observed < mean:
+        return float(diff[:max(at + 1, 0)].sum()), "negative"
+    return 1.0, "none"

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from scipy.stats import binom
 
 from dyadeval.cli import main
 
@@ -74,6 +75,16 @@ def test_table_bad_probabilities_exit_code(tmp_path, capsys):
     code = main(["table", "--table", str(bad), "--probabilities",
                  "--out-csv", str(tmp_path / "r.csv")])
     assert code == 1
+
+
+def test_table_integrity_failure_exit_code(tmp_path, monkeypatch, capsys):
+    full_pmf = binom.pmf
+    monkeypatch.setattr("dyadeval.inference.binom.pmf",
+                        lambda *args: 0.5 * full_pmf(*args))
+    code = main(["table", "--table", str(uniform_table(tmp_path)), "--probabilities",
+                 "--method", "exact", "--out-csv", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert "numerical integrity failure" in capsys.readouterr().err
 
 
 def test_simulate_writes_dyads_and_evaluates(tmp_path, capsys):

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from dyadeval import (DiscreteDistribution, DyadTable, InferenceConfig,
                       InputError, MeasureId, NumericalIntegrityError,
                       TrialGroup, bootstrap_test, difference_distribution,
                       evaluate, exact_test, fit, method_disagreement, pb_pmf,
                       run_all, simulate_dyad_table)
-from dyadeval import NullModel, SimParams, sample
-from dyadeval.inference import (_measure_values, _sample_group_outcomes,
-                                _side_trial_groups)
+from dyadeval import MeasureSpec, NullModel, SimParams, sample
+from dyadeval.inference import _measure_values, _sample_group_outcomes
 from dyadeval.measures import spec_for
 
 from oracles import (cell_code, difference_pmf_by_double_loop,
-                     enumeration_cost, null_distribution_by_enumeration,
+                     enumeration_cost, exact_test_by_full_convolution,
+                     measure_cells_by_formula, null_distribution_by_enumeration,
                      pb_pmf_by_subsets, tail_probability_from_distribution)
 
 
@@ -84,6 +85,50 @@ def test_pb_normalization_at_large_scale():
     mix = [TrialGroup(5000, 0.1), TrialGroup(5000, 0.62),
            TrialGroup(5000, 0.97), TrialGroup(5000, 0.5)]
     assert abs(pb_pmf(mix).pmf.sum() - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("count", [100_000, 1_000_000])
+@pytest.mark.parametrize("prob", [1e-4, 0.37, 0.9999])
+def test_pb_trimmed_window_matches_full_support(count, prob):
+    dist = pb_pmf([TrialGroup(count, prob)])
+    full = binom.pmf(np.arange(count + 1), count, prob)
+    lo, hi = dist.support_min, dist.support_max
+    assert np.max(np.abs(dist.pmf - full[lo:hi + 1])) <= 1e-12
+    assert full[:lo].sum() + full[hi + 1:].sum() < 1e-280
+    # trimming stays on: the window is about 75 sd wide, not count + 1
+    sd = np.sqrt(count * prob * (1 - prob))
+    assert len(dist.pmf) <= 80 * sd + 82
+
+
+@pytest.mark.parametrize("group", [
+    TrialGroup(0, 0.3),
+    TrialGroup(50, 0.0),
+    TrialGroup(50, 1.0),
+    TrialGroup(2000, 0.01),   # window clipped at 0
+    TrialGroup(2000, 0.995),  # window clipped at count
+])
+def test_pb_window_edges(group):
+    dist = pb_pmf([group])
+    full = binom.pmf(np.arange(group.count + 1), group.count, group.success_prob)
+    kept = np.flatnonzero(full >= 1e-300)
+    assert (dist.support_min, dist.support_max) == (kept[0], kept[-1])
+    assert np.max(np.abs(dist.pmf - full[kept[0]:kept[-1] + 1])) <= 1e-12
+
+
+@pytest.mark.parametrize("a, b, prob", [
+    (1, 1, 0.5), (7, 300, 0.02), (40_000, 25_000, 0.37), (5_000, 12, 0.999)])
+def test_pb_merging_equal_probabilities(a, b, prob):
+    split = pb_pmf([TrialGroup(a, prob), TrialGroup(b, prob)])
+    merged = pb_pmf([TrialGroup(a + b, prob)])
+    lo = min(split.support_min, merged.support_min)
+    hi = max(split.support_max, merged.support_max)
+
+    def padded(dist):
+        out = np.zeros(hi - lo + 1)
+        out[dist.support_min - lo:dist.support_max - lo + 1] = dist.pmf
+        return out
+
+    assert np.max(np.abs(padded(split) - padded(merged))) <= 1e-12
 
 
 def test_trial_group_validation():
@@ -200,16 +245,54 @@ def test_exact_matches_enumeration_on_small_tables():
 
 
 def test_exact_null_mean_matches_distribution_mean():
+    # the null mean from the merged side walk against the mean of a PMF
+    # built from one binomial per (x, y, p, q) group
     table = simulate_dyad_table()
     model = fit(table)
     for measure in MeasureId:
-        spec = spec_for(measure)
         res = exact_test(table, measure)
-        pos_side, neg_side = spec.grouped()
-        pos = pb_pmf(_side_trial_groups(model, pos_side))
-        neg = pb_pmf(_side_trial_groups(model, neg_side))
+        sides = []
+        for cells in measure_cells_by_formula(measure.name):
+            groups = []
+            for (x, y, p, q) in sorted({c[:4] for c in cells}):
+                prob = sum(model.p0[p, q, r, s] for (r, s) in np.ndindex(2, 2)
+                           if (x, y, p, q, r, s) in cells)
+                groups.append(TrialGroup(int(model.masses[x, y, p, q]), float(prob)))
+            sides.append(pb_pmf(groups))
         assert res.null_mean == pytest.approx(
-            difference_distribution(pos, neg).mean(), abs=1e-9)
+            difference_distribution(*sides).mean(), abs=1e-9)
+
+
+def test_exact_matches_untrimmed_unmerged_reference_on_large_table():
+    table = simulate_dyad_table(SimParams(seed=2024), node_count=3700)
+    assert 18_000 <= table.total <= 22_000
+    results = run_all(table, InferenceConfig(method="exact"))
+    for res in results:
+        p_ref, direction = exact_test_by_full_convolution(
+            table.counts, *measure_cells_by_formula(res.measure.name))
+        assert abs(res.p_value - p_ref) <= 1e-12
+        assert res.direction == direction
+
+
+def test_exact_custom_spec_keeps_outcome_sets_apart():
+    # both positive quadrants use every (p, q) row, but with different
+    # (r, s) outcome sets, so their groups must not merge
+    pos = ({(1, 1, p, q, 0, s) for p in (0, 1) for q in (0, 1) for s in (0, 1)}
+           | {(1, 0, p, q, r, 0) for p in (0, 1) for q in (0, 1) for r in (0, 1)})
+    neg = {(0, y, p, q, 0, 0) for y in (0, 1) for p in (0, 1) for q in (0, 1)}
+    table = simulate_dyad_table(SimParams(seed=4))
+    res = exact_test(table, MeasureSpec(pos, neg))
+    p_ref, direction = exact_test_by_full_convolution(table.counts, pos, neg)
+    assert abs(res.p_value - p_ref) <= 1e-12
+    assert res.direction == direction
+
+
+def test_exact_integrity_failure_on_trimmed_path(monkeypatch):
+    full_pmf = binom.pmf
+    monkeypatch.setattr("dyadeval.inference.binom.pmf",
+                        lambda *args: 0.5 * full_pmf(*args))
+    with pytest.raises(NumericalIntegrityError):
+        exact_test(simulate_dyad_table(), MeasureId.M1)
 
 
 def test_exact_test_with_explicit_model():
