@@ -15,6 +15,7 @@ error, 2 numerical-integrity failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -207,8 +208,17 @@ def _print_summary(reports: list[ItemReport], verbose: bool) -> None:
                       + (" *" if res.significant else ""))
         gaps = method_disagreement(report.results)
         if gaps:
-            worst = max(gaps.values())
-            print(f"  max |p_bootstrap - p_exact| across measures: {worst:.6g}")
+            worst = max(gaps, key=gaps.get)
+            print(f"  max |p_bootstrap - p_exact| across measures: {gaps[worst]:.6g} "
+                  f"({gaps[worst] / _monte_carlo_se(report.results, worst):.1f} SE)")
+
+
+def _monte_carlo_se(results, measure) -> float:
+    """Standard error of a bootstrap p-value, sqrt(p_exact (1 - p_exact) / B_N)
+    floored at 1 / B_N."""
+    by_method = {res.method: res for res in results if res.measure == measure}
+    p, trials = by_method["exact"].p_value, by_method["bootstrap"].trials
+    return max(math.sqrt(p * (1.0 - p) / trials), 1.0 / trials)
 
 
 def _cmd_evaluate(args) -> int:

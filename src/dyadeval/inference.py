@@ -23,7 +23,8 @@ rounding and O(W^2) with W ~ 80 sd per block, instead of O(N^2) in the
 side's trial total.
 
 Tail convention: one-sided inclusive tail in the direction of the observed
-deviation from the null mean, P(M* >= obs) when obs > mean and
+deviation from the null mean, which both engines take from the model (not
+from the bootstrap's samples), P(M* >= obs) when obs > mean and
 P(M* <= obs) when obs < mean; an observation exactly at the mean gets
 direction "none" and p = 1.  Set ``two_sided=True`` to double the tail
 (capped at 1).
@@ -41,7 +42,7 @@ from scipy.stats import binom
 from .census import DyadTable
 from .errors import InputError, NumericalIntegrityError
 from .measures import MeasureId, MeasureSpec, evaluate, spec_for
-from .null_model import NullModel, fit, _as_generator
+from .null_model import NullModel, fit, _as_generator, _sample_group_outcomes
 
 __all__ = [
     "TrialGroup",
@@ -226,12 +227,9 @@ def difference_distribution(pos: DiscreteDistribution,
     return DiscreteDistribution(pos.support_min - neg.support_max, pmf)
 
 
-def _tail_result(measure, observed: int, null_mean: float,
+def _tail_result(measure, observed: int, null_mean: float, deviation: int,
                  tail_ge, tail_le, method: str, alpha: float,
-                 trials: int | None, two_sided: bool,
-                 addone=None, deviation: int | None = None) -> TestResult:
-    if deviation is None:
-        deviation = (observed > null_mean) - (observed < null_mean)
+                 trials: int | None, two_sided: bool, addone=None) -> TestResult:
     if deviation > 0:
         direction, p = DIRECTION_POSITIVE, tail_ge(observed)
     elif deviation < 0:
@@ -294,33 +292,43 @@ def _side_blocks(model: NullModel, side_groups
 _MEAN_TIE_TOL = 1e-9
 
 
+def _null_mean(model: NullModel, spec: MeasureSpec, observed: int
+               ) -> tuple[float, int, list[TrialGroup], list[TrialGroup]]:
+    """The measure's null mean under the model and the sign of the observed
+    deviation from it, shared by both engines, plus the sides' blocks.
+
+    Fitted models decide observed-vs-mean ties in exact rational
+    arithmetic; hand-built models only carry floats, so there a hair's
+    breadth counts as a tie.
+    """
+    pos_side, neg_side = spec.grouped()
+    pos_groups, pos_mean = _side_blocks(model, pos_side)
+    neg_groups, neg_mean = _side_blocks(model, neg_side)
+    if pos_mean is not None:
+        mean_frac = pos_mean - neg_mean
+        deviation = (observed > mean_frac) - (observed < mean_frac)
+        return float(mean_frac), deviation, pos_groups, neg_groups
+    null_mean = (sum(g.count * g.success_prob for g in pos_groups)
+                 - sum(g.count * g.success_prob for g in neg_groups))
+    if abs(observed - null_mean) <= _MEAN_TIE_TOL * max(1.0, abs(null_mean)):
+        deviation = 0
+    else:
+        deviation = 1 if observed > null_mean else -1
+    return null_mean, deviation, pos_groups, neg_groups
+
+
 def _exact_with_model(table: DyadTable, model: NullModel,
                       measure: MeasureId | MeasureSpec,
                       alpha: float, two_sided: bool) -> TestResult:
     spec = spec_for(measure) if isinstance(measure, MeasureId) else measure
     measure_id = measure if isinstance(measure, MeasureId) else None
     observed = evaluate(table, spec).value
-    pos_side, neg_side = spec.grouped()
-    pos_groups, pos_mean = _side_blocks(model, pos_side)
-    neg_groups, neg_mean = _side_blocks(model, neg_side)
+    null_mean, deviation, pos_groups, neg_groups = _null_mean(model, spec, observed)
     dist = difference_distribution(pb_pmf(pos_groups), pb_pmf(neg_groups))
-    if pos_mean is not None:
-        # fitted models allow deciding observed-vs-mean ties exactly
-        mean_frac = pos_mean - neg_mean
-        null_mean = float(mean_frac)
-        deviation = (observed > mean_frac) - (observed < mean_frac)
-    else:
-        null_mean = (sum(g.count * g.success_prob for g in pos_groups)
-                     - sum(g.count * g.success_prob for g in neg_groups))
-        # hand-built models only carry floats; treat a hair's breadth as a tie
-        if abs(observed - null_mean) <= _MEAN_TIE_TOL * max(1.0, abs(null_mean)):
-            deviation = 0
-        else:
-            deviation = 1 if observed > null_mean else -1
-    return _tail_result(measure_id, observed, null_mean,
+    return _tail_result(measure_id, observed, null_mean, deviation,
                         dist.tail_ge, dist.tail_le,
                         method="exact", alpha=alpha, trials=None,
-                        two_sided=two_sided, deviation=deviation)
+                        two_sided=two_sided)
 
 
 def exact_test(table: DyadTable, measure: MeasureId | MeasureSpec,
@@ -333,30 +341,6 @@ def exact_test(table: DyadTable, measure: MeasureId | MeasureSpec,
     """
     model = _require_fitted(model if model is not None else fit(table))
     return _exact_with_model(table, model, measure, alpha, two_sided)
-
-
-def _sample_group_outcomes(model: NullModel, trials: int, rng: np.random.Generator
-                           ) -> dict[tuple[int, int, int, int], np.ndarray]:
-    """Per-group multinomial draws for every trial.
-
-    Always draws all positive-mass groups in lexicographic (x, y, p, q)
-    order from one stream, so the implied sequence of null censuses depends
-    only on the seed, never on which measures are evaluated afterwards.
-    Returns arrays of shape (trials, 4) with (r, s) columns in order
-    (0,0), (0,1), (1,0), (1,1).
-    """
-    outcomes = {}
-    for x in (0, 1):
-        for y in (0, 1):
-            for p in (0, 1):
-                for q in (0, 1):
-                    mass = int(model.masses[x, y, p, q])
-                    if mass == 0:
-                        continue
-                    row = model.require_row(p, q)
-                    outcomes[(x, y, p, q)] = rng.multinomial(
-                        mass, row.ravel(), size=trials)
-    return outcomes
 
 
 def _measure_values(spec: MeasureSpec,
@@ -375,10 +359,10 @@ def _measure_values(spec: MeasureSpec,
     return values
 
 
-def _bootstrap_result(measure, observed: int, values: np.ndarray,
-                      alpha: float, two_sided: bool) -> TestResult:
+def _bootstrap_result(measure, model: NullModel, spec: MeasureSpec, observed: int,
+                      values: np.ndarray, alpha: float, two_sided: bool) -> TestResult:
     trials = len(values)
-    null_mean = float(values.mean())
+    null_mean, deviation, _, _ = _null_mean(model, spec, observed)
 
     def tail_ge(v):
         return float((values >= v).sum()) / trials
@@ -395,7 +379,7 @@ def _bootstrap_result(measure, observed: int, values: np.ndarray,
             k = trials
         return (k + 1) / (trials + 1)
 
-    return _tail_result(measure, observed, null_mean, tail_ge, tail_le,
+    return _tail_result(measure, observed, null_mean, deviation, tail_ge, tail_le,
                         method="bootstrap", alpha=alpha, trials=trials,
                         two_sided=two_sided, addone=addone)
 
@@ -418,7 +402,7 @@ def bootstrap_test(table: DyadTable, measure: MeasureId | MeasureSpec,
     observed = evaluate(table, spec).value
     outcomes = _sample_group_outcomes(model, trials, _as_generator(seed))
     values = _measure_values(spec, outcomes, trials)
-    return _bootstrap_result(measure_id, observed, values, alpha, two_sided)
+    return _bootstrap_result(measure_id, model, spec, observed, values, alpha, two_sided)
 
 
 def run_all(table: DyadTable, config: InferenceConfig = InferenceConfig()
@@ -441,8 +425,9 @@ def run_all(table: DyadTable, config: InferenceConfig = InferenceConfig()
     for m in config.measures:
         observed = evaluate(table, m).value
         if config.method in ("bootstrap", "both"):
-            results.append(_bootstrap_result(m, observed, bootstrap_values[m],
-                                             config.alpha, config.two_sided))
+            results.append(_bootstrap_result(m, model, spec_for(m), observed,
+                                             bootstrap_values[m], config.alpha,
+                                             config.two_sided))
         if config.method in ("exact", "both"):
             results.append(_exact_with_model(table, model, m,
                                              config.alpha, config.two_sided))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -382,6 +383,41 @@ def _item_labels(config: EvaluationConfig, discovered: Iterable[str]
     return [(item, item) for item in sorted(discovered)]
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _run_item(work: tuple[DyadTable, InferenceConfig]
+              ) -> tuple[tuple[TestResult, ...] | None, str | None]:
+    """One item's inference: (results, None), or (None, message) on bad input."""
+    table, inference = work
+    try:
+        return tuple(run_all(table, inference)), None
+    except InputError as exc:
+        return None, str(exc)
+
+
+def _run_items(work: list[tuple[DyadTable, InferenceConfig]]
+               ) -> list[tuple[tuple[TestResult, ...] | None, str | None]]:
+    """``_run_item`` over ``work`` in order, in forked workers when more
+    than one item and more than one CPU are at hand."""
+    jobs = min(len(work), _worker_count())
+    if jobs > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(jobs) as pool:
+                outcomes = pool.map(_run_item, work, chunksize=1)
+                pool.close()
+                pool.join()
+            return outcomes
+    return [_run_item(w) for w in work]
+
+
 def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
     """Census -> null model -> all measures, per item.
 
@@ -391,6 +427,12 @@ def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
     bad input produces a report carrying its error; other items still run.
     A ``NumericalIntegrityError`` is a fault of the engine, not of an item,
     and propagates.
+
+    Tables are built here, in item order; the items' inference then runs in
+    up to one forked worker process per CPU (inline for a single item or
+    CPU).  Each item draws only from its own seed child, so results do not
+    depend on the worker count.  A worker holds one item's bootstrap samples
+    at a time: 16 x trials x 4 int64.
     """
     builders: list[tuple[str, str, Callable[[], tuple[DyadTable, int]]]] = []
     if config.input_mode == "dyad_csv":
@@ -434,18 +476,24 @@ def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
                                                 config.delimiter), 0)))
 
     children = np.random.SeedSequence(config.seed).spawn(len(builders))
-    reports: list[ItemReport] = []
+    reports: list[ItemReport | None] = []
+    pending, work = [], []
     for (item_id, label, build), child in zip(builders, children):
         try:
             table, n_dropped = build()
             if config.invert_behavior:
                 table = table.invert_behavior()
-            results = run_all(table, config.inference(child))
-            reports.append(ItemReport(item_id, label, tuple(results),
-                                      dyads_used=table.total,
-                                      dyads_dropped=n_dropped))
         except InputError as exc:
             reports.append(ItemReport(item_id, label, (), 0, 0, error=str(exc)))
+            continue
+        pending.append((len(reports), item_id, label, table.total, n_dropped))
+        reports.append(None)
+        work.append((table, config.inference(child)))
+    for (at, item_id, label, used, n_dropped), (results, error) in zip(
+            pending, _run_items(work)):
+        reports[at] = (ItemReport(item_id, label, (), 0, 0, error=error) if error is not None
+                       else ItemReport(item_id, label, results, dyads_used=used,
+                                       dyads_dropped=n_dropped))
     return reports
 
 

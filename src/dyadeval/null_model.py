@@ -168,16 +168,19 @@ def fit_from_marginals(marg: MarginalSet) -> NullModel:
                      row_counts=marg.n_pqrs.copy(), row_totals=marg.n0.copy())
 
 
-def sample(model: NullModel, seed) -> NullSample:
-    """Draw one null census: a multinomial per (x, y, p, q) group.
+def _sample_group_outcomes(model: NullModel, trials: int, rng: np.random.Generator
+                           ) -> dict[tuple[int, int, int, int], np.ndarray]:
+    """Per-group multinomial draws for ``trials`` null censuses.
 
-    Deterministic given ``seed``; see the module docstring for the stream
-    layout.  Raises ``UndefinedRowError`` if any group with positive mass
+    Always draws all positive-mass groups in lexicographic (x, y, p, q)
+    order from one stream, so the sequence of null censuses depends only on
+    the seed, never on how the draws are used afterwards.  Returns arrays of
+    shape (trials, 4) with (r, s) columns in order (0,0), (0,1), (1,0),
+    (1,1).  Raises ``UndefinedRowError`` if any group with positive mass
     sits on an undefined transition row (possible only for hand-built
     models).
     """
-    rng = _as_generator(seed)
-    counts = np.zeros((2, 2, 2, 2, 2, 2), dtype=np.int64)
+    outcomes = {}
     for x in (0, 1):
         for y in (0, 1):
             for p in (0, 1):
@@ -186,7 +189,20 @@ def sample(model: NullModel, seed) -> NullSample:
                     if mass == 0:
                         continue
                     row = model.require_row(p, q)
-                    counts[x, y, p, q] = rng.multinomial(mass, row.ravel()).reshape(2, 2)
+                    outcomes[(x, y, p, q)] = rng.multinomial(
+                        mass, row.ravel(), size=trials)
+    return outcomes
+
+
+def sample(model: NullModel, seed) -> NullSample:
+    """Draw one null census: the one-trial case of the bootstrap's sampler.
+
+    Deterministic given ``seed``; see the module docstring for the stream
+    layout.  Raises ``UndefinedRowError`` as the sampler does.
+    """
+    counts = np.zeros((2, 2, 2, 2, 4), dtype=np.int64)
+    for group, drawn in _sample_group_outcomes(model, 1, _as_generator(seed)).items():
+        counts[group] = drawn[0]
     return NullSample(DyadTable(counts.reshape(64)))
 
 

@@ -1,8 +1,11 @@
 import json
+import re
 
+import numpy as np
 import pytest
 from scipy.stats import binom
 
+from dyadeval import io
 from dyadeval.cli import main
 
 DYAD_HEADER = "ego_id,alter_id,ego_part,alter_part,ego_b0,alter_b0,ego_b1,alter_b1,item_id"
@@ -85,6 +88,67 @@ def test_table_integrity_failure_exit_code(tmp_path, monkeypatch, capsys):
                  "--method", "exact", "--out-csv", str(tmp_path / "r.csv")])
     assert code == 2
     assert "numerical integrity failure" in capsys.readouterr().err
+
+
+def random_dyads(tmp_path, items=("q1", "q2", "q3"), per_item=300, seed=0):
+    rng = np.random.default_rng(seed)
+    lines = [DYAD_HEADER]
+    for item in items:
+        for i, bits in enumerate(rng.integers(0, 2, size=(per_item, 6))):
+            lines.append(f"e{i},a{i}," + ",".join(map(str, bits)) + f",{item}")
+    path = tmp_path / "many.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_pooled_reports_equal_serial_reports(tmp_path, monkeypatch, capsys):
+    dyads = random_dyads(tmp_path)
+    items = tmp_path / "items.csv"
+    # q0 is absent from the data: its empty census fails inside a worker
+    items.write_text("item_id,label\nq1,one\nq0,absent\nq2,two\nq3,three\n")
+    outputs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(io, "_worker_count", lambda: workers)
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        code = main(["evaluate", "--dyads", str(dyads), "--items", str(items),
+                     "--method", "both", "--trials", "3000", "--seed", "13",
+                     "--out-csv", str(out / "r.csv"), "--out-json", str(out / "r.json"),
+                     "--chart", str(out / "r.svg")])
+        assert code == 0
+        outputs[workers] = [(out / name).read_bytes() for name in ("r.csv", "r.json", "r.svg")]
+    assert outputs[1] == outputs[2]
+    payload = json.loads(outputs[2][1])
+    assert [item["item_id"] for item in payload["items"]] == ["q1", "q0", "q2", "q3"]
+    assert [item["error"] is None for item in payload["items"]] == [True, False, True, True]
+
+
+def test_integrity_failure_in_worker_exit_code(tmp_path, monkeypatch, capsys):
+    # forked workers inherit the patched PMF
+    full_pmf = binom.pmf
+    monkeypatch.setattr("dyadeval.inference.binom.pmf",
+                        lambda *args: 0.5 * full_pmf(*args))
+    monkeypatch.setattr(io, "_worker_count", lambda: 2)
+    code = main(["evaluate", "--dyads", str(random_dyads(tmp_path, items=("q1", "q2"))),
+                 "--method", "exact", "--out-csv", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert "numerical integrity failure" in capsys.readouterr().err
+
+
+def test_summary_gap_in_standard_errors(tmp_path, capsys):
+    dyads = random_dyads(tmp_path, items=("q1",))
+    out_json = tmp_path / "r.json"
+    assert main(["evaluate", "--dyads", str(dyads), "--method", "both",
+                 "--trials", "2000", "--seed", "3", "--out-json", str(out_json)]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if "max |p_bootstrap - p_exact|" in line)
+    p = {(r["measure"], r["method"]): r["p_value"]
+         for r in json.loads(out_json.read_text())["items"][0]["results"]}
+    gaps = {m: abs(p[m, "bootstrap"] - p[m, "exact"]) for m, _ in p}
+    worst = max(gaps, key=gaps.get)
+    # SE = sqrt(p_exact (1 - p_exact) / B_N), floored at 1 / B_N
+    se = max((p[worst, "exact"] * (1 - p[worst, "exact"]) / 2000) ** 0.5, 1 / 2000)
+    assert line.endswith(f"measures: {gaps[worst]:.6g} ({gaps[worst] / se:.1f} SE)")
 
 
 def test_simulate_writes_dyads_and_evaluates(tmp_path, capsys):

@@ -8,7 +8,8 @@ from dyadeval import (DiscreteDistribution, DyadTable, InferenceConfig,
                       evaluate, exact_test, fit, method_disagreement, pb_pmf,
                       run_all, simulate_dyad_table)
 from dyadeval import MeasureSpec, NullModel, SimParams, sample
-from dyadeval.inference import _measure_values, _sample_group_outcomes
+from dyadeval.inference import _measure_values
+from dyadeval.null_model import _sample_group_outcomes
 from dyadeval.measures import spec_for
 
 from oracles import (cell_code, difference_pmf_by_double_loop,
@@ -380,6 +381,42 @@ def test_bootstrap_within_mc_error_of_enumeration():
     se = np.sqrt(p_exact * (1 - p_exact) / trials)
     assert res.direction == direction
     assert abs(res.p_value - p_exact) <= 3 * se
+
+
+def test_bootstrap_direction_follows_model_mean_not_sampled_mean():
+    # criterion 1's dataset seed 1010: the sampled M3 mean (8.066) and the
+    # exact one (7.990) straddle the observed 8; both engines must read the
+    # direction off the model's mean
+    table = simulate_dyad_table(SimParams(seed=1010))
+    results = run_all(table, InferenceConfig(method="both", trials=100_000, seed=5010,
+                                             measures=(MeasureId.M3,)))
+    boot, exact = results
+    assert boot.observed == exact.observed == 8
+    assert exact.null_mean == pytest.approx(7.9898, abs=1e-4)
+    assert boot.null_mean == exact.null_mean
+    assert boot.direction == exact.direction == "positive"
+    outcomes = _sample_group_outcomes(fit(table), 100_000, np.random.default_rng(5010))
+    sampled = _measure_values(spec_for(MeasureId.M3), outcomes, 100_000)
+    assert sampled.mean() == pytest.approx(8.066, abs=1e-3)
+    assert boot.p_value == pytest.approx(float((sampled >= 8).mean()))
+
+
+def test_bootstrap_tie_rule_from_handbuilt_model():
+    # float-only model whose M2 mean equals the observed 0: the samples
+    # scatter around it, but the bootstrap shares the exact engine's tie rule
+    p0 = np.zeros((2, 2, 2, 2))
+    p0[0, 0, 0, 0] = p0[0, 0, 1, 1] = 0.5
+    p0[0, 1, 0, 1] = p0[1, 0, 1, 0] = p0[1, 1, 1, 1] = 1.0
+    masses = np.zeros((2, 2, 2, 2), dtype=np.int64)
+    masses[1, 0, 0, 0] = masses[0, 0, 0, 0] = 4
+    model = NullModel(p0=p0, masses=masses, row_defined=np.ones((2, 2), dtype=bool))
+    table = table_from({(1, 0, 0, 0, 0, 0): 2, (1, 0, 0, 0, 1, 1): 2,
+                        (0, 0, 0, 0, 0, 0): 2, (0, 0, 0, 0, 1, 1): 2})
+    boot = bootstrap_test(table, MeasureId.M2, trials=50, seed=0, model=model)
+    exact = exact_test(table, MeasureId.M2, model=model)
+    assert boot.observed == exact.observed == 0
+    assert (boot.null_mean, boot.direction, boot.p_value) == (0.0, "none", 1.0)
+    assert (exact.null_mean, exact.direction, exact.p_value) == (0.0, "none", 1.0)
 
 
 def test_bootstrap_vectorized_path_equals_per_census_evaluation():

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from dyadeval import InputError, MeasureId
+from dyadeval import InputError, MeasureId, io
 from dyadeval.io import (EvaluationConfig, emit_report, evaluate_items,
                          join_node_edges, load_report_json, parse_dyad_csv,
                          parse_node_csv, parse_table64, read_edge_list)
@@ -292,6 +294,21 @@ def test_evaluate_items_deterministic(tmp_path):
     config = EvaluationConfig(input_mode="dyad_csv", dyads_path=str(path),
                               method="both", trials=200, seed=9)
     assert evaluate_items(config) == evaluate_items(config)
+
+
+def _worker_pid(work):
+    return os.getpid()
+
+
+def test_run_items_in_forked_workers(monkeypatch):
+    # forked workers inherit the patched _run_item
+    monkeypatch.setattr(io, "_run_item", _worker_pid)
+    monkeypatch.setattr(io, "_worker_count", lambda: 2)
+    pids = io._run_items([None] * 4)
+    assert len(pids) == 4 and os.getpid() not in pids
+    assert io._run_items([None]) == [os.getpid()]  # a single item runs inline
+    monkeypatch.setattr(io, "_worker_count", lambda: 1)
+    assert io._run_items([None] * 3) == [os.getpid()] * 3
 
 
 def test_evaluate_items_table64_mode(tmp_path):
