@@ -13,8 +13,8 @@ from .census import (CellIndex, DyadRecord, DyadTable, MarginalSet, all_cells,
 from .errors import (DyadevalError, InputError, NumericalIntegrityError,
                      UndefinedRowError)
 from .inference import (DiscreteDistribution, InferenceConfig, TestResult,
-                        TrialGroup, bootstrap_test, difference_distribution,
-                        exact_test, method_disagreement, pb_pmf, run_all)
+                        TrialGroup, bootstrap_test, exact_test,
+                        method_disagreement, pb_pmf, run_all)
 from .measures import (MEASURE_LABELS, MeasureId, MeasureSpec, MeasureValue,
                        cells_matching, evaluate, spec_for)
 from .null_model import (NullModel, NullSample, fit, group_event_probability,
@@ -32,7 +32,7 @@ __all__ = [
     "cells_matching", "evaluate", "spec_for",
     "NullModel", "NullSample", "fit", "group_event_probability", "sample",
     "DiscreteDistribution", "InferenceConfig", "TestResult", "TrialGroup",
-    "bootstrap_test", "difference_distribution", "exact_test",
+    "bootstrap_test", "exact_test",
     "method_disagreement", "pb_pmf", "run_all",
     "EdgeModel", "SimNetwork", "SimParams", "assign_initial_states",
     "generate_network", "probabilities_to_counts", "simulate",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -185,10 +186,23 @@ def _emit_all(reports: list[ItemReport], args) -> int:
     if args.chart:
         emit_bubble_chart(reports, args.chart, method=args.chart_method)
         wrote = True
-    _print_summary(reports, verbose=not wrote)
     # isolated per-item failures keep the run alive, but a run in which
     # nothing succeeded is an input error
-    return 0 if any(r.error is None for r in reports) else 1
+    code = 0 if any(r.error is None for r in reports) else 1
+    try:
+        _print_summary(reports, verbose=not wrote)
+    except BrokenPipeError:
+        _silence_stdout()
+    return code
+
+
+def _silence_stdout() -> None:
+    """Point stdout at devnull once its reader has gone (e.g. ``| head``),
+    so the rest of the output and the flush at interpreter exit are dropped
+    quietly.  The reports are written before anything is printed."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _print_summary(reports: list[ItemReport], verbose: bool) -> None:
@@ -333,13 +347,19 @@ def main(argv: list[str] | None = None) -> int:
             for sp in parser._dyadeval_subparsers:
                 sp.set_defaults(**cfg)
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except NumericalIntegrityError as exc:
         print(f"numerical integrity failure: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    finally:  # also on argparse's exit after --version or --help
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _silence_stdout()
+    return code
 
 
 if __name__ == "__main__":

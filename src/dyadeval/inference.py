@@ -20,7 +20,16 @@ one of the eight measures then has at most four blocks.  Each block's PMF
 is evaluated only on the window where it is >= 1e-300 (entries below that
 are zero in ``DiscreteDistribution`` anyway).  This is exact up to float
 rounding and O(W^2) with W ~ 80 sd per block, instead of O(N^2) in the
-side's trial total.
+side's trial total.  The binomial PMF itself is Loader's saddle-point form
+(C. Loader, "Fast and Accurate Computation of Binomial Probabilities",
+2000; the algorithm of R's ``dbinom``): Stirling-series errors plus
+deviance terms, so no difference of log-gamma values cancels, in numpy
+alone.
+
+The tail of the difference X - Y of the two sides never needs its PMF:
+P(X - Y >= v) = sum_y P(Y = y) P(X >= v + y) is one dot product of Y's PMF
+with X's suffix sums, and P(X - Y <= v) one with X's prefix sums, O(W)
+where the difference PMF would cost another O(W^2) convolution.
 
 Tail convention: one-sided inclusive tail in the direction of the observed
 deviation from the null mean, which both engines take from the model (not
@@ -32,12 +41,12 @@ direction "none" and p = 1.  Set ``two_sided=True`` to double the tail
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from .census import DyadTable
 from .errors import InputError, NumericalIntegrityError
@@ -50,7 +59,6 @@ __all__ = [
     "TestResult",
     "InferenceConfig",
     "pb_pmf",
-    "difference_distribution",
     "bootstrap_test",
     "exact_test",
     "run_all",
@@ -114,24 +122,15 @@ class DiscreteDistribution:
     def support(self) -> np.ndarray:
         return self.support_min + np.arange(len(self.pmf))
 
-    def mean(self) -> float:
-        return float(np.dot(self.support(), self.pmf))
+    def tail_ge(self, value):
+        """Inclusive upper tail P(X >= value), elementwise for an array."""
+        suffix = np.append(np.cumsum(self.pmf[::-1])[::-1], 0.0)
+        return suffix[np.clip(np.asarray(value) - self.support_min, 0, len(self.pmf))]
 
-    def tail_ge(self, value: int) -> float:
-        """Inclusive upper tail P(X >= value)."""
-        if value <= self.support_min:
-            return 1.0
-        if value > self.support_max:
-            return 0.0
-        return float(self.pmf[value - self.support_min:].sum())
-
-    def tail_le(self, value: int) -> float:
-        """Inclusive lower tail P(X <= value)."""
-        if value >= self.support_max:
-            return 1.0
-        if value < self.support_min:
-            return 0.0
-        return float(self.pmf[:value - self.support_min + 1].sum())
+    def tail_le(self, value):
+        """Inclusive lower tail P(X <= value), elementwise for an array."""
+        prefix = np.concatenate(([0.0], np.cumsum(self.pmf)))
+        return prefix[np.clip(np.asarray(value) - self.support_min + 1, 0, len(self.pmf))]
 
 
 @dataclass(frozen=True)
@@ -174,6 +173,73 @@ class InferenceConfig:
             raise InputError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
+# stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n / e)^n) for n = 0..15; entry 0
+# is a placeholder that is never read
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+_LN_2PI = math.log(2.0 * math.pi)
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """Stirling-series error of log(n!): the table up to 15, the five-term
+    asymptotic series above."""
+    small = n <= 15
+    m = np.where(small, 16.0, n)
+    mm = m * m
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * mm)) / mm) / mm) / mm) / m
+    return np.where(small, _STIRLERR[np.where(small, n, 0).astype(np.intp)], series)
+
+
+def _bd0(x: np.ndarray, m: float) -> np.ndarray:
+    """Deviance x log(x / m) + m - x for x > 0, summed as a series in
+    v = (x - m) / (x + m) where |x - m| < 0.1 (x + m), so it does not cancel
+    near x = m; the series stops once its terms no longer change the sum."""
+    out = x * np.log(x / m) + m - x
+    near = np.abs(x - m) < 0.1 * (x + m)
+    if near.any():
+        d = x[near] - m
+        v = d / (x[near] + m)
+        total, term, v2 = d * v, 2.0 * x[near] * v, v * v
+        j = 1
+        while True:
+            term = term * v2
+            nxt = total + term / (2 * j + 1)
+            if np.array_equal(nxt, total):
+                break
+            total, j = nxt, j + 1
+        out[near] = total
+    return out
+
+
+def _binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) PMF at integers 0 <= k <= n by Loader's saddle-point form.
+
+    exp(stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, np)
+    - bd0(n - k, nq)) / sqrt(2 pi k (n - k) / n) inside, n log(1 - p) and
+    n log(p) at k = 0 and k = n, point masses for p in {0, 1}.  The
+    log(2 pi k (n - k) / n) term is a sum of logs, not Loader's
+    log1p(-k / n), which cancels at k = n - 1.
+    """
+    k = np.asarray(k, dtype=float)
+    if p == 0.0 or p == 1.0:
+        return (k == n * p).astype(float)
+    q = 1.0 - p
+    out = np.zeros_like(k)
+    out[k == 0] = math.exp(n * math.log1p(-p))
+    out[k == n] = math.exp(n * math.log1p(-q))
+    inner = (k > 0) & (k < n)
+    x = k[inner]
+    lc = (_stirlerr(n) - _stirlerr(x) - _stirlerr(n - x)
+          - _bd0(x, n * p) - _bd0(n - x, n * q))
+    out[inner] = np.exp(lc - 0.5 * (_LN_2PI + np.log(x) + np.log(n - x) - math.log(n)))
+    return out
+
+
 def _binom_window(n: int, prob: float) -> tuple[int, np.ndarray]:
     """Binomial(n, prob) PMF on the window of values where it is >= 1e-300.
 
@@ -189,7 +255,7 @@ def _binom_window(n: int, prob: float) -> tuple[int, np.ndarray]:
     lo = max(0, int(mean - half))
     hi = min(n, int(mean + half) + 1)
     while True:
-        block = binom.pmf(np.arange(lo, hi + 1), n, prob)
+        block = _binom_pmf(np.arange(lo, hi + 1), n, prob)
         grow_lo = lo > 0 and block[0] >= _PMF_FLOOR
         grow_hi = hi < n and block[-1] >= _PMF_FLOOR
         if not (grow_lo or grow_hi):
@@ -220,11 +286,12 @@ def pb_pmf(groups: Sequence[TrialGroup] | Iterable[TrialGroup]) -> DiscreteDistr
     return DiscreteDistribution(support_min, pmf)
 
 
-def difference_distribution(pos: DiscreteDistribution,
-                            neg: DiscreteDistribution) -> DiscreteDistribution:
-    """Exact PMF of X - Y for independent X, Y."""
-    pmf = np.convolve(pos.pmf, neg.pmf[::-1])
-    return DiscreteDistribution(pos.support_min - neg.support_max, pmf)
+def _difference_tails(pos: DiscreteDistribution, neg: DiscreteDistribution):
+    """Inclusive tails v -> P(X - Y >= v) and v -> P(X - Y <= v) for
+    independent X ~ pos, Y ~ neg: sum_y P(Y = y) P(X >= v + y) and its
+    mirror, one dot product each."""
+    return (lambda v: float(neg.pmf @ pos.tail_ge(v + neg.support())),
+            lambda v: float(neg.pmf @ pos.tail_le(v + neg.support())))
 
 
 def _tail_result(measure, observed: int, null_mean: float, deviation: int,
@@ -324,9 +391,8 @@ def _exact_with_model(table: DyadTable, model: NullModel,
     measure_id = measure if isinstance(measure, MeasureId) else None
     observed = evaluate(table, spec).value
     null_mean, deviation, pos_groups, neg_groups = _null_mean(model, spec, observed)
-    dist = difference_distribution(pb_pmf(pos_groups), pb_pmf(neg_groups))
     return _tail_result(measure_id, observed, null_mean, deviation,
-                        dist.tail_ge, dist.tail_le,
+                        *_difference_tails(pb_pmf(pos_groups), pb_pmf(neg_groups)),
                         method="exact", alpha=alpha, trials=None,
                         two_sided=two_sided)
 

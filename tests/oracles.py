@@ -138,6 +138,19 @@ def difference_pmf_by_double_loop(fx, x_min, fy, y_min):
     return out, z_min
 
 
+def difference_distribution(pos, neg) -> tuple[int, np.ndarray]:
+    """(support_min, pmf) of X - Y for independent X, Y, each given by a
+    ``support_min`` and a ``pmf`` array: the convolution of X's PMF with Y's
+    reversed, which the exact engine's dot-product tails avoid."""
+    pmf = np.convolve(pos.pmf, neg.pmf[::-1])
+    return pos.support_min - (neg.support_min + len(neg.pmf) - 1), pmf
+
+
+def distribution_mean(support_min: int, pmf) -> float:
+    """Mean of a PMF over consecutive integers from ``support_min``."""
+    return float(np.dot(support_min + np.arange(len(pmf)), pmf))
+
+
 def _compositions(total: int, parts: int):
     """All tuples of `parts` non-negative ints summing to `total`."""
     if parts == 1:

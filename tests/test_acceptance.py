@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timing diagnostics.
 """
 
+import math
 import time
 
 import numpy as np
@@ -61,6 +62,28 @@ def test_criterion_1_exact_vs_bootstrap_agreement():
     # stated criterion faithfully and is expected to fail; see the decisions
     # ledger for the quantitative analysis.
     assert agree_ok, line
+
+
+def test_engine_agreement_in_standard_errors():
+    """Criterion 1's 20 datasets, measured in Monte Carlo standard errors:
+    every |p_bootstrap - p_exact| <= z SE(p_exact, B_N), with the CLI's
+    SE = sqrt(p_exact (1 - p_exact) / B_N) floored at 1 / B_N.  z = 4.0 was
+    fixed beforehand: Bonferroni at 1% over 160 comparisons."""
+    z, trials = 4.0, 100_000
+    gaps = []
+    for i in range(20):
+        table = simulate_dyad_table(SimParams(seed=1000 + i))
+        results = run_all(table, InferenceConfig(method="both", trials=trials,
+                                                 seed=5000 + i))
+        for boot, exact in zip(results[::2], results[1::2]):
+            assert (boot.method, exact.method) == ("bootstrap", "exact")
+            p = exact.p_value
+            se = max(math.sqrt(p * (1.0 - p) / trials), 1.0 / trials)
+            gaps.append(abs(boot.p_value - p) / se)
+    line = (f"[engine agreement] max gap {max(gaps):.2f} SE over {len(gaps)} "
+            f"comparisons, {sum(g > 1.96 for g in gaps)} beyond 1.96 SE")
+    print(line)
+    assert max(gaps) <= z, line
 
 
 def test_criterion_2_pb_oracle_equivalence():

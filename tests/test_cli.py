@@ -1,12 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import binom
 
 from dyadeval import io
 from dyadeval.cli import main
+from dyadeval.inference import _binom_pmf
 
 DYAD_HEADER = "ego_id,alter_id,ego_part,alter_part,ego_b0,alter_b0,ego_b1,alter_b1,item_id"
 
@@ -81,8 +85,8 @@ def test_table_bad_probabilities_exit_code(tmp_path, capsys):
 
 
 def test_table_integrity_failure_exit_code(tmp_path, monkeypatch, capsys):
-    full_pmf = binom.pmf
-    monkeypatch.setattr("dyadeval.inference.binom.pmf",
+    full_pmf = _binom_pmf
+    monkeypatch.setattr("dyadeval.inference._binom_pmf",
                         lambda *args: 0.5 * full_pmf(*args))
     code = main(["table", "--table", str(uniform_table(tmp_path)), "--probabilities",
                  "--method", "exact", "--out-csv", str(tmp_path / "r.csv")])
@@ -125,8 +129,8 @@ def test_pooled_reports_equal_serial_reports(tmp_path, monkeypatch, capsys):
 
 def test_integrity_failure_in_worker_exit_code(tmp_path, monkeypatch, capsys):
     # forked workers inherit the patched PMF
-    full_pmf = binom.pmf
-    monkeypatch.setattr("dyadeval.inference.binom.pmf",
+    full_pmf = _binom_pmf
+    monkeypatch.setattr("dyadeval.inference._binom_pmf",
                         lambda *args: 0.5 * full_pmf(*args))
     monkeypatch.setattr(io, "_worker_count", lambda: 2)
     code = main(["evaluate", "--dyads", str(random_dyads(tmp_path, items=("q1", "q2"))),
@@ -235,3 +239,81 @@ def test_summary_printed(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "q1: 8 dyads" in out
     assert "M1" in out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+RUN_CLI = "import runpy\nrunpy.run_module('dyadeval.cli', run_name='__main__')\n"
+
+
+def run_python(code, *args, stdout=subprocess.PIPE):
+    """Run ``python -c code args`` with the package importable and stdout
+    block-buffered, as it is by default when piped."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=300)
+
+
+def report_flags(out):
+    return ["--out-csv", str(out / "r.csv"), "--out-json", str(out / "r.json"),
+            "--chart", str(out / "r.svg")]
+
+
+def run_into_closed_pipe(*args):
+    reader, writer = os.pipe()
+    os.close(reader)  # the reader is gone before the first byte
+    try:
+        return run_python(RUN_CLI, *args, stdout=writer)
+    finally:
+        os.close(writer)
+
+
+@pytest.mark.parametrize("write_reports", [True, False])
+def test_closed_stdout_exits_quietly(tmp_path, write_reports, capsys):
+    # reports on: two summary lines per item, broken at the final flush;
+    # reports off: ~12 KB of per-measure lines, broken inside the summary
+    dyads = random_dyads(tmp_path, items=tuple(f"q{i}" for i in range(10)))
+    args = ["evaluate", "--dyads", str(dyads), "--method", "both", "--trials", "200"]
+    child, parent = tmp_path / "child", tmp_path / "parent"
+    child.mkdir()
+    parent.mkdir()
+    proc = run_into_closed_pipe(*args, *(report_flags(child) if write_reports else []))
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    if write_reports:
+        assert main(args + report_flags(parent)) == 0
+        for name in ("r.csv", "r.json", "r.svg"):
+            assert (child / name).read_bytes() == (parent / name).read_bytes()
+
+
+def test_version_into_closed_stdout_exits_quietly():
+    proc = run_into_closed_pipe("--version")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def test_runtime_never_imports_scipy(tmp_path, capsys):
+    version = run_python(BLOCK_SCIPY + RUN_CLI, "--version")
+    assert version.returncode == 0, version.stderr.decode()
+    assert version.stdout.startswith(b"dyadeval ")
+    args = ["table", "--table", str(uniform_table(tmp_path)), "--probabilities",
+            "--method", "exact", "--out-json"]
+    proc = run_python(BLOCK_SCIPY + RUN_CLI, *args, str(tmp_path / "child.json"))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert main(args + [str(tmp_path / "parent.json")]) == 0
+    assert (tmp_path / "child.json").read_bytes() == (tmp_path / "parent.json").read_bytes()
+    loaded = run_python("import sys, dyadeval.cli\n"
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded.stdout.strip() == b"[]"

@@ -4,15 +4,16 @@ from scipy.stats import binom
 
 from dyadeval import (DiscreteDistribution, DyadTable, InferenceConfig,
                       InputError, MeasureId, NumericalIntegrityError,
-                      TrialGroup, bootstrap_test, difference_distribution,
-                      evaluate, exact_test, fit, method_disagreement, pb_pmf,
-                      run_all, simulate_dyad_table)
+                      TrialGroup, bootstrap_test, evaluate, exact_test, fit,
+                      method_disagreement, pb_pmf, run_all, simulate_dyad_table)
 from dyadeval import MeasureSpec, NullModel, SimParams, sample
-from dyadeval.inference import _measure_values
+from dyadeval.inference import (_STIRLERR, _binom_pmf, _binom_window,
+                                _difference_tails, _measure_values, _stirlerr)
 from dyadeval.null_model import _sample_group_outcomes
 from dyadeval.measures import spec_for
 
-from oracles import (cell_code, difference_pmf_by_double_loop,
+from oracles import (cell_code, difference_distribution,
+                     difference_pmf_by_double_loop, distribution_mean,
                      enumeration_cost, exact_test_by_full_convolution,
                      measure_cells_by_formula, null_distribution_by_enumeration,
                      pb_pmf_by_subsets, tail_probability_from_distribution)
@@ -76,7 +77,7 @@ def test_pb_mean_identity_and_normalization():
               for _ in range(4)]
     dist = pb_pmf(groups)
     assert abs(dist.pmf.sum() - 1.0) <= 1e-9
-    assert dist.mean() == pytest.approx(
+    assert distribution_mean(dist.support_min, dist.pmf) == pytest.approx(
         sum(g.count * g.success_prob for g in groups), abs=1e-9)
 
 
@@ -99,6 +100,41 @@ def test_pb_trimmed_window_matches_full_support(count, prob):
     # trimming stays on: the window is about 75 sd wide, not count + 1
     sd = np.sqrt(count * prob * (1 - prob))
     assert len(dist.pmf) <= 80 * sd + 82
+
+
+_GRID_PROBS = (1e-4, 1e-3, 0.0999, 0.1, 0.37, 0.5, 0.9, 0.9001, 0.9999)
+
+
+@pytest.mark.parametrize("prob", _GRID_PROBS)
+def test_binom_pmf_matches_scipy(prob):
+    # the window, k in {0, 1, n - 1, n} and random k, for n from 1 to 3M
+    rng = np.random.default_rng(606)
+    drawn = np.exp(rng.uniform(np.log(3), np.log(3_000_000), size=12)).astype(int)
+    for n in sorted({1, 2, 15, 16, 3_000_000, *drawn.tolist()}):
+        lo, block = _binom_window(n, prob)
+        k = np.unique(np.concatenate([np.arange(lo, lo + len(block)), [0, 1, n - 1, n],
+                                      rng.integers(0, n + 1, size=200)]))
+        ours, ref = _binom_pmf(k, n, prob), binom.pmf(k, n, prob)
+        big = ref >= 1e-280
+        assert np.all(np.abs(ours[big] - ref[big]) <= 1e-10 * ref[big]), n
+        assert np.all(np.abs(ours[~big] - ref[~big]) <= 1e-280), n
+
+
+def test_binom_pmf_point_masses():
+    k = np.arange(8)
+    assert _binom_pmf(k, 7, 0.0).tolist() == [1.0] + [0.0] * 7
+    assert _binom_pmf(k, 7, 1.0).tolist() == [0.0] * 7 + [1.0]
+
+
+def test_stirlerr_table_and_series_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for n in range(1, 41):
+            exact = float(mpmath.loggamma(n + 1) - (mpmath.mpf(n) + 0.5) * mpmath.log(n)
+                          + n - mpmath.log(2 * mpmath.pi) / 2)
+            if n <= 15:
+                assert abs(_STIRLERR[n] - exact) <= 1e-15
+            assert abs(float(_stirlerr(n)) - exact) <= 1e-15
 
 
 @pytest.mark.parametrize("group", [
@@ -139,24 +175,31 @@ def test_trial_group_validation():
         TrialGroup(1, 1.5)
 
 
-# ------------------------------------------- difference_distribution
+# ------------------------------------------- difference tails
 
 def test_difference_point_masses():
     x = DiscreteDistribution(3, np.array([1.0]))
     y = DiscreteDistribution(1, np.array([1.0]))
-    d = difference_distribution(x, y)
-    assert d.support_min == 2
-    assert d.pmf.tolist() == [1.0]
+    support_min, pmf = difference_distribution(x, y)
+    assert support_min == 2
+    assert pmf.tolist() == [1.0]
+    tail_ge, tail_le = _difference_tails(x, y)
+    assert (tail_ge(2), tail_ge(3), tail_le(2), tail_le(1)) == (1.0, 0.0, 1.0, 0.0)
 
 
 def test_difference_fair_bernoullis():
     x = pb_pmf([TrialGroup(1, 0.5)])
-    d = difference_distribution(x, x)
-    assert d.support_min == -1
-    assert d.pmf.tolist() == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
+    support_min, pmf = difference_distribution(x, x)
+    assert support_min == -1
+    assert pmf.tolist() == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
+    tail_ge, tail_le = _difference_tails(x, x)
+    assert [tail_ge(v) for v in (-1, 0, 1, 2)] == pytest.approx([1.0, 0.75, 0.25, 0.0])
+    assert [tail_le(v) for v in (-2, -1, 0, 1)] == pytest.approx([0.0, 0.25, 0.75, 1.0])
 
 
 def test_difference_matches_double_loop():
+    # the reference difference PMF against the double loop, and the
+    # engine's dot-product tails against that PMF's tail sums
     rng = np.random.default_rng(31)
     for _ in range(20):
         fx = rng.random(int(rng.integers(1, 9)))
@@ -164,11 +207,16 @@ def test_difference_matches_double_loop():
         fy = rng.random(int(rng.integers(1, 9)))
         fy /= fy.sum()
         x_min, y_min = int(rng.integers(-5, 5)), int(rng.integers(-5, 5))
-        d = difference_distribution(DiscreteDistribution(x_min, fx),
-                                    DiscreteDistribution(y_min, fy))
+        x, y = DiscreteDistribution(x_min, fx), DiscreteDistribution(y_min, fy)
+        support_min, pmf = difference_distribution(x, y)
         oracle, z_min = difference_pmf_by_double_loop(fx, x_min, fy, y_min)
-        assert d.support_min == z_min
-        assert max(abs(a - b) for a, b in zip(d.pmf, oracle)) <= 1e-12
+        assert support_min == z_min
+        assert max(abs(a - b) for a, b in zip(pmf, oracle)) <= 1e-12
+        tail_ge, tail_le = _difference_tails(x, y)
+        for v in range(z_min - 2, z_min + len(oracle) + 2):
+            at = v - z_min
+            assert abs(tail_ge(v) - sum(oracle[max(at, 0):])) <= 1e-12
+            assert abs(tail_le(v) - sum(oracle[:max(at + 1, 0)])) <= 1e-12
 
 
 def test_difference_expectation_identity():
@@ -179,8 +227,8 @@ def test_difference_expectation_identity():
     fy /= fy.sum()
     x = DiscreteDistribution(2, fx)
     y = DiscreteDistribution(-3, fy)
-    d = difference_distribution(x, y)
-    assert d.mean() == pytest.approx(x.mean() - y.mean(), abs=1e-9)
+    assert distribution_mean(*difference_distribution(x, y)) == pytest.approx(
+        distribution_mean(2, fx) - distribution_mean(-3, fy), abs=1e-9)
 
 
 # --------------------------------------------- DiscreteDistribution
@@ -261,7 +309,7 @@ def test_exact_null_mean_matches_distribution_mean():
                 groups.append(TrialGroup(int(model.masses[x, y, p, q]), float(prob)))
             sides.append(pb_pmf(groups))
         assert res.null_mean == pytest.approx(
-            difference_distribution(*sides).mean(), abs=1e-9)
+            distribution_mean(*difference_distribution(*sides)), abs=1e-9)
 
 
 def test_exact_matches_untrimmed_unmerged_reference_on_large_table():
@@ -273,6 +321,21 @@ def test_exact_matches_untrimmed_unmerged_reference_on_large_table():
             table.counts, *measure_cells_by_formula(res.measure.name))
         assert abs(res.p_value - p_ref) <= 1e-12
         assert res.direction == direction
+
+
+def test_run_all_exact_matches_full_convolution_on_random_tables():
+    # tails below 1e-300 are zero in the reference, which floors the
+    # difference PMF, hence the absolute term
+    rng = np.random.default_rng(909)
+    for _ in range(12):
+        total = int(rng.integers(200, 5000))
+        counts = rng.multinomial(total, rng.dirichlet(np.full(64, 5.0)))
+        table = DyadTable(counts.astype(np.int64))
+        for res in run_all(table, InferenceConfig(method="exact")):
+            p_ref, direction = exact_test_by_full_convolution(
+                table.counts, *measure_cells_by_formula(res.measure.name))
+            assert res.direction == direction
+            assert abs(res.p_value - p_ref) <= 1e-12 * p_ref + 1e-300
 
 
 def test_exact_custom_spec_keeps_outcome_sets_apart():
@@ -289,8 +352,8 @@ def test_exact_custom_spec_keeps_outcome_sets_apart():
 
 
 def test_exact_integrity_failure_on_trimmed_path(monkeypatch):
-    full_pmf = binom.pmf
-    monkeypatch.setattr("dyadeval.inference.binom.pmf",
+    full_pmf = _binom_pmf
+    monkeypatch.setattr("dyadeval.inference._binom_pmf",
                         lambda *args: 0.5 * full_pmf(*args))
     with pytest.raises(NumericalIntegrityError):
         exact_test(simulate_dyad_table(), MeasureId.M1)
