@@ -9,7 +9,7 @@ Subcommands:
 
 A config file (``--config``, ``key = value`` lines, '#' comments) supplies
 defaults; explicit command-line flags win.  Exit codes: 0 success, 1 input
-error, 2 numerical-integrity failure.
+error (a usage error included), 2 numerical-integrity failure.
 """
 
 from __future__ import annotations
@@ -18,17 +18,27 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ._version import __version__
 from .chart import emit_bubble_chart
 from .errors import InputError, NumericalIntegrityError
 from .inference import method_disagreement
-from .io import (EvaluationConfig, ItemReport, emit_report, evaluate_items,
-                 load_report_json)
+from .io import (EvaluationConfig, ItemReport, _open_text, emit_report,
+                 evaluate_items, load_report_json)
 from .sim import EdgeModel, SimParams, simulate, to_dyad_records
 
 __all__ = ["main", "build_parser"]
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the input-error code;
+    argparse's own 2 is the numerical-integrity code here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_inference_flags(sp: argparse.ArgumentParser) -> None:
@@ -57,7 +67,7 @@ def _add_report_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dyadeval",
         description="Evaluate community-intervention effects on dyadic network data.")
     parser.add_argument("--version", action="version", version=f"dyadeval {__version__}")
@@ -144,8 +154,10 @@ def _load_config_file(path: str) -> dict:
     cfg_path = Path(path)
     if not cfg_path.exists():
         raise InputError(f"no such config file: {path}")
+    with _open_text(cfg_path) as handle:
+        text = handle.read()
     values = {}
-    for line_no, line in enumerate(cfg_path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -160,8 +172,10 @@ def _read_items_file(path: str, delimiter: str) -> tuple[tuple[str, str], ...]:
     items_path = Path(path)
     if not items_path.exists():
         raise InputError(f"no such items file: {path}")
+    with _open_text(items_path) as handle:
+        text = handle.read()
     items = []
-    for line_no, line in enumerate(items_path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.strip().startswith("#"):
             continue
         parts = line.split(delimiter, 1)
@@ -244,13 +258,14 @@ def _cmd_evaluate(args) -> int:
         mode = "node_edges"
     else:
         raise InputError("evaluate needs --dyads, or --nodes and --edges")
-    items = _read_items_file(args.items, args.delimiter) if args.items else None
     config = EvaluationConfig(
         input_mode=mode, dyads_path=args.dyads, nodes_path=args.nodes,
-        edges_path=args.edges, items=items, method=args.method,
+        edges_path=args.edges, method=args.method,
         trials=args.trials, alpha=args.alpha, seed=args.seed,
         two_sided=args.two_sided, invert_behavior=args.invert_behavior,
         orientation=args.orientation, delimiter=args.delimiter)
+    if args.items:  # read with the delimiter the config has checked
+        config = replace(config, items=_read_items_file(args.items, config.delimiter))
     return _emit_all(evaluate_items(config), args)
 
 

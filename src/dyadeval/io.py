@@ -6,6 +6,9 @@ dyad CSV      header ego_id, alter_id, ego_part, alter_part, ego_b0,
               alter_b0, ego_b1, alter_b1, item_id; one observed dyad per
               row.  Empty/NA bits drop the row (counted); any other
               non-binary value is a hard error naming row and column.
+              Repeated (ego, alter, item) rows are tallied as given, once
+              per row: detecting them would need a key set as large as the
+              file, and the file is streamed in blocks of rows.
 
 node CSV      header node_id, participation, then <item>_before and
               <item>_after column pairs; empty/NA cells mark that item
@@ -21,7 +24,8 @@ edge list     two identifier columns; lines starting with '#' and blank
               round(prob * scale).
 
 Missing data policy is listwise deletion per dyad per item, always with a
-drop count in the report.
+drop count in the report.  Files are read as UTF-8; an undecodable byte or
+a field over csv's size limit is an InputError naming the file and line.
 """
 
 from __future__ import annotations
@@ -29,14 +33,17 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
+from operator import eq, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from ._version import __version__
-from .census import DyadRecord, DyadTable, build_table
+from .census import CellIndex, DyadRecord, DyadTable, build_table
 from .errors import InputError
 from .inference import InferenceConfig, TestResult, run_all
 from .measures import MeasureId
@@ -62,6 +69,51 @@ _MISSING_TOKENS = {"", "na", "nan", "none", "null", "."}
 _DYAD_COLUMNS = ("ego_id", "alter_id", "ego_part", "alter_part",
                  "ego_b0", "alter_b0", "ego_b1", "alter_b1", "item_id")
 
+# Rows of a dyad CSV held in memory at once.
+_BLOCK_ROWS = 65_536
+
+_CELLS = [CellIndex.from_code(code) for code in range(64)]
+
+# Exact bit tokens of the six bit columns, in column order -> cell code.
+_CELL_CODES = {tuple(str(bit) for bit in cell): cell.code for cell in _CELLS}
+
+
+@contextmanager
+def _open_text(path: Path) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text, newlines left to csv.  An undecodable
+    byte met inside the block is an InputError naming the path and line."""
+    if not path.exists():
+        raise InputError(f"no such file: {path}")
+    with path.open(newline="", encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: line {_undecodable_line(path)}: "
+                             "not UTF-8 text") from None
+
+
+def _undecodable_line(path: Path) -> int:
+    """Number of the first line of ``path`` that is not valid UTF-8."""
+    with path.open("rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return 0
+
+
+@contextmanager
+def _open_csv(path: Path, delimiter: str) -> Iterator[Iterator[list[str]]]:
+    """A csv reader over ``path``; a csv error met inside the block (such as
+    a field over csv's size limit) is an InputError naming the path and line."""
+    with _open_text(path) as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+
 
 def _is_missing(token: str) -> bool:
     return token.strip().lower() in _MISSING_TOKENS
@@ -76,53 +128,149 @@ def _parse_bit(token: str, line_no: int, column: str) -> int:
     raise InputError(f"line {line_no}: column {column!r} must be 0 or 1, got {token!r}")
 
 
-def parse_dyad_csv(path, delimiter: str = ",") -> tuple[list[DyadRecord], list[tuple[int, str | None]]]:
-    """Read a dyad CSV.
+class _ItemIndex(dict):
+    """Raw item token -> index of its stripped item id in ``ids``.  Each
+    distinct raw token is stripped once."""
 
-    Returns (records, drops) where drops lists (line number, item id or
-    None) for rows excluded because of missing bits.
+    def __init__(self) -> None:
+        super().__init__()
+        self.ids: dict[str, int] = {}
+
+    def __missing__(self, token: str) -> int:
+        index = self[token] = self.ids.setdefault(token.strip(), len(self.ids))
+        return index
+
+
+class _DyadBlock(NamedTuple):
+    """The kept rows of one block of a dyad CSV, in file order."""
+
+    code: np.ndarray                      # cell code
+    item: np.ndarray                      # index into the reader's item ids
+    ego: list[str]                        # stripped ids
+    alter: list[str]
+    drops: list[tuple[int, str | None]]   # (line, stripped item or None)
+
+
+def _check_row(row: list[str], line_no: int, path: Path, cols: list[int],
+               width: int, drops: list[tuple[int, str | None]]) -> int:
+    """The dyad-CSV row rules, for one row: its cell code, or -1 for a blank
+    row or a row dropped for a missing bit (appended to ``drops``).  A bad
+    row raises InputError."""
+    if not row or all(not cell.strip() for cell in row):
+        return -1
+    if len(row) < width:
+        raise InputError(f"{path}: line {line_no}: expected "
+                         f"{width} fields, got {len(row)}")
+    bit_cells = [row[c] for c in cols[2:8]]
+    if any(_is_missing(v) for v in bit_cells):
+        item = row[cols[8]].strip()
+        drops.append((line_no, item if not _is_missing(item) else None))
+        return -1
+    code = 0
+    for name, value in zip(_DYAD_COLUMNS[2:8], bit_cells):
+        code = code << 1 | _parse_bit(value, line_no, name)
+    ego = row[cols[0]].strip()
+    if ego == row[cols[1]].strip():
+        raise InputError(f"{path}: line {line_no}: self-dyad not allowed: "
+                         f"ego_id == alter_id == {ego!r}")
+    return code
+
+
+def _read_dyad_blocks(path: Path, delimiter: str, items: _ItemIndex
+                      ) -> Iterator[_DyadBlock]:
+    """Stream a dyad CSV in blocks of ``_BLOCK_ROWS`` rows.
+
+    A row whose six bits are exact "0"/"1" tokens and whose stripped ids
+    differ is kept through one dict lookup; every other row goes through
+    ``_check_row`` in file order, so the first bad row raises the error the
+    row rules give it.  Item ids are registered in ``items`` as met, also
+    for rows that are then dropped.
     """
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
-    records: list[DyadRecord] = []
-    drops: list[tuple[int, str | None]] = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, expected a header row") from None
+    with _open_csv(path, delimiter) as reader:
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}: empty file, expected a header row")
         header = [h.strip() for h in header]
         missing_cols = [c for c in _DYAD_COLUMNS if c not in header]
         if missing_cols:
             raise InputError(f"{path}: header lacks columns {missing_cols}")
-        col = {name: header.index(name) for name in _DYAD_COLUMNS}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                raise InputError(f"{path}: line {line_no}: expected "
-                                 f"{len(header)} fields, got {len(row)}")
-            item = row[col["item_id"]].strip()
-            bit_cells = {name: row[col[name]] for name in _DYAD_COLUMNS[2:8]}
-            if any(_is_missing(v) for v in bit_cells.values()):
-                drops.append((line_no, item if not _is_missing(item) else None))
-                continue
-            bits = {name: _parse_bit(value, line_no, name)
-                    for name, value in bit_cells.items()}
+        cols = [header.index(name) for name in _DYAD_COLUMNS]
+        width = len(header)
+        bits_of = itemgetter(*cols[2:8])
+        ego_of, alter_of, item_of = (itemgetter(c) for c in (cols[0], cols[1], cols[8]))
+        filler = [""] * width  # stands in for a short row, which fails the lookup
+        line_no = 2
+        while True:
+            rows: list[list[str]] = []
+            error: Exception | None = None
             try:
-                records.append(DyadRecord(
-                    ego_id=row[col["ego_id"]].strip(),
-                    alter_id=row[col["alter_id"]].strip(),
-                    x=bits["ego_part"], y=bits["alter_part"],
-                    p=bits["ego_b0"], q=bits["alter_b0"],
-                    r=bits["ego_b1"], s=bits["alter_b1"],
-                    item_id=item,
-                ))
-            except ValueError as exc:
-                raise InputError(f"{path}: line {line_no}: {exc}") from None
+                for row in islice(reader, _BLOCK_ROWS):
+                    rows.append(row)
+            except (csv.Error, UnicodeDecodeError) as exc:
+                error = exc  # raised once the rows read before it are checked
+            n = len(rows)
+            short = np.fromiter(map(len, rows), np.intp, n) < width
+            full = rows
+            if short.any():
+                full = [filler if s else row for s, row in zip(short.tolist(), rows)]
+            code = np.fromiter(map(_CELL_CODES.get, map(bits_of, full), repeat(-1)),
+                               np.intp, n)
+            ego = list(map(str.strip, map(ego_of, full)))
+            alter = list(map(str.strip, map(alter_of, full)))
+            item = np.fromiter(map(items.__getitem__, map(item_of, full)), np.intp, n)
+            drops: list[tuple[int, str | None]] = []
+            check = (code < 0) | np.fromiter(map(eq, ego, alter), bool, n)
+            for i in np.flatnonzero(check).tolist():
+                code[i] = _check_row(rows[i], line_no + i, path, cols, width, drops)
+            kept = code >= 0
+            keep = kept.tolist()
+            yield _DyadBlock(code[kept], item[kept], list(compress(ego, keep)),
+                             list(compress(alter, keep)), drops)
+            if error is not None:
+                raise error
+            if n < _BLOCK_ROWS:
+                return
+            line_no += n
+
+
+def parse_dyad_csv(path, delimiter: str = ",") -> tuple[list[DyadRecord], list[tuple[int, str | None]]]:
+    """Read a dyad CSV.
+
+    Returns (records, drops) where drops lists (line number, item id or
+    None) for rows excluded because of missing bits.  The file is read
+    through the block reader ``evaluate_items`` streams, so the row rules
+    are the same; the result holds one record per kept row.
+    """
+    records: list[DyadRecord] = []
+    drops: list[tuple[int, str | None]] = []
+    items = _ItemIndex()
+    for block in _read_dyad_blocks(Path(path), delimiter, items):
+        ids = list(items.ids)
+        records.extend(DyadRecord(ego, alter, *_CELLS[code], item_id=ids[item])
+                       for ego, alter, code, item in zip(block.ego, block.alter,
+                                                         block.code.tolist(),
+                                                         block.item.tolist()))
+        drops.extend(block.drops)
     return records, drops
+
+
+def _tally_dyad_csv(path, delimiter: str
+                    ) -> tuple[dict[str, np.ndarray], dict[str | None, int]]:
+    """Per-item 64-cell counts of a dyad CSV, for items with at least one
+    kept row, and per-item drop counts (None for a missing item id).
+    Memory is O(block + items): no per-row record is made."""
+    items = _ItemIndex()
+    counts = np.zeros(0, dtype=np.int64)
+    dropped: dict[str | None, int] = {}
+    for block in _read_dyad_blocks(Path(path), delimiter, items):
+        tally = np.bincount(block.item * 64 + block.code, minlength=64 * len(items.ids))
+        tally[: counts.size] += counts
+        counts = tally
+        for _, item in block.drops:
+            dropped[item] = dropped.get(item, 0) + 1
+    by_item = counts.reshape(-1, 64)
+    return ({item: by_item[i] for item, i in items.ids.items() if by_item[i].any()},
+            dropped)
 
 
 @dataclass(frozen=True)
@@ -138,10 +286,7 @@ def parse_node_csv(path, items: Sequence[str] | None = None,
                    delimiter: str = ",") -> tuple[list[NodeSurveyRow], list[str]]:
     """Read a node survey CSV; returns (rows, item ids found in the header)."""
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+    with _open_csv(path, delimiter) as reader:
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -183,10 +328,8 @@ def parse_node_csv(path, items: Sequence[str] | None = None,
 def read_edge_list(path, delimiter: str = ",") -> list[tuple[str, str]]:
     """Two-column identifier pairs; '#' comment lines and blanks skipped."""
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
     edges: list[tuple[str, str]] = []
-    with path.open() as handle:
+    with _open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -279,10 +422,7 @@ def parse_table64(path, probabilities: bool = False, scale: int = 100,
     converted to counts via round(value * scale).
     """
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+    with _open_csv(path, delimiter) as reader:
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -357,6 +497,8 @@ class EvaluationConfig:
     def __post_init__(self) -> None:
         if self.input_mode not in ("dyad_csv", "node_edges", "table64"):
             raise InputError(f"unknown input mode {self.input_mode!r}")
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise InputError(f"delimiter must be one character, got {self.delimiter!r}")
 
     def inference(self, seed) -> InferenceConfig:
         return InferenceConfig(method=self.method, trials=self.trials,
@@ -433,24 +575,22 @@ def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
     CPU).  Each item draws only from its own seed child, so results do not
     depend on the worker count.  A worker holds one item's bootstrap samples
     at a time: 16 x trials x 4 int64.
+
+    A dyad CSV is streamed: each block of rows is tallied into per-item
+    counts with one ``bincount`` and no per-row record, so ingestion holds
+    O(block + items) memory whatever the row count.  Its row rules are those
+    of ``parse_dyad_csv`` (same drops, same first error).
     """
     builders: list[tuple[str, str, Callable[[], tuple[DyadTable, int]]]] = []
     if config.input_mode == "dyad_csv":
         if config.dyads_path is None:
             raise InputError("dyad_csv mode requires dyads_path")
-        records, drops = parse_dyad_csv(config.dyads_path, config.delimiter)
-        by_item: dict[str, list[DyadRecord]] = {}
-        for rec in records:
-            by_item.setdefault(rec.item_id, []).append(rec)
-        dropped: dict[str | None, int] = {}
-        for _, item in drops:
-            dropped[item] = dropped.get(item, 0) + 1
-        for item_id, label in _item_labels(config, by_item):
-            recs = by_item.get(item_id, [])
-            n_drop = dropped.get(item_id, 0)
-            builders.append((item_id, label,
-                             lambda recs=recs, item_id=item_id, n_drop=n_drop:
-                             (build_table(recs, item=item_id), n_drop)))
+        counts, dropped = _tally_dyad_csv(config.dyads_path, config.delimiter)
+        for item_id, label in _item_labels(config, counts):
+            table = DyadTable(counts.get(item_id, np.zeros(64, dtype=np.int64)),
+                              item_id=item_id)
+            builders.append((item_id, label, lambda table=table,
+                             n_drop=dropped.get(item_id, 0): (table, n_drop)))
     elif config.input_mode == "node_edges":
         if config.nodes_path is None or config.edges_path is None:
             raise InputError("node_edges mode requires nodes_path and edges_path")
@@ -618,10 +758,10 @@ def _csv_quote(text: str) -> str:
 def load_report_json(path) -> list[ItemReport]:
     """Re-parse a JSON report into ItemReports (inverse of emit_report)."""
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
+    with _open_text(path) as handle:
+        text = handle.read()
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     reports = []

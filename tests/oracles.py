@@ -3,17 +3,23 @@
 Everything here is written directly from first principles (loops over all
 64 cells, literal subset enumeration, exact rational arithmetic over all
 joint multinomial outcomes) and deliberately shares no code with the
-package under test beyond the documented bit order.
+package under test beyond the documented bit order.  The dyad CSV reference
+builds the package's ``DyadRecord`` and raises its ``InputError``, so that
+records and error messages compare directly.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import binom
+
+from dyadeval import DyadRecord, InputError
 
 
 def cell_code(x, y, p, q, r, s) -> int:
@@ -288,3 +294,70 @@ def exact_test_by_full_convolution(counts, pos_cells: set, neg_cells: set
     if observed < mean:
         return float(diff[:max(at + 1, 0)].sum()), "negative"
     return 1.0, "none"
+
+
+_MISSING_TOKENS = {"", "na", "nan", "none", "null", "."}
+
+_DYAD_COLUMNS = ("ego_id", "alter_id", "ego_part", "alter_part",
+                 "ego_b0", "alter_b0", "ego_b1", "alter_b1", "item_id")
+
+
+def _is_missing(token: str) -> bool:
+    return token.strip().lower() in _MISSING_TOKENS
+
+
+def _parse_bit(token: str, line_no: int, column: str) -> int:
+    value = token.strip()
+    if value == "0":
+        return 0
+    if value == "1":
+        return 1
+    raise InputError(f"line {line_no}: column {column!r} must be 0 or 1, got {token!r}")
+
+
+def parse_dyad_csv_by_rows(path, delimiter: str = ","
+                           ) -> tuple[list[DyadRecord], list[tuple[int, str | None]]]:
+    """The row-by-row dyad CSV parser that ``dyadeval.io.parse_dyad_csv``
+    was before the block reader: one validated ``DyadRecord`` per row, the
+    row rules applied in file order.  Returns (records, drops)."""
+    path = Path(path)
+    if not path.exists():
+        raise InputError(f"no such file: {path}")
+    records: list[DyadRecord] = []
+    drops: list[tuple[int, str | None]] = []
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: empty file, expected a header row") from None
+        header = [h.strip() for h in header]
+        missing_cols = [c for c in _DYAD_COLUMNS if c not in header]
+        if missing_cols:
+            raise InputError(f"{path}: header lacks columns {missing_cols}")
+        col = {name: header.index(name) for name in _DYAD_COLUMNS}
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < len(header):
+                raise InputError(f"{path}: line {line_no}: expected "
+                                 f"{len(header)} fields, got {len(row)}")
+            item = row[col["item_id"]].strip()
+            bit_cells = {name: row[col[name]] for name in _DYAD_COLUMNS[2:8]}
+            if any(_is_missing(v) for v in bit_cells.values()):
+                drops.append((line_no, item if not _is_missing(item) else None))
+                continue
+            bits = {name: _parse_bit(value, line_no, name)
+                    for name, value in bit_cells.items()}
+            try:
+                records.append(DyadRecord(
+                    ego_id=row[col["ego_id"]].strip(),
+                    alter_id=row[col["alter_id"]].strip(),
+                    x=bits["ego_part"], y=bits["alter_part"],
+                    p=bits["ego_b0"], q=bits["alter_b0"],
+                    r=bits["ego_b1"], s=bits["alter_b1"],
+                    item_id=item,
+                ))
+            except ValueError as exc:
+                raise InputError(f"{path}: line {line_no}: {exc}") from None
+    return records, drops

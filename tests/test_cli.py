@@ -210,6 +210,39 @@ def test_version_flag(capsys):
     assert "dyadeval" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["table", "--table", "x", "--method", "banana"], 1),
+    (["evaluate", "--no-such-flag"], 1),
+    ([], 1),
+    (["evaluate", "--help"], 0),
+])
+def test_argument_parsing_exit_codes(argv, code, capsys):
+    # a usage error is an input error (1); 2 means a failed integrity check
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+
+
+def test_bad_delimiter_is_input_error(tmp_path, capsys):
+    dyads = frozen_dyads(tmp_path)
+    items = tmp_path / "items.csv"
+    items.write_text("q1;;first\n")
+    assert main(["evaluate", "--dyads", str(dyads), "--items", str(items),
+                 "--delimiter", ";;"]) == 1
+    assert "delimiter must be one character, got ';;'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--items", "--config"])
+def test_undecodable_items_or_config_file(tmp_path, capsys, flag):
+    dyads = frozen_dyads(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# first line\nq\xff1 = x\n")
+    argv = ["evaluate", "--dyads", str(dyads), "--method", "exact"]
+    argv = argv + [flag, str(bad)] if flag == "--items" else [flag, str(bad)] + argv
+    assert main(argv) == 1
+    assert f"{bad}: line 2: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_evaluate_node_edges_inputs(tmp_path, capsys):
     nodes = tmp_path / "n.csv"
     nodes.write_text("node_id,participation,q1_before,q1_after\n"

@@ -1,9 +1,11 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import parse_dyad_csv_by_rows
 
-from dyadeval import InputError, MeasureId, io
+from dyadeval import InputError, MeasureId, build_table, io
 from dyadeval.io import (EvaluationConfig, emit_report, evaluate_items,
                          join_node_edges, load_report_json, parse_dyad_csv,
                          parse_node_csv, parse_table64, read_edge_list)
@@ -69,6 +71,179 @@ def test_dyad_csv_self_dyad_rejected(tmp_path):
 def test_dyad_csv_missing_file():
     with pytest.raises(InputError, match="no such file"):
         parse_dyad_csv("/nonexistent/d.csv")
+
+
+_BIT_TOKENS = ["0", "1"] * 12 + [" 1", "0 ", "NA", "na", ".", "", "None", '"1"']
+_BAD_TOKENS = ["2", "x", "01", "1.0", "-1"]
+_EGOS, _ALTERS = ["u", " v", "w "], ["x", "y ", "\tz"]
+_ITEMS = ["q1", "q2", " q1", "q2 ", "NA", ""]
+
+
+def random_dyad_csv(rng, path, n_rows, bad_rows):
+    """A seeded dyad CSV mixing clean rows with every kind of row the row
+    rules handle: padded and missing bits, blank and short rows, padded and
+    raw self-dyads, padded item ids, an item seen only on dropped rows, and
+    ``bad_rows`` rows that raise."""
+    lines = [DYAD_HEADER]
+    for _ in range(n_rows):
+        kind = rng.random()
+        if kind < 0.05:
+            lines.append(["", ",,,,,,,,", "  ,"][rng.integers(3)])
+            continue
+        ego, alter = _EGOS[rng.integers(3)], _ALTERS[rng.integers(3)]
+        item = _ITEMS[rng.integers(len(_ITEMS))]
+        bits = [_BIT_TOKENS[rng.integers(len(_BIT_TOKENS))] if rng.random() < 0.3
+                else str(rng.integers(2)) for _ in range(6)]
+        if kind < 0.1:
+            bits[rng.integers(6)], item = "NA", "q_dropped"
+        lines.append(",".join([ego, alter, *bits, item]))
+    for _ in range(bad_rows):
+        at = int(rng.integers(1, len(lines) + 1))
+        kind = rng.integers(4)
+        if kind == 0:
+            bad = "u,v,1,0"
+        elif kind == 1:
+            bad = f"u,v,1,{_BAD_TOKENS[rng.integers(len(_BAD_TOKENS))]},1,1,0,1,q1"
+        elif kind == 2:
+            bad = "u,u,1,0,1,1,0,1,q1"
+        else:
+            bad = "u , u,1,0,1,1,0,1,q1"
+        lines.insert(at, bad)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return "error", str(exc)
+
+
+def is_error(result):
+    return isinstance(result, tuple) and result[0] == "error"
+
+
+def reference_tables(path, items):
+    """Per-item tables and drop counts from the row-by-row reference parser."""
+    parsed = outcome(parse_dyad_csv_by_rows, path)
+    if is_error(parsed):
+        return parsed
+    records, drops = parsed
+    by_item = {}
+    for rec in records:
+        by_item.setdefault(rec.item_id, []).append(rec)
+    names = items if items is not None else sorted(by_item)
+    return [(item, build_table(by_item.get(item, []), item=item).counts.tolist(),
+             sum(1 for _, i in drops if i == item)) for item in names]
+
+
+def streamed_tables(path, items, monkeypatch):
+    """The tables and drop counts ``evaluate_items`` builds, inference skipped."""
+    tables = []
+    monkeypatch.setattr(io, "_run_items", lambda work: (
+        tables.extend(t for t, _ in work) or [((), None)] * len(work)))
+    config = EvaluationConfig(dyads_path=str(path), method="exact",
+                              items=None if items is None else tuple((i, i) for i in items))
+    reports = outcome(evaluate_items, config)
+    if is_error(reports):
+        return reports
+    assert [t.item_id for t in tables] == [r.item_id for r in reports]
+    return [(r.item_id, t.counts.tolist(), r.dyads_dropped) for r, t in zip(reports, tables)]
+
+
+def test_dyad_csv_repeated_rows_tallied_as_given(tmp_path, monkeypatch):
+    # the same (ego, alter, item) row three times counts three dyads, on the
+    # record path and on the streamed tally alike
+    lines = frozen_dyad_csv(tmp_path).read_text().splitlines()
+    repeat = "u,v,1,0,1,1,0,1,q1"
+    path = write(tmp_path, "dup.csv", "\n".join(lines + [repeat] * 3) + "\n")
+    records, drops = parse_dyad_csv(path)
+    assert len(records) == 11 and not drops
+    table = build_table(records, item="q1")
+    assert table.counts[0b101101] == 3 and table.total == 11
+    assert streamed_tables(path, None, monkeypatch) == [("q1", table.counts.tolist(), 0)]
+
+
+@pytest.mark.parametrize("block_rows", [7, 65_536])
+def test_block_reader_matches_row_reference(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(2024)
+    errors = 0
+    for case in range(120):
+        path = random_dyad_csv(rng, tmp_path / f"d{case}.csv", int(rng.integers(0, 40)),
+                               bad_rows=int(rng.integers(0, 3)) if case % 2 else 0)
+        assert outcome(parse_dyad_csv, path) == outcome(parse_dyad_csv_by_rows, path)
+        items = [None, ["q1", "q2", "q_dropped", "q_absent", "", "NA"]][case % 2]
+        expected = reference_tables(path, items)
+        assert streamed_tables(path, items, monkeypatch) == expected
+        errors += is_error(expected)
+    assert 10 < errors < 60  # files that raise and files that do not are both common
+
+
+def test_block_reader_raises_row_error_before_later_read_error(tmp_path):
+    # a bad row is reported before an undecodable byte or an over-long field
+    # further on, even when both fall in one block
+    head = DYAD_HEADER + "\nu,v,1,0,1,1,0,1,q1\nu,v,1,0,7,1,0,1,q1\n"
+    body = "".join(f"e{i},a{i},1,0,1,1,0,1,q1\n" for i in range(2000))
+    for tail in (b"u,\xff,1,0,1,1,0,1,q1\n", b"u," + b"w" * 200_000 + b",1,0,1,1,0,1,q1\n"):
+        path = tmp_path / "d.csv"
+        path.write_bytes((head + body).encode() + tail)
+        with pytest.raises(InputError) as exc:
+            parse_dyad_csv(path)
+        assert str(exc.value) == "line 3: column 'ego_b0' must be 0 or 1, got '7'"
+
+
+def test_dyad_tally_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_BLOCK_ROWS", 500)
+    peaks = []
+    for rows in (10_000, 100_000):
+        lines = [DYAD_HEADER] + [f"e{i},a{i},{i & 1},0,1,{i >> 1 & 1},0,1,q{i % 5}"
+                                 for i in range(rows)]
+        path = write(tmp_path, f"d{rows}.csv", "\n".join(lines) + "\n")
+        del lines
+        tracemalloc.start()
+        try:
+            counts, dropped = io._tally_dyad_csv(path, ",")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sum(int(c.sum()) for c in counts.values()) == rows and not dropped
+    assert peaks[1] < 1.2 * peaks[0], peaks
+
+
+_READERS = {
+    "dyad": (parse_dyad_csv, DYAD_HEADER + "\nu,v,1,0,1,1,0,1,q1\n"),
+    "node": (parse_node_csv, "node_id,participation,q1_before,q1_after\na,1,1,0\n"),
+    "edge": (read_edge_list, "# ties\na,b\n"),
+    "table64": (parse_table64, "x,y,p,q,r,s,value\n0,0,0,0,0,0,1\n"),
+    "report": (load_report_json, '{\n "items": [],\n'),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+def test_undecodable_input_is_named_error(tmp_path, kind):
+    reader, head = _READERS[kind]
+    path = tmp_path / "input.txt"
+    path.write_bytes(head.encode() + b"b,\xff\xfe,1\n")
+    with pytest.raises(InputError) as exc:
+        reader(path)
+    assert str(exc.value) == f"{path}: line 3: not UTF-8 text"
+
+
+@pytest.mark.parametrize("kind", ["dyad", "node", "table64"])
+def test_oversized_field_is_named_error(tmp_path, kind):
+    reader, head = _READERS[kind]
+    path = write(tmp_path, "input.csv", head + "b," + "w" * 200_000 + ",1\n")
+    with pytest.raises(InputError) as exc:
+        reader(path)
+    assert str(exc.value) == f"{path}: line 3: field larger than field limit (131072)"
+
+
+@pytest.mark.parametrize("delimiter", [";;", "", None])
+def test_delimiter_must_be_one_character(delimiter):
+    with pytest.raises(InputError, match="delimiter must be one character"):
+        EvaluationConfig(dyads_path="d.csv", delimiter=delimiter)
 
 
 # -------------------------------------------------- node CSV + edges
