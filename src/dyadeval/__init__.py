@@ -17,8 +17,7 @@ from .inference import (DiscreteDistribution, InferenceConfig, TestResult,
                         method_disagreement, pb_pmf, run_all)
 from .measures import (MEASURE_LABELS, MeasureId, MeasureSpec, MeasureValue,
                        cells_matching, evaluate, spec_for)
-from .null_model import (NullModel, NullSample, fit, group_event_probability,
-                         sample)
+from .null_model import NullModel, fit, group_event_probability, sample
 from .sim import (EdgeModel, SimNetwork, SimParams, assign_initial_states,
                   generate_network, probabilities_to_counts, simulate,
                   simulate_dyad_table, to_dyad_records, transition)
@@ -30,7 +29,7 @@ __all__ = [
     "DyadevalError", "InputError", "NumericalIntegrityError", "UndefinedRowError",
     "MeasureId", "MeasureSpec", "MeasureValue", "MEASURE_LABELS",
     "cells_matching", "evaluate", "spec_for",
-    "NullModel", "NullSample", "fit", "group_event_probability", "sample",
+    "NullModel", "fit", "group_event_probability", "sample",
     "DiscreteDistribution", "InferenceConfig", "TestResult", "TrialGroup",
     "bootstrap_test", "exact_test",
     "method_disagreement", "pb_pmf", "run_all",

@@ -2,7 +2,9 @@
 
 Bootstrap: draw many null censuses (a multinomial per participation/
 pre-state group), evaluate the measure on each, and report the inclusive
-tail proportion at least as extreme as the observed value.
+tail proportion at least as extreme as the observed value.  Censuses are
+drawn and scored in fixed chunks, each from its own stream of the seed,
+and only the running counts of values >= and <= the observed one are kept.
 
 Exact: each side of a measure counts, within a handful of independent
 group multinomials, the trials landing in a fixed post-state outcome set.
@@ -51,7 +53,7 @@ import numpy as np
 from .census import DyadTable
 from .errors import InputError, NumericalIntegrityError
 from .measures import MeasureId, MeasureSpec, evaluate, spec_for
-from .null_model import NullModel, fit, _as_generator, _sample_group_outcomes
+from .null_model import NullModel, fit, _chunk_streams, _sample_group_outcomes
 
 __all__ = [
     "TrialGroup",
@@ -409,45 +411,62 @@ def exact_test(table: DyadTable, measure: MeasureId | MeasureSpec,
     return _exact_with_model(table, model, measure, alpha, two_sided)
 
 
-def _measure_values(spec: MeasureSpec,
-                    outcomes: dict[tuple[int, int, int, int], np.ndarray],
-                    trials: int) -> np.ndarray:
-    """Measure value on each sampled census."""
-    values = np.zeros(trials, dtype=np.int64)
+# Trials per bootstrap chunk: a chunk's outcomes are at most 16 groups x
+# 16,384 x 4 int64 (8.4 MB), whatever the trial count.
+_CHUNK_TRIALS = 16_384
+
+
+def _chunks(trials: int) -> range:
+    return range(-(-trials // _CHUNK_TRIALS))
+
+
+def _column_selection(spec: MeasureSpec) -> list[tuple[tuple[int, int, int, int], list[int], int]]:
+    """(group, outcome columns, sign) for every group a measure reads."""
     pos_side, neg_side = spec.grouped()
-    for side, sign in ((pos_side, 1), (neg_side, -1)):
-        for group in sorted(side):
-            arr = outcomes.get(group)
-            if arr is None:
-                continue
-            cols = [2 * r + s for (r, s) in sorted(side[group])]
-            values += sign * arr[:, cols].sum(axis=1)
+    return [(group, [2 * r + s for (r, s) in sorted(side[group])], sign)
+            for side, sign in ((pos_side, 1), (neg_side, -1)) for group in sorted(side)]
+
+
+def _measure_values(selection, outcomes: dict[tuple[int, int, int, int], np.ndarray],
+                    trials: int) -> np.ndarray:
+    """Measure value on each sampled census; groups without mass add 0."""
+    values = np.zeros(trials, dtype=np.int64)
+    for group, cols, sign in selection:
+        if group in outcomes:
+            values += sign * outcomes[group][:, cols].sum(axis=1)
     return values
 
 
+def _tail_counts(model: NullModel, specs: Sequence[MeasureSpec], observed: Sequence[int],
+                 seed, trials: int, chunks: range) -> np.ndarray:
+    """Counts of null values >= and <= ``observed[i]``, one row per spec,
+    over the censuses of ``chunks``.
+
+    Chunk j holds trials [j C, min((j + 1) C, trials)) for C =
+    ``_CHUNK_TRIALS``, drawn from its own stream of ``seed``, so the counts
+    over any split of the chunks add up to the counts over all of them.
+    """
+    selections = [_column_selection(spec) for spec in specs]
+    counts = np.zeros((len(specs), 2), dtype=np.int64)
+    for j, rng in zip(chunks, _chunk_streams(seed, chunks)):
+        n = min(_CHUNK_TRIALS, trials - j * _CHUNK_TRIALS)
+        outcomes = _sample_group_outcomes(model, n, rng)
+        for row, selection, obs in zip(counts, selections, observed):
+            values = _measure_values(selection, outcomes, n)
+            row += (np.count_nonzero(values >= obs), np.count_nonzero(values <= obs))
+        del outcomes  # freed before the next chunk is drawn, not after
+    return counts
+
+
 def _bootstrap_result(measure, model: NullModel, spec: MeasureSpec, observed: int,
-                      values: np.ndarray, alpha: float, two_sided: bool) -> TestResult:
-    trials = len(values)
+                      counts, trials: int, alpha: float, two_sided: bool) -> TestResult:
+    ge, le = (int(k) for k in counts)
+    k = {DIRECTION_POSITIVE: ge, DIRECTION_NEGATIVE: le}
     null_mean, deviation, _, _ = _null_mean(model, spec, observed)
-
-    def tail_ge(v):
-        return float((values >= v).sum()) / trials
-
-    def tail_le(v):
-        return float((values <= v).sum()) / trials
-
-    def addone(direction):
-        if direction == DIRECTION_POSITIVE:
-            k = int((values >= observed).sum())
-        elif direction == DIRECTION_NEGATIVE:
-            k = int((values <= observed).sum())
-        else:
-            k = trials
-        return (k + 1) / (trials + 1)
-
-    return _tail_result(measure, observed, null_mean, deviation, tail_ge, tail_le,
-                        method="bootstrap", alpha=alpha, trials=trials,
-                        two_sided=two_sided, addone=addone)
+    return _tail_result(measure, observed, null_mean, deviation,
+                        lambda _: ge / trials, lambda _: le / trials,
+                        method="bootstrap", alpha=alpha, trials=trials, two_sided=two_sided,
+                        addone=lambda direction: (k.get(direction, trials) + 1) / (trials + 1))
 
 
 def bootstrap_test(table: DyadTable, measure: MeasureId | MeasureSpec,
@@ -466,9 +485,39 @@ def bootstrap_test(table: DyadTable, measure: MeasureId | MeasureSpec,
     spec = spec_for(measure) if isinstance(measure, MeasureId) else measure
     measure_id = measure if isinstance(measure, MeasureId) else None
     observed = evaluate(table, spec).value
-    outcomes = _sample_group_outcomes(model, trials, _as_generator(seed))
-    values = _measure_values(spec, outcomes, trials)
-    return _bootstrap_result(measure_id, model, spec, observed, values, alpha, two_sided)
+    counts = _tail_counts(model, [spec], [observed], seed, trials, _chunks(trials))
+    return _bootstrap_result(measure_id, model, spec, observed, counts[0], trials,
+                             alpha, two_sided)
+
+
+def _bootstrap_counts(table: DyadTable, config: InferenceConfig, chunks: range) -> np.ndarray:
+    """``run_all``'s tail counts over ``chunks``, one row per measure."""
+    model = _require_fitted(fit(table))
+    specs = [spec_for(m) for m in config.measures]
+    return _tail_counts(model, specs, [evaluate(table, spec).value for spec in specs],
+                        config.seed, config.trials, chunks)
+
+
+def _exact_results(table: DyadTable, config: InferenceConfig) -> list[TestResult]:
+    model = _require_fitted(fit(table))
+    return [_exact_with_model(table, model, m, config.alpha, config.two_sided)
+            for m in config.measures]
+
+
+def _assemble(table: DyadTable, config: InferenceConfig, counts: np.ndarray | None,
+              exact: list[TestResult] | None) -> list[TestResult]:
+    """``run_all``'s results from the tail counts over all chunks and the
+    exact results, each None when its method is not run."""
+    model = _require_fitted(fit(table))
+    results: list[TestResult] = []
+    for i, m in enumerate(config.measures):
+        if counts is not None:
+            results.append(_bootstrap_result(m, model, spec_for(m), evaluate(table, m).value,
+                                             counts[i], config.trials, config.alpha,
+                                             config.two_sided))
+        if exact is not None:
+            results.append(exact[i])
+    return results
 
 
 def run_all(table: DyadTable, config: InferenceConfig = InferenceConfig()
@@ -478,26 +527,16 @@ def run_all(table: DyadTable, config: InferenceConfig = InferenceConfig()
     With ``method="both"`` each measure yields a bootstrap and an exact
     result (in that order); bootstrap trials are drawn once and shared
     across measures, exactly as if each census had been evaluated on all
-    eight.  Results are ordered by measure, then method.
+    eight.  Trials are drawn and scored one chunk at a time and only tail
+    counts are kept, so memory does not grow with ``config.trials``.
+    Results are ordered by measure, then method.
     """
-    model = _require_fitted(fit(table))
-    results: list[TestResult] = []
-    bootstrap_values: dict[MeasureId, np.ndarray] = {}
-    if config.method in ("bootstrap", "both"):
-        outcomes = _sample_group_outcomes(model, config.trials,
-                                          _as_generator(config.seed))
-        for m in config.measures:
-            bootstrap_values[m] = _measure_values(spec_for(m), outcomes, config.trials)
-    for m in config.measures:
-        observed = evaluate(table, m).value
-        if config.method in ("bootstrap", "both"):
-            results.append(_bootstrap_result(m, model, spec_for(m), observed,
-                                             bootstrap_values[m], config.alpha,
-                                             config.two_sided))
-        if config.method in ("exact", "both"):
-            results.append(_exact_with_model(table, model, m,
-                                             config.alpha, config.two_sided))
-    return results
+    counts = exact = None
+    if config.method != "exact":
+        counts = _bootstrap_counts(table, config, _chunks(config.trials))
+    if config.method != "bootstrap":
+        exact = _exact_results(table, config)
+    return _assemble(table, config, counts, exact)
 
 
 def method_disagreement(results: Sequence[TestResult]) -> dict[MeasureId, float]:

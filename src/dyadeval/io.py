@@ -45,7 +45,8 @@ import numpy as np
 from ._version import __version__
 from .census import CellIndex, DyadRecord, DyadTable, build_table
 from .errors import InputError
-from .inference import InferenceConfig, TestResult, run_all
+from .inference import (InferenceConfig, TestResult, _assemble, _bootstrap_counts,
+                        _chunks, _exact_results)
 from .measures import MeasureId
 from .sim import probabilities_to_counts
 
@@ -325,8 +326,14 @@ def parse_node_csv(path, items: Sequence[str] | None = None,
     return rows, use_items
 
 
+def _check_delimiter(delimiter) -> None:
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise InputError(f"delimiter must be one character, got {delimiter!r}")
+
+
 def read_edge_list(path, delimiter: str = ",") -> list[tuple[str, str]]:
     """Two-column identifier pairs; '#' comment lines and blanks skipped."""
+    _check_delimiter(delimiter)
     path = Path(path)
     edges: list[tuple[str, str]] = []
     with _open_text(path) as handle:
@@ -497,8 +504,7 @@ class EvaluationConfig:
     def __post_init__(self) -> None:
         if self.input_mode not in ("dyad_csv", "node_edges", "table64"):
             raise InputError(f"unknown input mode {self.input_mode!r}")
-        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
-            raise InputError(f"delimiter must be one character, got {self.delimiter!r}")
+        _check_delimiter(self.delimiter)
 
     def inference(self, seed) -> InferenceConfig:
         return InferenceConfig(method=self.method, trials=self.trials,
@@ -533,31 +539,64 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_item(work: tuple[DyadTable, InferenceConfig]
-              ) -> tuple[tuple[TestResult, ...] | None, str | None]:
-    """One item's inference: (results, None), or (None, message) on bad input."""
-    table, inference = work
+def _run_task(task: tuple[DyadTable, InferenceConfig, range | None]):
+    """One part of an item's ``run_all``: the bootstrap tail counts over a
+    range of chunks, or with None the exact results.  (part, None), or
+    (None, message) on bad input."""
+    table, inference, chunks = task
     try:
-        return tuple(run_all(table, inference)), None
+        if chunks is None:
+            return _exact_results(table, inference), None
+        return _bootstrap_counts(table, inference, chunks), None
     except InputError as exc:
         return None, str(exc)
 
 
-def _run_items(work: list[tuple[DyadTable, InferenceConfig]]
-               ) -> list[tuple[tuple[TestResult, ...] | None, str | None]]:
-    """``_run_item`` over ``work`` in order, in forked workers when more
-    than one item and more than one CPU are at hand."""
-    jobs = min(len(work), _worker_count())
+def _run_tasks(tasks: list) -> list:
+    """``_run_task`` over ``tasks`` in order, in forked workers when more
+    than one task and more than one CPU are at hand."""
+    jobs = min(len(tasks), _worker_count())
     if jobs > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
             with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                outcomes = pool.map(_run_item, work, chunksize=1)
+                outcomes = pool.map(_run_task, tasks, chunksize=1)
                 pool.close()
                 pool.join()
             return outcomes
-    return [_run_item(w) for w in work]
+    return [_run_task(t) for t in tasks]
+
+
+def _run_items(work: list[tuple[DyadTable, InferenceConfig]]
+               ) -> list[tuple[tuple[TestResult, ...] | None, str | None]]:
+    """Each item's ``run_all`` results, (results, None), or (None, message)
+    on bad input, in order.
+
+    Bootstrap chunks go out in ranges, about four per worker over all
+    items, and each item's exact engine as one task more.  Counts over an
+    item's ranges add up to its counts over all chunks, so results depend
+    neither on the ranges nor on the worker count.
+    """
+    boot = [_chunks(inf.trials) if inf.method != "exact" else range(0) for _, inf in work]
+    step = max(1, -(-sum(map(len, boot)) // (4 * _worker_count())))
+    tasks = [(i, chunks[k:k + step]) for i, chunks in enumerate(boot)
+             for k in range(0, len(chunks), step)]
+    tasks += [(i, None) for i, (_, inf) in enumerate(work) if inf.method != "bootstrap"]
+    counts = [None if inf.method == "exact" else 0 for _, inf in work]
+    exact: list = [None] * len(work)
+    errors: list[str | None] = [None] * len(work)
+    outcomes = _run_tasks([(*work[i], chunks) for i, chunks in tasks])
+    for (i, chunks), (part, error) in zip(tasks, outcomes):
+        if error is not None or errors[i] is not None:
+            errors[i] = errors[i] or error
+        elif chunks is None:
+            exact[i] = part
+        else:
+            counts[i] += part
+    return [(None, error) if error is not None
+            else (tuple(_assemble(table, inf, n, e)), None)
+            for (table, inf), n, e, error in zip(work, counts, exact, errors)]
 
 
 def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
@@ -571,10 +610,13 @@ def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
     and propagates.
 
     Tables are built here, in item order; the items' inference then runs in
-    up to one forked worker process per CPU (inline for a single item or
-    CPU).  Each item draws only from its own seed child, so results do not
-    depend on the worker count.  A worker holds one item's bootstrap samples
-    at a time: 16 x trials x 4 int64.
+    up to one forked worker process per CPU (inline for a single task or
+    CPU): each item's bootstrap chunks in ranges and its exact results as
+    tasks of their own, so one item's bootstrap uses every CPU too.  Each
+    item draws only from its own seed child, chunk j from stream j of it, so
+    results do not depend on the worker count.  A worker holds one chunk's
+    null censuses at a time (16 x 16,384 x 4 int64 at most) plus running
+    tail counts, whatever the trial count.
 
     A dyad CSV is streamed: each block of rows is tallied into per-item
     counts with one ``bincount`` and no per-row record, so ingestion holds

@@ -7,26 +7,33 @@ pre-state (p, q) to post-state (r, s).  Fitting pools the quadrants into a
 that matrix while keeping participation and pre-states fixed at their
 observed masses.
 
-Randomness contract: sampling uses numpy's PCG64 generator.  A seed fully
-determines the sample; groups are always drawn in lexicographic
-(x, y, p, q) order from a single stream, so identical seeds reproduce
-identical samples bit for bit.
+Randomness contract: sampling uses numpy's PCG64 generator.  A draw of
+any number of censuses takes every positive-mass group in lexicographic
+(x, y, p, q) order from one stream, so a seed fully determines it bit for
+bit.  ``sample`` draws its one census from the stream of its seed.  The
+bootstrap draws its censuses in chunks of a fixed size (the last chunk may
+be shorter); chunk j draws from stream j of the seed,
+``SeedSequence(entropy, spawn_key=spawn_key + (j,))`` of the seed's
+``SeedSequence``, which is derived without spawning so that any process
+holding the seed draws any chunk alike.  A ``Generator`` seed is one
+stream: its chunks are drawn from it one after another.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .census import DyadTable, MarginalSet, marginals
+from .census import DyadTable, marginals
 from .errors import InputError, UndefinedRowError
 
-__all__ = ["NullModel", "NullSample", "fit", "sample", "group_event_probability",
+__all__ = ["NullModel", "fit", "sample", "group_event_probability",
            "PQ_ORDER", "RS_ORDER"]
 
-# Row/column order of the 4x4 transition-matrix view.
+# Pre-state (p, q) and post-state (r, s) order, as in the sampler's outcome columns.
 PQ_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 RS_ORDER = PQ_ORDER
 
@@ -114,15 +121,6 @@ class NullModel:
     def total(self) -> int:
         return int(self.masses.sum())
 
-    def matrix(self) -> np.ndarray:
-        """The transition matrix as 4x4, rows (p,q) and columns (r,s) in
-        order (0,0), (0,1), (1,0), (1,1).  Undefined rows are NaN."""
-        out = np.full((4, 4), np.nan)
-        for i, (p, q) in enumerate(PQ_ORDER):
-            if self.row_defined[p, q]:
-                out[i] = [self.p0[p, q, r, s] for (r, s) in RS_ORDER]
-        return out
-
     def require_row(self, p: int, q: int) -> np.ndarray:
         if not self.row_defined[p, q]:
             raise UndefinedRowError(
@@ -130,17 +128,6 @@ class NullModel:
                 "in that pre-state"
             )
         return self.p0[p, q]
-
-
-@dataclass(frozen=True)
-class NullSample:
-    """One census drawn under the null model.
-
-    Participation and pre-states keep their observed masses; only the
-    post-state split within each (x, y, p, q) group is random.
-    """
-
-    table: DyadTable
 
 
 def fit(table: DyadTable) -> NullModel:
@@ -152,18 +139,9 @@ def fit(table: DyadTable) -> NullModel:
     points.
     """
     marg = marginals(table)
-    return fit_from_marginals(marg)
-
-
-def fit_from_marginals(marg: MarginalSet) -> NullModel:
+    row_defined = marg.n0 > 0
     p0 = np.zeros((2, 2, 2, 2))
-    row_defined = np.zeros((2, 2), dtype=bool)
-    for p in (0, 1):
-        for q in (0, 1):
-            n_row = marg.n0[p, q]
-            if n_row > 0:
-                row_defined[p, q] = True
-                p0[p, q] = marg.n_pqrs[p, q] / float(n_row)
+    p0[row_defined] = marg.n_pqrs[row_defined] / marg.n0[row_defined][:, None, None]
     return NullModel(p0=p0, masses=marg.n0_group.copy(), row_defined=row_defined,
                      row_counts=marg.n_pqrs.copy(), row_totals=marg.n0.copy())
 
@@ -181,29 +159,40 @@ def _sample_group_outcomes(model: NullModel, trials: int, rng: np.random.Generat
     models).
     """
     outcomes = {}
-    for x in (0, 1):
-        for y in (0, 1):
-            for p in (0, 1):
-                for q in (0, 1):
-                    mass = int(model.masses[x, y, p, q])
-                    if mass == 0:
-                        continue
-                    row = model.require_row(p, q)
-                    outcomes[(x, y, p, q)] = rng.multinomial(
-                        mass, row.ravel(), size=trials)
+    for group in np.ndindex(2, 2, 2, 2):
+        mass = int(model.masses[group])
+        if mass:
+            row = model.require_row(*group[2:])
+            outcomes[group] = rng.multinomial(mass, row.ravel(), size=trials)
     return outcomes
 
 
-def sample(model: NullModel, seed) -> NullSample:
-    """Draw one null census: the one-trial case of the bootstrap's sampler.
+def _chunk_streams(seed, chunks: range) -> Iterator[np.random.Generator]:
+    """The stream of each chunk in ``chunks``, in order: stream j of the
+    seed for chunk j, or a ``Generator`` seed itself for each chunk in
+    turn (see the module docstring)."""
+    if isinstance(seed, np.random.Generator):
+        return itertools.repeat(seed, len(chunks))
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return (np.random.default_rng(np.random.SeedSequence(
+                root.entropy, spawn_key=root.spawn_key + (j,), pool_size=root.pool_size))
+            for j in chunks)
 
-    Deterministic given ``seed``; see the module docstring for the stream
-    layout.  Raises ``UndefinedRowError`` as the sampler does.
+
+def sample(model: NullModel, seed) -> DyadTable:
+    """Draw one null census: participation and pre-states keep their
+    observed masses, and each (x, y, p, q) group's post-states are one
+    multinomial draw of the bootstrap's sampler.
+
+    The census is the one-trial draw from the stream of ``seed`` (an int, a
+    ``SeedSequence`` or a ``Generator``, which the draw advances), so a seed
+    always gives the same census.  Raises ``UndefinedRowError`` as the
+    sampler does.
     """
     counts = np.zeros((2, 2, 2, 2, 4), dtype=np.int64)
     for group, drawn in _sample_group_outcomes(model, 1, _as_generator(seed)).items():
         counts[group] = drawn[0]
-    return NullSample(DyadTable(counts.reshape(64)))
+    return DyadTable(counts.reshape(64))
 
 
 def group_event_probability(model: NullModel, p: int, q: int,

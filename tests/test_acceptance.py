@@ -145,7 +145,7 @@ def test_criterion_4_null_calibration():
     replicates = 500
     hits = 0
     for child in np.random.SeedSequence(404).spawn(replicates):
-        null_table = sample(model, child).table
+        null_table = sample(model, child)
         res = exact_test(null_table, MeasureId.M1, model=model)
         hits += res.p_value <= 0.05
     fraction = hits / replicates

@@ -173,3 +173,13 @@ def test_invert_behavior_permutes_cells():
                              1 - cell.r, 1 - cell.s)
         assert flipped.counts[expected.code] == 1
         assert flipped.total == 1
+
+
+def test_invert_behavior_is_involution_on_tables():
+    rng = np.random.default_rng(616)
+    for _ in range(1000):
+        counts = rng.integers(0, int(rng.integers(1, 60)), size=64).astype(np.int64)
+        table = DyadTable(counts, item_id=f"q{int(rng.integers(10))}")
+        twice = table.invert_behavior().invert_behavior()
+        assert np.array_equal(twice.counts, table.counts)
+        assert twice.item_id == table.item_id

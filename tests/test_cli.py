@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadeval import io
+from dyadeval import InferenceConfig, io, run_all
 from dyadeval.cli import main
 from dyadeval.inference import _binom_pmf
 
@@ -127,6 +127,31 @@ def test_pooled_reports_equal_serial_reports(tmp_path, monkeypatch, capsys):
     assert [item["error"] is None for item in payload["items"]] == [True, False, True, True]
 
 
+def test_pooled_chunk_ranges_equal_serial_and_in_process_reports(tmp_path, monkeypatch):
+    # chunks of 257 trials: one item's bootstrap spreads over several tasks,
+    # and the reports still match one worker and an in-process run_all
+    monkeypatch.setattr("dyadeval.inference._CHUNK_TRIALS", 257)
+    table = uniform_table(tmp_path)
+    dyads = random_dyads(tmp_path, items=("q1", "q2"))
+    runs = {"table": ["table", "--table", str(table), "--probabilities", "--two-sided"],
+            "evaluate": ["evaluate", "--dyads", str(dyads)]}
+    for name, argv in runs.items():
+        outputs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(io, "_worker_count", lambda: workers)
+            out = tmp_path / f"{name}{workers}.json"
+            assert main(argv + ["--method", "both", "--trials", "1500", "--seed", "5",
+                                "--out-json", str(out)]) == 0
+            outputs[workers] = out.read_bytes()
+        assert outputs[1] == outputs[2]
+    child = np.random.SeedSequence(5).spawn(1)[0]
+    expected = run_all(io.parse_table64(table, probabilities=True),
+                       InferenceConfig(trials=1500, seed=child, two_sided=True))
+    reported = json.loads((tmp_path / "table2.json").read_text())["items"][0]["results"]
+    assert [(r["method"], r["p_value"], r["p_value_addone"]) for r in reported] == [
+        (r.method, r.p_value, r.p_value_addone) for r in expected]
+
+
 def test_integrity_failure_in_worker_exit_code(tmp_path, monkeypatch, capsys):
     # forked workers inherit the patched PMF
     full_pmf = _binom_pmf
@@ -230,6 +255,17 @@ def test_bad_delimiter_is_input_error(tmp_path, capsys):
     assert main(["evaluate", "--dyads", str(dyads), "--items", str(items),
                  "--delimiter", ";;"]) == 1
     assert "delimiter must be one character, got ';;'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_simulate_bad_delimiter_is_input_error(tmp_path, capsys, delimiter):
+    edges = tmp_path / "e.txt"
+    edges.write_text("a;;b\nb;;c\n")
+    assert main(["simulate", "--edge-kind", "edge_list", "--edges-file", str(edges),
+                 "--delimiter", delimiter, "--out-dyads", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: delimiter must be one character, got {delimiter!r}" in err
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("flag", ["--items", "--config"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -7,8 +9,9 @@ from dyadeval import (DiscreteDistribution, DyadTable, InferenceConfig,
                       TrialGroup, bootstrap_test, evaluate, exact_test, fit,
                       method_disagreement, pb_pmf, run_all, simulate_dyad_table)
 from dyadeval import MeasureSpec, NullModel, SimParams, sample
-from dyadeval.inference import (_STIRLERR, _binom_pmf, _binom_window,
-                                _difference_tails, _measure_values, _stirlerr)
+from dyadeval.inference import (_CHUNK_TRIALS, _STIRLERR, _binom_pmf, _binom_window,
+                                _column_selection, _difference_tails, _measure_values,
+                                _stirlerr)
 from dyadeval.null_model import _sample_group_outcomes
 from dyadeval.measures import spec_for
 
@@ -362,7 +365,7 @@ def test_exact_integrity_failure_on_trimmed_path(monkeypatch):
 def test_exact_test_with_explicit_model():
     base = simulate_dyad_table()
     model = fit(base)
-    drawn = sample(model, 5).table
+    drawn = sample(model, 5)
     explicit = exact_test(drawn, MeasureId.M2, model=model)
     refit = exact_test(drawn, MeasureId.M2)
     assert explicit.observed == refit.observed
@@ -458,10 +461,18 @@ def test_bootstrap_direction_follows_model_mean_not_sampled_mean():
     assert exact.null_mean == pytest.approx(7.9898, abs=1e-4)
     assert boot.null_mean == exact.null_mean
     assert boot.direction == exact.direction == "positive"
+    selection = _column_selection(spec_for(MeasureId.M3))
     outcomes = _sample_group_outcomes(fit(table), 100_000, np.random.default_rng(5010))
-    sampled = _measure_values(spec_for(MeasureId.M3), outcomes, 100_000)
+    sampled = _measure_values(selection, outcomes, 100_000)
     assert sampled.mean() == pytest.approx(8.066, abs=1e-3)
-    assert boot.p_value == pytest.approx(float((sampled >= 8).mean()))
+    # the bootstrap's censuses come in chunks, chunk j from stream j of the seed
+    at_least = 0
+    for j, first in enumerate(range(0, 100_000, _CHUNK_TRIALS)):
+        n = min(_CHUNK_TRIALS, 100_000 - first)
+        stream = np.random.default_rng(np.random.SeedSequence(5010, spawn_key=(j,)))
+        chunk = _measure_values(selection, _sample_group_outcomes(fit(table), n, stream), n)
+        at_least += int((chunk >= 8).sum())
+    assert boot.p_value == at_least / 100_000
 
 
 def test_bootstrap_tie_rule_from_handbuilt_model():
@@ -490,7 +501,7 @@ def test_bootstrap_vectorized_path_equals_per_census_evaluation():
     trials = 40
     outcomes = _sample_group_outcomes(model, trials, np.random.default_rng(8))
     for measure in (MeasureId.M1, MeasureId.M5, MeasureId.M8):
-        values = _measure_values(spec_for(measure), outcomes, trials)
+        values = _measure_values(_column_selection(spec_for(measure)), outcomes, trials)
         for b in (0, 7, 39):
             counts = np.zeros(64, dtype=np.int64)
             for (x, y, p, q), arr in outcomes.items():
@@ -518,6 +529,43 @@ def test_run_all_bootstrap_matches_single_tests():
     for res in results:
         alone = bootstrap_test(table, res.measure, trials=400, seed=77)
         assert res == alone
+
+
+def test_run_all_equals_per_measure_tests_on_random_tables():
+    # around the chunk size: one short chunk, one full chunk, a full chunk
+    # and a one-trial chunk, two full chunks and a one-trial chunk
+    rng = np.random.default_rng(909)
+    for trials in (_CHUNK_TRIALS - 1, _CHUNK_TRIALS, _CHUNK_TRIALS + 1, 2 * _CHUNK_TRIALS + 1):
+        table = DyadTable(rng.integers(0, int(rng.integers(2, 9)), size=64))
+        int_seed = int(rng.integers(2**32))
+        for seed in (int_seed, np.random.SeedSequence(int_seed).spawn(3)[2]):
+            results = run_all(table, InferenceConfig(method="both", trials=trials, seed=seed))
+            expected = [r for m in MeasureId
+                        for r in (bootstrap_test(table, m, trials, seed),
+                                  exact_test(table, m))]
+            assert results == expected
+        # a Generator is consumed chunk by chunk: equal generators, equal results
+        results = run_all(table, InferenceConfig(
+            method="bootstrap", trials=trials, seed=np.random.default_rng(int_seed)))
+        assert results == [bootstrap_test(table, m, trials, np.random.default_rng(int_seed))
+                           for m in MeasureId]
+
+
+def test_bootstrap_memory_does_not_grow_with_trials():
+    table = DyadTable(np.random.default_rng(919).integers(0, 6, size=64))
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            run_all(table, InferenceConfig(method="bootstrap", trials=trials, seed=4))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10_000), peak(1_000_000)
+    # one chunk of 10,000 trials against chunks of _CHUNK_TRIALS; holding
+    # every trial would take ~100 times the memory
+    assert large < 2 * small
 
 
 def test_run_all_empty_measure_sides_on_sparse_table():

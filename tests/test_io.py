@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from oracles import parse_dyad_csv_by_rows
 
-from dyadeval import InputError, MeasureId, build_table, io
-from dyadeval.io import (EvaluationConfig, emit_report, evaluate_items,
+from dyadeval import (DyadTable, InferenceConfig, InputError, MeasureId, build_table, io,
+                      run_all)
+from dyadeval.io import (EvaluationConfig, ItemReport, emit_report, evaluate_items,
                          join_node_edges, load_report_json, parse_dyad_csv,
                          parse_node_csv, parse_table64, read_edge_list)
 
@@ -471,19 +472,19 @@ def test_evaluate_items_deterministic(tmp_path):
     assert evaluate_items(config) == evaluate_items(config)
 
 
-def _worker_pid(work):
+def _worker_pid(task):
     return os.getpid()
 
 
-def test_run_items_in_forked_workers(monkeypatch):
-    # forked workers inherit the patched _run_item
-    monkeypatch.setattr(io, "_run_item", _worker_pid)
+def test_run_tasks_in_forked_workers(monkeypatch):
+    # forked workers inherit the patched _run_task
+    monkeypatch.setattr(io, "_run_task", _worker_pid)
     monkeypatch.setattr(io, "_worker_count", lambda: 2)
-    pids = io._run_items([None] * 4)
+    pids = io._run_tasks([None] * 4)
     assert len(pids) == 4 and os.getpid() not in pids
-    assert io._run_items([None]) == [os.getpid()]  # a single item runs inline
+    assert io._run_tasks([None]) == [os.getpid()]  # a single task runs inline
     monkeypatch.setattr(io, "_worker_count", lambda: 1)
-    assert io._run_items([None] * 3) == [os.getpid()] * 3
+    assert io._run_tasks([None] * 3) == [os.getpid()] * 3
 
 
 def test_evaluate_items_table64_mode(tmp_path):
@@ -546,6 +547,34 @@ def test_json_round_trip(tmp_path):
     out = tmp_path / "results.json"
     emit_report(reports, "json", out, seed=2)
     assert load_report_json(out) == reports
+
+
+def test_json_round_trip_two_sided_and_error_items(tmp_path):
+    # seeded batches of two-sided results from both engines and error items,
+    # with ids, labels and messages drawn from an awkward alphabet
+    rng = np.random.default_rng(646)
+    alphabet = list("ab,;\"' \\\n\t\u00e4\u20ac\U0001f600:{}[]")
+
+    def text():
+        return "".join(rng.choice(alphabet, size=int(rng.integers(1, 12))))
+
+    for batch in range(30):
+        reports = []
+        for _ in range(int(rng.integers(1, 5))):
+            if rng.random() < 0.4:
+                reports.append(ItemReport(text(), text(), (), 0, 0, error=text()))
+                continue
+            table = DyadTable(rng.integers(1, 8, size=64))
+            config = InferenceConfig(method=str(rng.choice(["bootstrap", "exact", "both"])),
+                                     trials=int(rng.integers(1, 300)),
+                                     alpha=float(rng.uniform(0.001, 0.2)),
+                                     seed=int(rng.integers(1000)), two_sided=True)
+            reports.append(ItemReport(text(), text(), tuple(run_all(table, config)),
+                                      dyads_used=table.total,
+                                      dyads_dropped=int(rng.integers(0, 50))))
+        path = tmp_path / f"r{batch}.json"
+        emit_report(reports, "json", path, seed=int(rng.integers(1000)))
+        assert load_report_json(path) == reports
 
 
 def test_emit_rejects_empty():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dyadeval import (CellIndex, DyadTable, MEASURE_LABELS, MeasureId,
-                      MeasureSpec, MeasureValue, cells_matching, evaluate,
-                      simulate_dyad_table, spec_for)
+                      MeasureSpec, MeasureValue, all_cells, cells_matching,
+                      evaluate, simulate_dyad_table, spec_for)
 
 from oracles import measure_cells_by_formula, measure_values_by_formula
 
@@ -104,6 +104,24 @@ def test_polarity_conjugation_on_all_unit_tables():
             table = unit_table(code)
             assert (evaluate(table.invert_behavior(), spec)
                     == evaluate(table, flipped_spec))
+
+
+def test_invert_behavior_is_involution_on_specs():
+    # random specs: disjoint cell sets on disjoint participation quadrants
+    rng = np.random.default_rng(626)
+    cells = list(all_cells())
+    for _ in range(1000):
+        quadrants = rng.permutation(4)
+        cut = int(rng.integers(0, 5))
+        side = {int(q): 0 if i < cut else 1 for i, q in enumerate(quadrants)}
+        picked = [c for c in cells if rng.random() < 0.3]
+        spec = MeasureSpec(
+            frozenset(c for c in picked if side[2 * c.x + c.y] == 0),
+            frozenset(c for c in picked if side[2 * c.x + c.y] == 1))
+        assert spec.transform_invert_behavior().transform_invert_behavior() == spec
+    for measure in MeasureId:
+        spec = spec_for(measure)
+        assert spec.transform_invert_behavior().transform_invert_behavior() == spec
 
 
 def test_custom_spec_validation():

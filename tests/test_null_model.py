@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from dyadeval import (DyadTable, NullModel, UndefinedRowError, fit,
+from dyadeval import (DyadTable, NullModel, SimParams, UndefinedRowError, fit,
                       group_event_probability, marginals, sample,
                       simulate_dyad_table)
 
@@ -94,7 +96,7 @@ def test_sample_identity_matrix_reproduces_structure():
     table = table_from(cells)
     model = fit(table)
     for seed in range(5):
-        drawn = sample(model, seed).table
+        drawn = sample(model, seed)
         assert np.array_equal(drawn.counts, table.counts)
 
 
@@ -102,7 +104,7 @@ def test_sample_degenerate_row():
     # row (1,1) sends everything to (r,s)=(1,1); mass 7 in group (0,0,1,1)
     cells = {(0, 0, 1, 1, 1, 1): 7}
     model = fit(table_from(cells))
-    drawn = sample(model, 123).table
+    drawn = sample(model, 123)
     assert drawn.counts[cell_code(0, 0, 1, 1, 1, 1)] == 7
     assert drawn.total == 7
 
@@ -112,16 +114,31 @@ def test_sample_conserves_group_masses():
     model = fit(table)
     marg = marginals(table)
     for seed in (0, 1, 2):
-        drawn = sample(model, seed).table
+        drawn = sample(model, seed)
         assert np.array_equal(marginals(drawn).n0_group, marg.n0_group)
         assert drawn.total == table.total
 
 
 def test_sample_deterministic():
     model = fit(simulate_dyad_table())
-    a = sample(model, 99).table
-    b = sample(model, 99).table
+    a = sample(model, 99)
+    b = sample(model, 99)
     assert np.array_equal(a.counts, b.counts)
+
+
+def test_sample_draws_pinned():
+    # 150 seeded draws (int, SeedSequence-child and advancing Generator seeds)
+    # from three models, hashed: the one-trial sampler's draws are fixed
+    digest = hashlib.sha256()
+    models = [fit(simulate_dyad_table(SimParams(seed=s))) for s in (0, 1)]
+    models.append(fit(DyadTable(np.random.default_rng(2024).integers(0, 5, size=64))))
+    for model in models:
+        seeds = [*range(40), *np.random.SeedSequence(7).spawn(5)]
+        seeds += [np.random.default_rng(11)] * 5
+        for seed in seeds:
+            digest.update(sample(model, seed).counts.astype("<i8").tobytes())
+    assert digest.hexdigest() == (
+        "59d7be99a79c6ab4d144702cc273ad2a046263bd1d9d3c505787c86fed9a5e9e")
 
 
 def test_sample_frequencies_converge():
@@ -132,7 +149,7 @@ def test_sample_frequencies_converge():
     rng = np.random.default_rng(7)
     hits = np.zeros(n_samples)
     for i in range(n_samples):
-        drawn = sample(model, rng).table
+        drawn = sample(model, rng)
         hits[i] = drawn.counts[cell_code(0, 0, 0, 0, 0, 0)]
     # mean fraction in outcome (0,0) should approach 0.25
     frac = hits.mean() / 40.0
@@ -147,7 +164,7 @@ def test_sample_expectation_matches_mass_times_p0():
     n_samples = 4000
     acc = np.zeros(64)
     for _ in range(n_samples):
-        acc += sample(model, rng).table.counts
+        acc += sample(model, rng).counts
     mean_counts = acc / n_samples
     expected = 36 * (12 / 36)
     se = np.sqrt(36 * (1 / 3) * (2 / 3) / n_samples)
