@@ -460,6 +460,8 @@ def _tail_counts(model: NullModel, specs: Sequence[MeasureSpec], observed: Seque
 
 def _bootstrap_result(measure, model: NullModel, spec: MeasureSpec, observed: int,
                       counts, trials: int, alpha: float, two_sided: bool) -> TestResult:
+    """The result from the counts of null values >= and <= the observed
+    one, the only value ``_tail_result`` reads the tails at."""
     ge, le = (int(k) for k in counts)
     k = {DIRECTION_POSITIVE: ge, DIRECTION_NEGATIVE: le}
     null_mean, deviation, _, _ = _null_mean(model, spec, observed)

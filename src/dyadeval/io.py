@@ -34,7 +34,7 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress, islice, repeat
 from operator import eq, itemgetter
 from pathlib import Path
@@ -695,28 +695,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _result_fields(res: TestResult) -> dict:
+    """A result's report fields: its own, with the measure as id and label."""
+    return {**{f.name: getattr(res, f.name) for f in fields(TestResult)},
+            "measure": res.measure.value if res.measure is not None else None,
+            "measure_label": res.measure.label if res.measure is not None else None}
+
+
 def _result_row(report: ItemReport, res: TestResult, seed: int) -> dict:
-    return {
-        "item_id": report.item_id,
-        "item_label": report.item_label,
-        "measure": res.measure.value if res.measure is not None else "",
-        "measure_label": res.measure.label if res.measure is not None else "",
-        "method": res.method,
-        "observed": res.observed,
-        "null_mean": res.null_mean,
-        "direction": res.direction,
-        "p_value": res.p_value,
-        "p_value_addone": res.p_value_addone,
-        "significant": res.significant,
-        "alpha": res.alpha,
-        "trials": res.trials,
-        "two_sided": res.two_sided,
-        "dyads_used": report.dyads_used,
-        "dyads_dropped": report.dyads_dropped,
-        "seed": seed,
-        "tool_version": __version__,
-        "error": report.error,
-    }
+    return {**_result_fields(res), "item_id": report.item_id,
+            "item_label": report.item_label, "dyads_used": report.dyads_used,
+            "dyads_dropped": report.dyads_dropped, "seed": seed,
+            "tool_version": __version__, "error": report.error}
 
 
 def emit_report(reports: Sequence[ItemReport], fmt: str, path, seed: int = 0) -> None:
@@ -731,11 +721,7 @@ def emit_report(reports: Sequence[ItemReport], fmt: str, path, seed: int = 0) ->
     if fmt == "csv":
         lines = [",".join(_CSV_FIELDS)]
         for report in reports:
-            if report.error is not None:
-                row = _result_row(report, _EMPTY_RESULT, seed)
-                lines.append(",".join(_csv_quote(_fmt(row[f])) for f in _CSV_FIELDS))
-                continue
-            for res in report.results:
+            for res in report.results if report.error is None else (_EMPTY_RESULT,):
                 row = _result_row(report, res, seed)
                 lines.append(",".join(_csv_quote(_fmt(row[f])) for f in _CSV_FIELDS))
         _write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
@@ -751,24 +737,7 @@ def emit_report(reports: Sequence[ItemReport], fmt: str, path, seed: int = 0) ->
                     "dyads_used": r.dyads_used,
                     "dyads_dropped": r.dyads_dropped,
                     "error": r.error,
-                    "results": [
-                        {
-                            "measure": res.measure.value if res.measure is not None else None,
-                            "measure_label": (res.measure.label
-                                              if res.measure is not None else None),
-                            "method": res.method,
-                            "observed": res.observed,
-                            "null_mean": res.null_mean,
-                            "direction": res.direction,
-                            "p_value": res.p_value,
-                            "p_value_addone": res.p_value_addone,
-                            "significant": res.significant,
-                            "alpha": res.alpha,
-                            "trials": res.trials,
-                            "two_sided": res.two_sided,
-                        }
-                        for res in r.results
-                    ],
+                    "results": [_result_fields(res) for res in r.results],
                 }
                 for r in reports
             ],
@@ -809,21 +778,9 @@ def load_report_json(path) -> list[ItemReport]:
     reports = []
     for item in payload.get("items", []):
         results = tuple(
-            TestResult(
-                measure=MeasureId(res["measure"]) if res["measure"] else None,
-                observed=res["observed"],
-                null_mean=res["null_mean"],
-                direction=res["direction"],
-                p_value=res["p_value"],
-                method=res["method"],
-                alpha=res["alpha"],
-                significant=res["significant"],
-                trials=res["trials"],
-                p_value_addone=res["p_value_addone"],
-                two_sided=res["two_sided"],
-            )
-            for res in item["results"]
-        )
+            TestResult(**{f.name: res[f.name] for f in fields(TestResult) if f.name != "measure"},
+                       measure=MeasureId(res["measure"]) if res["measure"] else None)
+            for res in item["results"])
         reports.append(ItemReport(
             item_id=item["item_id"], item_label=item["item_label"],
             results=results, dyads_used=item["dyads_used"],

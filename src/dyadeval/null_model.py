@@ -12,11 +12,12 @@ any number of censuses takes every positive-mass group in lexicographic
 (x, y, p, q) order from one stream, so a seed fully determines it bit for
 bit.  ``sample`` draws its one census from the stream of its seed.  The
 bootstrap draws its censuses in chunks of a fixed size (the last chunk may
-be shorter); chunk j draws from stream j of the seed,
-``SeedSequence(entropy, spawn_key=spawn_key + (j,))`` of the seed's
-``SeedSequence``, which is derived without spawning so that any process
-holding the seed draws any chunk alike.  A ``Generator`` seed is one
-stream: its chunks are drawn from it one after another.
+be shorter), and chunk j draws from stream j of the seed:
+``SeedSequence(root.entropy, spawn_key=root.spawn_key + (j,))`` for the
+seed's ``SeedSequence`` root (``SeedSequence(seed)`` for an int).  These
+streams are derived, never spawned, so any process holding the seed draws
+any chunk alike.  A ``Generator`` seed is one stream: its chunks are drawn
+from it one after another.
 """
 
 from __future__ import annotations
