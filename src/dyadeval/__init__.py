@@ -9,7 +9,7 @@ by bootstrap simulation and by exact Poisson-Binomial convolution.
 
 from ._version import __version__
 from .census import (CellIndex, DyadRecord, DyadTable, MarginalSet, all_cells,
-                     build_table, classify_dyad, marginals)
+                     build_table, marginals)
 from .errors import (DyadevalError, InputError, NumericalIntegrityError,
                      UndefinedRowError)
 from .inference import (DiscreteDistribution, InferenceConfig, TestResult,
@@ -17,7 +17,7 @@ from .inference import (DiscreteDistribution, InferenceConfig, TestResult,
                         method_disagreement, pb_pmf, run_all)
 from .measures import (MEASURE_LABELS, MeasureId, MeasureSpec, MeasureValue,
                        cells_matching, evaluate, spec_for)
-from .null_model import NullModel, fit, group_event_probability, sample
+from .null_model import NullModel, fit, sample
 from .sim import (EdgeModel, SimNetwork, SimParams, assign_initial_states,
                   generate_network, probabilities_to_counts, simulate,
                   simulate_dyad_table, to_dyad_records, transition)
@@ -25,11 +25,11 @@ from .sim import (EdgeModel, SimNetwork, SimParams, assign_initial_states,
 __all__ = [
     "__version__",
     "CellIndex", "DyadRecord", "DyadTable", "MarginalSet", "all_cells",
-    "build_table", "classify_dyad", "marginals",
+    "build_table", "marginals",
     "DyadevalError", "InputError", "NumericalIntegrityError", "UndefinedRowError",
     "MeasureId", "MeasureSpec", "MeasureValue", "MEASURE_LABELS",
     "cells_matching", "evaluate", "spec_for",
-    "NullModel", "fit", "group_event_probability", "sample",
+    "NullModel", "fit", "sample",
     "DiscreteDistribution", "InferenceConfig", "TestResult", "TrialGroup",
     "bootstrap_test", "exact_test",
     "method_disagreement", "pb_pmf", "run_all",

@@ -28,7 +28,6 @@ __all__ = [
     "DyadRecord",
     "DyadTable",
     "MarginalSet",
-    "classify_dyad",
     "build_table",
     "marginals",
     "all_cells",
@@ -116,11 +115,6 @@ class DyadRecord:
         return replace(self, p=1 - self.p, q=1 - self.q, r=1 - self.r, s=1 - self.s)
 
 
-def classify_dyad(record: DyadRecord) -> CellIndex:
-    """Map a record to the unique cell whose coordinates equal its six bits."""
-    return record.cell
-
-
 # Permutation of cell codes under behavior-bit inversion, fixed at import.
 _INVERT_PERM = np.array(
     [CellIndex.from_code(c)._replace(
@@ -203,28 +197,23 @@ def build_table(records: Sequence[DyadRecord] | Iterable[DyadRecord],
 
 @dataclass(frozen=True)
 class MarginalSet:
-    """All marginal aggregations of a census.
+    """The marginal aggregations of a census the null model is fitted from.
 
     Arrays are bit-indexed:
 
         n0[p, q]              dyads with pre-state (p, q), any participation
-        n1[r, s]              dyads with post-state (r, s)
         n_pqrs[p, q, r, s]    pre/post joint counts pooled over participation
         n0_group[x, y, p, q]  pre-state counts within one participation quadrant
-        n1_group[x, y, r, s]  post-state counts within one participation quadrant
     """
 
     n0: np.ndarray
-    n1: np.ndarray
     n_pqrs: np.ndarray
     n0_group: np.ndarray
-    n1_group: np.ndarray
     total: int = field(default=0)
 
     def __post_init__(self) -> None:
-        for name, shape in (("n0", (2, 2)), ("n1", (2, 2)),
-                            ("n_pqrs", (2, 2, 2, 2)), ("n0_group", (2, 2, 2, 2)),
-                            ("n1_group", (2, 2, 2, 2))):
+        for name, shape in (("n0", (2, 2)), ("n_pqrs", (2, 2, 2, 2)),
+                            ("n0_group", (2, 2, 2, 2))):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -232,13 +221,11 @@ class MarginalSet:
 
 
 def marginals(table: DyadTable) -> MarginalSet:
-    """Compute every marginal family of a census in one pass."""
+    """Compute the marginal families of a census."""
     c = table.by_bits()
     return MarginalSet(
         n0=c.sum(axis=(0, 1, 4, 5)),
-        n1=c.sum(axis=(0, 1, 2, 3)),
         n_pqrs=c.sum(axis=(0, 1)),
         n0_group=c.sum(axis=(4, 5)),
-        n1_group=c.sum(axis=(2, 3)),
         total=table.total,
     )

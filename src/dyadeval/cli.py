@@ -7,8 +7,9 @@ Subcommands:
     simulate   synthetic two-wave scenario -> dyad CSV and/or reports
     chart      a JSON report -> bubble-chart SVG
 
-A config file (``--config``, ``key = value`` lines, '#' comments) supplies
-defaults; explicit command-line flags win.  Exit codes: 0 success, 1 input
+A config file (``--config PATH`` or ``--config=PATH``, ``key = value``
+lines, '#' comments) supplies defaults, each read as its flag's value would
+be; explicit command-line flags win.  Exit codes: 0 success, 1 input
 error (a usage error included), 2 numerical-integrity failure.
 """
 
@@ -61,8 +62,6 @@ def _add_report_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--chart", metavar="PATH", help="write bubble-chart SVG here")
     sp.add_argument("--chart-method", choices=("bootstrap", "exact"),
                     help="which method the chart shows (default: exact if run)")
-    sp.add_argument("--items", metavar="PATH",
-                    help="CSV of item_id,label restricting and labeling items")
     sp.add_argument("--delimiter", default=",", help="field delimiter for text inputs")
 
 
@@ -82,6 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--orientation", choices=("directed", "symmetrize"),
                     default="directed",
                     help="dyad orientation policy for node+edge inputs")
+    ev.add_argument("--items", metavar="PATH",
+                    help="CSV of item_id,label restricting and labeling items")
     _add_inference_flags(ev)
     _add_report_flags(ev)
 
@@ -135,21 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce(value: str):
-    text = value.strip()
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 def _load_config_file(path: str) -> dict:
     cfg_path = Path(path)
     if not cfg_path.exists():
@@ -164,8 +150,28 @@ def _load_config_file(path: str) -> dict:
         if "=" not in stripped:
             raise InputError(f"{path}: line {line_no}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
-        values[key.strip().replace("-", "_")] = _coerce(raw)
+        values[key.strip().replace("-", "_")] = raw.strip()
     return values
+
+
+def _switch(key: str, raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise InputError(f"config key {key}: expected true or false, got {raw!r}")
+
+
+def _set_config_defaults(parser: argparse.ArgumentParser, values: dict[str, str]) -> None:
+    """Make a config file's values every subcommand's defaults.  argparse
+    passes a string default through its option's ``type`` as it would the
+    flag's own value, so a bad number is a usage error; on/off flags take
+    true/yes/on/1 or false/no/off/0."""
+    for sp in parser._dyadeval_subparsers:
+        switches = {a.dest for a in sp._actions if isinstance(a, argparse._StoreTrueAction)}
+        sp.set_defaults(**{key: _switch(key, raw) if key in switches else raw
+                           for key, raw in values.items()})
 
 
 def _read_items_file(path: str, delimiter: str) -> tuple[tuple[str, str], ...]:
@@ -354,14 +360,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if "--config" in argv:
-            at = argv.index("--config")
-            if at + 1 >= len(argv):
-                raise InputError("--config requires a path")
-            cfg = _load_config_file(argv[at + 1])
-            for sp in parser._dyadeval_subparsers:
-                sp.set_defaults(**cfg)
         args = parser.parse_args(argv)
+        if args.config is not None:  # parsed again over the file's defaults
+            _set_config_defaults(parser, _load_config_file(args.config))
+            args = parser.parse_args(argv)
         code = _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,20 @@
 """Significance of the measures under the null model, two independent ways.
 
+Both engines read a measure only through its signed weight row over the
+64 cells (``MeasureSpec.weights``).
+
 Bootstrap: draw many null censuses (a multinomial per participation/
 pre-state group), evaluate the measure on each, and report the inclusive
 tail proportion at least as extreme as the observed value.  Censuses are
-drawn and scored in fixed chunks, each from its own stream of the seed,
-and only the running counts of values >= and <= the observed one are kept.
+drawn in fixed chunks, each from its own stream of the seed, as a
+(trials, 64) array of cell counts; one integer product with the stacked
+(k, 64) weight rows scores a chunk for all k measures, and only the running
+counts of values >= and <= the observed one are kept.
 
 Exact: each side of a measure counts, within a handful of independent
-group multinomials, the trials landing in a fixed post-state outcome set.
+group multinomials, the trials landing in a fixed post-state outcome set:
+the side's cells in ``weights.reshape(2, 2, 2, 2, 4)``, by (x, y, p, q)
+group and (r, s) outcome column.
 Category-subset counts of a multinomial are binomial, so each side is a sum
 of independent binomials: a Poisson-Binomial variable.  The two sides live
 in disjoint participation quadrants and are therefore independent, so the
@@ -331,59 +338,49 @@ def _require_fitted(model: NullModel) -> NullModel:
     return model
 
 
-def _side_blocks(model: NullModel, side_groups
-                 ) -> tuple[list[TrialGroup], Fraction | None]:
-    """One walk over a side: its merged binomial blocks and its exact mean.
+def _side_blocks(model: NullModel, weights: np.ndarray, sign: int) -> list[TrialGroup]:
+    """The binomial blocks of the side of a weight row whose cells carry
+    ``sign``, read off ``weights.reshape(2, 2, 2, 2, 4)`` by (x, y, p, q)
+    group and (r, s) outcome column.
 
     A group's success probability depends only on its (p, q) row and its
-    (r, s) outcome set, so groups sharing both add up to one binomial of
-    their summed mass (exact in distribution).  The mean is the rational
-    sum of mass * successes / row total per block, or None when the model
-    carries no tallies.
+    outcome columns, so groups sharing both add up to one binomial of their
+    summed mass (exact in distribution).  Blocks come in (p, q, columns)
+    order, each probability summed over its columns in ascending order.
     """
-    masses: dict[tuple[int, int, tuple[tuple[int, int], ...]], int] = {}
-    for (x, y, p, q), outcomes in side_groups.items():
-        mass = int(model.masses[x, y, p, q])
-        if mass:
-            key = (p, q, tuple(sorted(outcomes)))
-            masses[key] = masses.get(key, 0) + mass
-    blocks = []
-    mean = None if model.row_counts is None else Fraction(0)
-    for (p, q, outcomes), mass in sorted(masses.items()):
-        row = model.require_row(p, q)
-        blocks.append(TrialGroup(mass, float(sum(row[r, s] for (r, s) in outcomes))))
-        if mean is not None:
-            successes = int(sum(model.row_counts[p, q, r, s] for (r, s) in outcomes))
-            mean += Fraction(mass * successes, int(model.row_totals[p, q]))
-    return blocks, mean
+    side = weights.reshape(2, 2, 2, 2, 4) == sign
+    masses: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    for x, y, p, q in np.argwhere(side.any(axis=-1) & (model.masses > 0)):
+        key = (int(p), int(q), tuple(np.flatnonzero(side[x, y, p, q]).tolist()))
+        masses[key] = masses.get(key, 0) + int(model.masses[x, y, p, q])
+    return [TrialGroup(mass, float(sum(model.require_row(p, q).ravel()[c] for c in cols)))
+            for (p, q, cols), mass in sorted(masses.items())]
 
 
 _MEAN_TIE_TOL = 1e-9
 
 
-def _null_mean(model: NullModel, spec: MeasureSpec, observed: int
-               ) -> tuple[float, int, list[TrialGroup], list[TrialGroup]]:
+def _null_mean(model: NullModel, weights: np.ndarray, observed: int) -> tuple[float, int]:
     """The measure's null mean under the model and the sign of the observed
-    deviation from it, shared by both engines, plus the sides' blocks.
+    deviation from it, shared by both engines.
 
-    Fitted models decide observed-vs-mean ties in exact rational
-    arithmetic; hand-built models only carry floats, so there a hair's
-    breadth counts as a tie.
+    Fitted models sum mass * signed successes / row total over the groups in
+    exact rational arithmetic and decide observed-vs-mean ties exactly;
+    hand-built models only carry floats, so there the mean is summed over
+    the sides' blocks and a hair's breadth counts as a tie.
     """
-    pos_side, neg_side = spec.grouped()
-    pos_groups, pos_mean = _side_blocks(model, pos_side)
-    neg_groups, neg_mean = _side_blocks(model, neg_side)
-    if pos_mean is not None:
-        mean_frac = pos_mean - neg_mean
-        deviation = (observed > mean_frac) - (observed < mean_frac)
-        return float(mean_frac), deviation, pos_groups, neg_groups
-    null_mean = (sum(g.count * g.success_prob for g in pos_groups)
-                 - sum(g.count * g.success_prob for g in neg_groups))
+    if model.row_counts is not None:
+        signed = (weights.reshape(2, 2, 2, 2, 4) * model.row_counts.reshape(2, 2, 4)).sum(axis=-1)
+        mean_frac = sum((Fraction(int(model.masses[g]) * int(signed[g]),
+                                  int(model.row_totals[g[2:]]))
+                         for g in zip(*np.nonzero(signed))),
+                        Fraction(0))
+        return float(mean_frac), (observed > mean_frac) - (observed < mean_frac)
+    null_mean = (sum(g.count * g.success_prob for g in _side_blocks(model, weights, 1))
+                 - sum(g.count * g.success_prob for g in _side_blocks(model, weights, -1)))
     if abs(observed - null_mean) <= _MEAN_TIE_TOL * max(1.0, abs(null_mean)):
-        deviation = 0
-    else:
-        deviation = 1 if observed > null_mean else -1
-    return null_mean, deviation, pos_groups, neg_groups
+        return null_mean, 0
+    return null_mean, 1 if observed > null_mean else -1
 
 
 def _exact_with_model(table: DyadTable, model: NullModel,
@@ -392,9 +389,10 @@ def _exact_with_model(table: DyadTable, model: NullModel,
     spec = spec_for(measure) if isinstance(measure, MeasureId) else measure
     measure_id = measure if isinstance(measure, MeasureId) else None
     observed = evaluate(table, spec).value
-    null_mean, deviation, pos_groups, neg_groups = _null_mean(model, spec, observed)
+    null_mean, deviation = _null_mean(model, spec.weights, observed)
     return _tail_result(measure_id, observed, null_mean, deviation,
-                        *_difference_tails(pb_pmf(pos_groups), pb_pmf(neg_groups)),
+                        *_difference_tails(pb_pmf(_side_blocks(model, spec.weights, 1)),
+                                           pb_pmf(_side_blocks(model, spec.weights, -1))),
                         method="exact", alpha=alpha, trials=None,
                         two_sided=two_sided)
 
@@ -411,8 +409,8 @@ def exact_test(table: DyadTable, measure: MeasureId | MeasureSpec,
     return _exact_with_model(table, model, measure, alpha, two_sided)
 
 
-# Trials per bootstrap chunk: a chunk's outcomes are at most 16 groups x
-# 16,384 x 4 int64 (8.4 MB), whatever the trial count.
+# Trials per bootstrap chunk: a chunk's null censuses are 16,384 x 64 int64
+# cell counts (8.4 MB), whatever the trial count.
 _CHUNK_TRIALS = 16_384
 
 
@@ -420,51 +418,33 @@ def _chunks(trials: int) -> range:
     return range(-(-trials // _CHUNK_TRIALS))
 
 
-def _column_selection(spec: MeasureSpec) -> list[tuple[tuple[int, int, int, int], list[int], int]]:
-    """(group, outcome columns, sign) for every group a measure reads."""
-    pos_side, neg_side = spec.grouped()
-    return [(group, [2 * r + s for (r, s) in sorted(side[group])], sign)
-            for side, sign in ((pos_side, 1), (neg_side, -1)) for group in sorted(side)]
-
-
-def _measure_values(selection, outcomes: dict[tuple[int, int, int, int], np.ndarray],
-                    trials: int) -> np.ndarray:
-    """Measure value on each sampled census; groups without mass add 0."""
-    values = np.zeros(trials, dtype=np.int64)
-    for group, cols, sign in selection:
-        if group in outcomes:
-            values += sign * outcomes[group][:, cols].sum(axis=1)
-    return values
-
-
-def _tail_counts(model: NullModel, specs: Sequence[MeasureSpec], observed: Sequence[int],
+def _tail_counts(model: NullModel, weights: np.ndarray, observed: np.ndarray,
                  seed, trials: int, chunks: range) -> np.ndarray:
-    """Counts of null values >= and <= ``observed[i]``, one row per spec,
-    over the censuses of ``chunks``.
+    """Counts of null values >= and <= ``observed[i]``, one row per row of
+    the (k, 64) ``weights``, over the censuses of ``chunks``.
 
     Chunk j holds trials [j C, min((j + 1) C, trials)) for C =
-    ``_CHUNK_TRIALS``, drawn from its own stream of ``seed``, so the counts
-    over any split of the chunks add up to the counts over all of them.
+    ``_CHUNK_TRIALS``, drawn from its own stream of ``seed`` and scored for
+    every measure with one integer matrix product, so the counts over any
+    split of the chunks add up to the counts over all of them.
     """
-    selections = [_column_selection(spec) for spec in specs]
-    counts = np.zeros((len(specs), 2), dtype=np.int64)
+    counts = np.zeros((len(weights), 2), dtype=np.int64)
     for j, rng in zip(chunks, _chunk_streams(seed, chunks)):
         n = min(_CHUNK_TRIALS, trials - j * _CHUNK_TRIALS)
-        outcomes = _sample_group_outcomes(model, n, rng)
-        for row, selection, obs in zip(counts, selections, observed):
-            values = _measure_values(selection, outcomes, n)
-            row += (np.count_nonzero(values >= obs), np.count_nonzero(values <= obs))
-        del outcomes  # freed before the next chunk is drawn, not after
+        values = _sample_group_outcomes(model, n, rng) @ weights.T
+        counts[:, 0] += np.count_nonzero(values >= observed, axis=0)
+        counts[:, 1] += np.count_nonzero(values <= observed, axis=0)
+        del values  # freed before the next chunk is drawn, not after
     return counts
 
 
-def _bootstrap_result(measure, model: NullModel, spec: MeasureSpec, observed: int,
+def _bootstrap_result(measure, model: NullModel, weights: np.ndarray, observed: int,
                       counts, trials: int, alpha: float, two_sided: bool) -> TestResult:
     """The result from the counts of null values >= and <= the observed
     one, the only value ``_tail_result`` reads the tails at."""
     ge, le = (int(k) for k in counts)
     k = {DIRECTION_POSITIVE: ge, DIRECTION_NEGATIVE: le}
-    null_mean, deviation, _, _ = _null_mean(model, spec, observed)
+    null_mean, deviation = _null_mean(model, weights, observed)
     return _tail_result(measure, observed, null_mean, deviation,
                         lambda _: ge / trials, lambda _: le / trials,
                         method="bootstrap", alpha=alpha, trials=trials, two_sided=two_sided,
@@ -487,16 +467,21 @@ def bootstrap_test(table: DyadTable, measure: MeasureId | MeasureSpec,
     spec = spec_for(measure) if isinstance(measure, MeasureId) else measure
     measure_id = measure if isinstance(measure, MeasureId) else None
     observed = evaluate(table, spec).value
-    counts = _tail_counts(model, [spec], [observed], seed, trials, _chunks(trials))
-    return _bootstrap_result(measure_id, model, spec, observed, counts[0], trials,
+    counts = _tail_counts(model, spec.weights[None], np.array([observed]), seed, trials,
+                          _chunks(trials))
+    return _bootstrap_result(measure_id, model, spec.weights, observed, counts[0], trials,
                              alpha, two_sided)
+
+
+def _weights(config: InferenceConfig) -> np.ndarray:
+    """The (k, 64) weight rows of the configured measures."""
+    return np.stack([spec_for(m).weights for m in config.measures])
 
 
 def _bootstrap_counts(table: DyadTable, config: InferenceConfig, chunks: range) -> np.ndarray:
     """``run_all``'s tail counts over ``chunks``, one row per measure."""
-    model = _require_fitted(fit(table))
-    specs = [spec_for(m) for m in config.measures]
-    return _tail_counts(model, specs, [evaluate(table, spec).value for spec in specs],
+    weights = _weights(config)
+    return _tail_counts(_require_fitted(fit(table)), weights, weights @ table.counts,
                         config.seed, config.trials, chunks)
 
 
@@ -511,12 +496,12 @@ def _assemble(table: DyadTable, config: InferenceConfig, counts: np.ndarray | No
     """``run_all``'s results from the tail counts over all chunks and the
     exact results, each None when its method is not run."""
     model = _require_fitted(fit(table))
+    weights = _weights(config)
     results: list[TestResult] = []
-    for i, m in enumerate(config.measures):
+    for i, (m, w, observed) in enumerate(zip(config.measures, weights, weights @ table.counts)):
         if counts is not None:
-            results.append(_bootstrap_result(m, model, spec_for(m), evaluate(table, m).value,
-                                             counts[i], config.trials, config.alpha,
-                                             config.two_sided))
+            results.append(_bootstrap_result(m, model, w, int(observed), counts[i],
+                                             config.trials, config.alpha, config.two_sided))
         if exact is not None:
             results.append(exact[i])
     return results

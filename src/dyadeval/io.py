@@ -615,7 +615,7 @@ def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
     tasks of their own, so one item's bootstrap uses every CPU too.  Each
     item draws only from its own seed child, chunk j from stream j of it, so
     results do not depend on the worker count.  A worker holds one chunk's
-    null censuses at a time (16 x 16,384 x 4 int64 at most) plus running
+    null censuses at a time (16,384 x 64 int64 cell counts) plus running
     tail counts, whatever the trial count.
 
     A dyad CSV is streamed: each block of rows is tallied into per-item

@@ -1,7 +1,14 @@
-"""The eight sociological measures M1-M8 as declarative cell-set differences.
+"""The eight sociological measures M1-M8 as signed rows over the 64 cells.
 
-Each measure is the difference of two sums of census cells.  The positive
-and negative cell-sets of every measure live in disjoint participation
+Each measure is the difference of two sums of census cells.  A
+``MeasureSpec`` is declared by its positive and negative cell-sets and
+derives from them, once, a read-only int8 ``weights`` row indexed by cell
+code: +1 on the positive cells, -1 on the negative ones, 0 elsewhere.  That
+row is all the rest of the package reads: a measure's value on a census is
+``weights @ counts``, the bootstrap scores a chunk of null censuses with
+one matrix product, and the exact engine reads each side's cells off
+``weights.reshape(2, 2, 2, 2, 4)`` by (x, y, p, q) group and (r, s) outcome.
+The two cell-sets of every measure live in disjoint participation
 quadrants, which is what makes the two sums independent under the null
 model and licenses the exact inference engine.
 
@@ -16,8 +23,10 @@ the intervention is expected to cause.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .census import CellIndex, DyadTable
 
@@ -88,15 +97,18 @@ class MeasureSpec:
 
     ``positive_cells`` and ``negative_cells`` must be disjoint and must
     occupy disjoint (x, y) participation quadrants; the latter guarantees
-    the two sums are driven by disjoint dyad groups.
+    the two sums are driven by disjoint dyad groups.  ``weights`` is the
+    signed row over the 64 cell codes derived from them (not compared,
+    hashed or shown).
     """
 
     positive_cells: frozenset[CellIndex]
     negative_cells: frozenset[CellIndex]
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pos = frozenset(c if isinstance(c, CellIndex) else CellIndex(*c) for c in self.positive_cells)
-        neg = frozenset(c if isinstance(c, CellIndex) else CellIndex(*c) for c in self.negative_cells)
+        pos = frozenset(CellIndex(*c).validate() for c in self.positive_cells)
+        neg = frozenset(CellIndex(*c).validate() for c in self.negative_cells)
         object.__setattr__(self, "positive_cells", pos)
         object.__setattr__(self, "negative_cells", neg)
         if pos & neg:
@@ -109,6 +121,11 @@ class MeasureSpec:
                 f"positive and negative cell-sets share participation quadrants {sorted(shared)}; "
                 "the two sums would not be independent under the null model"
             )
+        weights = np.zeros(64, dtype=np.int8)
+        weights[[c.code for c in pos]] = 1
+        weights[[c.code for c in neg]] = -1
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
 
     def transform_invert_behavior(self) -> "MeasureSpec":
         """The same contrast with all behavior bits of every cell flipped."""
@@ -117,22 +134,6 @@ class MeasureSpec:
             frozenset(flip(c) for c in self.positive_cells),
             frozenset(flip(c) for c in self.negative_cells),
         )
-
-    def grouped(self) -> tuple[dict[tuple[int, int, int, int], frozenset[tuple[int, int]]],
-                               dict[tuple[int, int, int, int], frozenset[tuple[int, int]]]]:
-        """Cells of each side grouped by (x, y, p, q), as (r, s) outcome sets.
-
-        Under the null model each (x, y, p, q) group is an independent
-        multinomial over the four (r, s) outcomes, so a side's sum is the
-        number of group trials landing in that group's outcome set.
-        """
-        def group(cells: frozenset[CellIndex]):
-            out: dict[tuple[int, int, int, int], set[tuple[int, int]]] = {}
-            for c in cells:
-                out.setdefault((c.x, c.y, c.p, c.q), set()).add((c.r, c.s))
-            return {g: frozenset(v) for g, v in out.items()}
-
-        return group(self.positive_cells), group(self.negative_cells)
 
 
 @dataclass(frozen=True)
@@ -148,15 +149,18 @@ class MeasureValue:
             raise ValueError("value must equal positive_sum - negative_sum")
 
 
+_SPECS = {m: MeasureSpec(cells_matching(**pos), cells_matching(**neg))
+          for m, (pos, neg) in _FIXED_COORDS.items()}
+
+
 def spec_for(measure: MeasureId) -> MeasureSpec:
-    """The cell-sets of one of the eight built-in measures."""
-    pos_fixed, neg_fixed = _FIXED_COORDS[measure]
-    return MeasureSpec(cells_matching(**pos_fixed), cells_matching(**neg_fixed))
+    """The spec of one of the eight built-in measures, built once at import."""
+    return _SPECS[measure]
 
 
 def evaluate(table: DyadTable, measure: MeasureId | MeasureSpec) -> MeasureValue:
-    """Evaluate a measure on a census."""
+    """Evaluate a measure on a census: its positive and negative cells' sums."""
     spec = spec_for(measure) if isinstance(measure, MeasureId) else measure
-    pos = int(sum(table.counts[c.code] for c in spec.positive_cells))
-    neg = int(sum(table.counts[c.code] for c in spec.negative_cells))
+    pos = int(table.counts[spec.weights > 0].sum())
+    neg = int(table.counts[spec.weights < 0].sum())
     return MeasureValue(value=pos - neg, positive_sum=pos, negative_sum=neg)

@@ -5,7 +5,9 @@ The null hypothesis is that participation makes no difference: all four
 pre-state (p, q) to post-state (r, s).  Fitting pools the quadrants into a
 4x4 row-stochastic matrix; sampling redraws every group's post-states from
 that matrix while keeping participation and pre-states fixed at their
-observed masses.
+observed masses.  A draw of many censuses is one (trials, 64) array of cell
+counts, so the bootstrap scores it against every measure's weight row with
+one matrix product.
 
 Randomness contract: sampling uses numpy's PCG64 generator.  A draw of
 any number of censuses takes every positive-mass group in lexicographic
@@ -24,29 +26,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .census import DyadTable, marginals
-from .errors import InputError, UndefinedRowError
+from .errors import UndefinedRowError
 
-__all__ = ["NullModel", "fit", "sample", "group_event_probability",
-           "PQ_ORDER", "RS_ORDER"]
-
-# Pre-state (p, q) and post-state (r, s) order, as in the sampler's outcome columns.
-PQ_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
-RS_ORDER = PQ_ORDER
+__all__ = ["NullModel", "fit", "sample"]
 
 _ROW_SUM_TOL = 1e-12
-
-SeedLike = "int | np.random.SeedSequence | np.random.Generator"
-
-
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -148,24 +137,25 @@ def fit(table: DyadTable) -> NullModel:
 
 
 def _sample_group_outcomes(model: NullModel, trials: int, rng: np.random.Generator
-                           ) -> dict[tuple[int, int, int, int], np.ndarray]:
-    """Per-group multinomial draws for ``trials`` null censuses.
+                           ) -> np.ndarray:
+    """The cell counts of ``trials`` null censuses, as a (trials, 64) int64
+    array whose row b is census b indexed by cell code.
 
-    Always draws all positive-mass groups in lexicographic (x, y, p, q)
-    order from one stream, so the sequence of null censuses depends only on
-    the seed, never on how the draws are used afterwards.  Returns arrays of
-    shape (trials, 4) with (r, s) columns in order (0,0), (0,1), (1,0),
-    (1,1).  Raises ``UndefinedRowError`` if any group with positive mass
-    sits on an undefined transition row (possible only for hand-built
-    models).
+    Each (x, y, p, q) group fills its four (r, s) cells with one multinomial
+    draw over all trials.  All positive-mass groups are drawn in
+    lexicographic (x, y, p, q) order from one stream, so the sequence of null
+    censuses depends only on the seed, never on how the draws are used
+    afterwards; groups without mass stay 0.  Raises ``UndefinedRowError`` if
+    any group with positive mass sits on an undefined transition row
+    (possible only for hand-built models).
     """
-    outcomes = {}
-    for group in np.ndindex(2, 2, 2, 2):
+    outcomes = np.zeros((trials, 16, 4), dtype=np.int64)
+    for g, group in enumerate(np.ndindex(2, 2, 2, 2)):
         mass = int(model.masses[group])
         if mass:
             row = model.require_row(*group[2:])
-            outcomes[group] = rng.multinomial(mass, row.ravel(), size=trials)
-    return outcomes
+            outcomes[:, g] = rng.multinomial(mass, row.ravel(), size=trials)
+    return outcomes.reshape(trials, 64)
 
 
 def _chunk_streams(seed, chunks: range) -> Iterator[np.random.Generator]:
@@ -190,19 +180,5 @@ def sample(model: NullModel, seed) -> DyadTable:
     always gives the same census.  Raises ``UndefinedRowError`` as the
     sampler does.
     """
-    counts = np.zeros((2, 2, 2, 2, 4), dtype=np.int64)
-    for group, drawn in _sample_group_outcomes(model, 1, _as_generator(seed)).items():
-        counts[group] = drawn[0]
-    return DyadTable(counts.reshape(64))
+    return DyadTable(_sample_group_outcomes(model, 1, np.random.default_rng(seed))[0])
 
-
-def group_event_probability(model: NullModel, p: int, q: int,
-                            outcome_set: Iterable[tuple[int, int]]) -> float:
-    """Probability that a dyad in pre-state (p, q) lands in one of the given
-    (r, s) outcomes."""
-    row = model.require_row(p, q)
-    outcomes = set(outcome_set)
-    for r, s in outcomes:
-        if r not in (0, 1) or s not in (0, 1):
-            raise InputError(f"invalid (r, s) outcome ({r}, {s})")
-    return float(sum(row[r, s] for r, s in outcomes))

@@ -32,7 +32,6 @@ import numpy as np
 
 from .census import DyadRecord, DyadTable, build_table
 from .errors import InputError
-from .null_model import _as_generator
 
 __all__ = [
     "SimParams",
@@ -226,7 +225,7 @@ def generate_network(node_count: int, edge_model: EdgeModel = EdgeModel(),
     high-index (both orientations when ``both_orientations`` is set).  An
     explicit edge list is kept verbatim, including its orientations.
     """
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     if edge_model.kind == "edge_list":
         if edge_model.edges is None:
             raise InputError("edge_list model requires edges")
@@ -270,7 +269,7 @@ def assign_initial_states(network: SimNetwork, params: SimParams, seed) -> SimNe
     sigma = (1 - w) * baseline + w * mean(current neighbor behavior);
     isolated nodes use the baseline alone.
     """
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     n = network.node_count
     participation = (rng.random(n) < params.participation_prob).astype(np.int8)
     behavior0 = (rng.random(n) < params.baseline_prevalence).astype(np.int8)
@@ -296,7 +295,7 @@ def transition(network: SimNetwork, params: SimParams, seed) -> SimNetwork:
     """
     if network.participation is None or network.behavior0 is None:
         raise InputError("assign_initial_states must run before transition")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     n = network.node_count
     part = network.participation.astype(bool)
     b0 = network.behavior0.astype(bool)

@@ -186,7 +186,7 @@ def test_criterion_6_structural_identities():
         table = DyadTable(counts)
         marg = marginals(table)
         assert int(marg.n0.sum()) == table.total
-        assert int(marg.n1.sum()) == table.total
+        assert int(marg.n_pqrs.sum()) == table.total
         assert np.array_equal(marg.n_pqrs.sum(axis=(2, 3)), marg.n0)
         assert np.array_equal(marg.n0_group.sum(axis=(0, 1)), marg.n0)
         model = fit(table)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dyadeval import (CellIndex, DyadRecord, DyadTable, InputError, all_cells,
-                      build_table, classify_dyad, marginals)
+                      build_table, marginals)
 
 from oracles import cell_code, marginals_by_loops
 
@@ -13,13 +13,13 @@ def rec(x, y, p, q, r, s, ego="a", alter="b", item="it"):
 
 
 def test_classify_worked_example():
-    assert classify_dyad(rec(1, 0, 1, 1, 0, 1)) == CellIndex(1, 0, 1, 1, 0, 1)
-    assert classify_dyad(rec(1, 0, 1, 1, 0, 1)).code == cell_code(1, 0, 1, 1, 0, 1)
+    assert rec(1, 0, 1, 1, 0, 1).cell == CellIndex(1, 0, 1, 1, 0, 1)
+    assert rec(1, 0, 1, 1, 0, 1).cell.code == cell_code(1, 0, 1, 1, 0, 1)
 
 
 def test_classify_corner_cells():
-    assert classify_dyad(rec(0, 0, 0, 0, 0, 0)).code == 0
-    assert classify_dyad(rec(1, 1, 1, 1, 1, 1)).code == 63
+    assert rec(0, 0, 0, 0, 0, 0).cell.code == 0
+    assert rec(1, 1, 1, 1, 1, 1).cell.code == 63
 
 
 def test_cell_code_bijection():
@@ -33,7 +33,7 @@ def test_cell_code_bijection():
 def test_classify_round_trip_all_cells():
     for cell in all_cells():
         record = rec(*cell)
-        assert classify_dyad(record) == cell
+        assert record.cell == cell
 
 
 def test_record_validation():
@@ -118,20 +118,20 @@ def test_single_dyad_marginal_propagation():
     table = build_table([rec(1, 0, 0, 1, 1, 0)])
     marg = marginals(table)
     assert marg.n0[0, 1] == 1 and marg.n0.sum() == 1
-    assert marg.n1[1, 0] == 1 and marg.n1.sum() == 1
+    assert marg.n_pqrs.sum(axis=(0, 1))[1, 0] == 1
     assert marg.n_pqrs[0, 1, 1, 0] == 1 and marg.n_pqrs.sum() == 1
     assert marg.n0_group[1, 0, 0, 1] == 1 and marg.n0_group.sum() == 1
 
 
 def test_post_time_grouped_marginal_semantics():
-    # n1_group[x, y, r, s] counts dyads whose ego participated (x=1), whose
-    # alter did not (y=0), with ego having the behavior after (r=1) and the
-    # alter not (s=0) -- whatever the pre-states were.
+    # the by_bits view summed over (p, q) counts dyads whose ego
+    # participated (x=1), whose alter did not (y=0), with ego having the
+    # behavior after (r=1) and the alter not (s=0) -- whatever the
+    # pre-states were.
     records = [rec(1, 0, p, q, 1, 0, ego=f"e{i}") for i, (p, q) in
                enumerate([(0, 0), (0, 1), (1, 1)])]
     records.append(rec(1, 1, 0, 0, 1, 0, ego="other"))
-    marg = marginals(build_table(records))
-    assert marg.n1_group[1, 0, 1, 0] == 3
+    assert build_table(records).by_bits().sum(axis=(2, 3))[1, 0, 1, 0] == 3
 
 
 def test_marginals_match_loop_oracle():
@@ -143,13 +143,13 @@ def test_marginals_match_loop_oracle():
         for (p, q), v in n0.items():
             assert marg.n0[p, q] == v
         for (r, s), v in n1.items():
-            assert marg.n1[r, s] == v
+            assert marg.n_pqrs.sum(axis=(0, 1))[r, s] == v
         for (p, q, r, s), v in n_pqrs.items():
             assert marg.n_pqrs[p, q, r, s] == v
         for (x, y, p, q), v in n0_group.items():
             assert marg.n0_group[x, y, p, q] == v
         for (x, y, r, s), v in n1_group.items():
-            assert marg.n1_group[x, y, r, s] == v
+            assert DyadTable(counts).by_bits().sum(axis=(2, 3))[x, y, r, s] == v
 
 
 def test_marginal_identities():
@@ -159,7 +159,7 @@ def test_marginal_identities():
     marg = marginals(table)
     assert marg.total == table.total
     assert marg.n0.sum() == table.total
-    assert marg.n1.sum() == table.total
+    assert marg.n_pqrs.sum() == table.total
     assert np.array_equal(marg.n_pqrs.sum(axis=(2, 3)), marg.n0)
     assert np.array_equal(marg.n0_group.sum(axis=(0, 1)), marg.n0)
 

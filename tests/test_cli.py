@@ -228,6 +228,46 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert json.loads(out_b.read_text())["seed"] == 99
 
 
+def test_config_equals_spelling_is_loaded(tmp_path, capsys):
+    dyads = frozen_dyads(tmp_path)
+    cfg = tmp_path / "dyadeval.cfg"
+    cfg.write_text("method = exact\nseed = 7\n")
+    reports = []
+    for spelling in (["--config", str(cfg)], [f"--config={cfg}"]):
+        out = tmp_path / f"{len(reports)}.json"
+        assert main([*spelling, "evaluate", "--dyads", str(dyads), "--out-json", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    payload = json.loads(reports[0])
+    assert payload["seed"] == 7
+    assert all(r["method"] == "exact" for r in payload["items"][0]["results"])
+
+
+@pytest.mark.parametrize("line", ["trials = 1e4", "seed = 1.5", "two_sided = maybe"])
+def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys, line):
+    dyads = frozen_dyads(tmp_path)
+    cfg = tmp_path / "dyadeval.cfg"
+    cfg.write_text(line + "\n")
+    argv = ["--config", str(cfg), "evaluate", "--dyads", str(dyads)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--table", "t.txt", "--items", "i.csv"],
+    ["simulate", "--evaluate", "--items", "i.csv"],
+])
+def test_items_flag_only_on_evaluate(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --items" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,15 +11,15 @@ from dyadeval import (DiscreteDistribution, DyadTable, InferenceConfig,
                       method_disagreement, pb_pmf, run_all, simulate_dyad_table)
 from dyadeval import MeasureSpec, NullModel, SimParams, sample
 from dyadeval.inference import (_CHUNK_TRIALS, _STIRLERR, _binom_pmf, _binom_window,
-                                _column_selection, _difference_tails, _measure_values,
-                                _stirlerr)
+                                _difference_tails, _stirlerr)
 from dyadeval.null_model import _sample_group_outcomes
 from dyadeval.measures import spec_for
 
 from oracles import (cell_code, difference_distribution,
                      difference_pmf_by_double_loop, distribution_mean,
                      enumeration_cost, exact_test_by_full_convolution,
-                     measure_cells_by_formula, null_distribution_by_enumeration,
+                     measure_cells_by_formula, measure_values_by_formula,
+                     null_distribution_by_enumeration,
                      pb_pmf_by_subsets, tail_probability_from_distribution)
 
 
@@ -354,6 +355,56 @@ def test_exact_custom_spec_keeps_outcome_sets_apart():
     assert res.direction == direction
 
 
+def random_spec(rng):
+    """Random cell subsets of two random disjoint sets of participation
+    quadrants."""
+    quadrants = [(int(x), int(y)) for x, y in rng.permutation([(0, 0), (0, 1), (1, 0), (1, 1)])]
+    n_pos = int(rng.integers(1, 4))
+    n_neg = int(rng.integers(1, 5 - n_pos))
+
+    def cells(quads):
+        return {(x, y, p, q, r, s) for x, y in quads
+                for p, q, r, s in itertools.product((0, 1), repeat=4) if rng.random() < 0.5}
+
+    return cells(quadrants[:n_pos]), cells(quadrants[n_pos:n_pos + n_neg])
+
+
+def test_custom_specs_through_the_weight_row():
+    # random specs on random tables of 5 to 30k dyads (log-uniform): the
+    # exact engine against the unmerged full-support reference, evaluate
+    # against direct cell sums, and the bootstrap against a count over the
+    # censuses of its chunk streams, each evaluated on its own
+    rng = np.random.default_rng(4242)
+    for i in range(30):
+        total = int(np.exp(rng.uniform(np.log(5), np.log(30_000))))
+        counts = rng.multinomial(total, rng.dirichlet(np.full(64, rng.uniform(0.2, 5.0))))
+        table = DyadTable(counts.astype(np.int64))
+        pos, neg = random_spec(rng)
+        spec = MeasureSpec(pos, neg)
+
+        value = evaluate(table, spec)
+        assert value.positive_sum == sum(int(counts[cell_code(*c)]) for c in pos)
+        assert value.negative_sum == sum(int(counts[cell_code(*c)]) for c in neg)
+
+        exact = exact_test(table, spec)
+        p_ref, direction = exact_test_by_full_convolution(table.counts, pos, neg)
+        assert exact.direction == direction
+        assert abs(exact.p_value - p_ref) <= 1e-12 * p_ref + 1e-300
+
+        trials = _CHUNK_TRIALS + 7 if i == 0 else 100
+        seed = int(rng.integers(2**32))
+        boot = bootstrap_test(table, spec, trials, seed)
+        values = [evaluate(DyadTable(census), spec).value
+                  for j, first in enumerate(range(0, trials, _CHUNK_TRIALS))
+                  for census in _sample_group_outcomes(
+                      fit(table), min(_CHUNK_TRIALS, trials - first),
+                      np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,))))]
+        hits = {"positive": sum(v >= value.value for v in values),
+                "negative": sum(v <= value.value for v in values), "none": trials}
+        assert boot.direction == exact.direction
+        assert boot.p_value == hits[boot.direction] / trials
+
+
 def test_exact_integrity_failure_on_trimmed_path(monkeypatch):
     full_pmf = _binom_pmf
     monkeypatch.setattr("dyadeval.inference._binom_pmf",
@@ -461,16 +512,16 @@ def test_bootstrap_direction_follows_model_mean_not_sampled_mean():
     assert exact.null_mean == pytest.approx(7.9898, abs=1e-4)
     assert boot.null_mean == exact.null_mean
     assert boot.direction == exact.direction == "positive"
-    selection = _column_selection(spec_for(MeasureId.M3))
+    weights = spec_for(MeasureId.M3).weights
     outcomes = _sample_group_outcomes(fit(table), 100_000, np.random.default_rng(5010))
-    sampled = _measure_values(selection, outcomes, 100_000)
+    sampled = outcomes @ weights
     assert sampled.mean() == pytest.approx(8.066, abs=1e-3)
     # the bootstrap's censuses come in chunks, chunk j from stream j of the seed
     at_least = 0
     for j, first in enumerate(range(0, 100_000, _CHUNK_TRIALS)):
         n = min(_CHUNK_TRIALS, 100_000 - first)
         stream = np.random.default_rng(np.random.SeedSequence(5010, spawn_key=(j,)))
-        chunk = _measure_values(selection, _sample_group_outcomes(fit(table), n, stream), n)
+        chunk = _sample_group_outcomes(fit(table), n, stream) @ weights
         at_least += int((chunk >= 8).sum())
     assert boot.p_value == at_least / 100_000
 
@@ -494,21 +545,22 @@ def test_bootstrap_tie_rule_from_handbuilt_model():
 
 
 def test_bootstrap_vectorized_path_equals_per_census_evaluation():
-    # rebuild full censuses from the sampled group outcomes and evaluate
-    # them with the measures module; must equal the vectorized values
+    # evaluate each sampled census with the measures module; must equal the
+    # values of the one matrix product with the stacked weight rows
     table = simulate_dyad_table()
     model = fit(table)
     trials = 40
     outcomes = _sample_group_outcomes(model, trials, np.random.default_rng(8))
-    for measure in (MeasureId.M1, MeasureId.M5, MeasureId.M8):
-        values = _measure_values(_column_selection(spec_for(measure)), outcomes, trials)
+    measures = (MeasureId.M1, MeasureId.M5, MeasureId.M8)
+    values = outcomes @ np.stack([spec_for(m).weights for m in measures]).T
+    # every census keeps the observed group masses
+    assert np.array_equal(outcomes.reshape(trials, 2, 2, 2, 2, 4).sum(axis=-1),
+                          np.broadcast_to(model.masses, (trials, 2, 2, 2, 2)))
+    for i, measure in enumerate(measures):
         for b in (0, 7, 39):
-            counts = np.zeros(64, dtype=np.int64)
-            for (x, y, p, q), arr in outcomes.items():
-                for rs, (r, s) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-                    counts[cell_code(x, y, p, q, r, s)] = arr[b, rs]
-            census = DyadTable(counts)
-            assert evaluate(census, measure).value == values[b]
+            census = DyadTable(outcomes[b])
+            assert evaluate(census, measure).value == values[b, i]
+            assert measure_values_by_formula(census.counts)[measure.name] == values[b, i]
 
 
 # ------------------------------------------------------- run_all

@@ -139,6 +139,22 @@ def test_custom_spec_evaluates():
     assert evaluate(DyadTable(counts), spec).value == 4 - 9
 
 
+def test_weight_row_matches_cell_sets():
+    for measure in MeasureId:
+        spec = spec_for(measure)
+        pos, neg = measure_cells_by_formula(measure.name)
+        assert spec_for(measure) is spec  # built once
+        assert spec.weights.dtype == np.int8 and not spec.weights.flags.writeable
+        assert {tuple(CellIndex.from_code(c)) for c in np.flatnonzero(spec.weights == 1)} == pos
+        assert {tuple(CellIndex.from_code(c)) for c in np.flatnonzero(spec.weights == -1)} == neg
+        # the derived row stays out of equality, hashing and repr
+        again = MeasureSpec(spec.positive_cells, spec.negative_cells)
+        assert again == spec and hash(again) == hash(spec)
+        assert "weights" not in repr(spec)
+    with pytest.raises(ValueError):
+        MeasureSpec({(2, 0, 0, 0, 0, 0)}, set())
+
+
 def test_measure_value_invariant():
     with pytest.raises(ValueError):
         MeasureValue(value=1, positive_sum=1, negative_sum=1)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dyadeval import (DyadTable, NullModel, SimParams, UndefinedRowError, fit,
-                      group_event_probability, marginals, sample,
-                      simulate_dyad_table)
+                      marginals, sample, simulate_dyad_table)
 
 from oracles import cell_code
 
@@ -184,16 +183,16 @@ def test_sample_errors_on_mass_with_undefined_row():
 
 
 def test_group_event_probability():
+    # the probability of a set of (r, s) outcomes is the fitted row summed
+    # over that set
     cells = {(0, 0, 1, 0, 0, 0): 2, (0, 0, 1, 0, 0, 1): 3, (0, 0, 1, 0, 1, 1): 5}
     model = fit(table_from(cells))
-    full = group_event_probability(model, 1, 0, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert full == pytest.approx(1.0, abs=1e-15)
-    assert group_event_probability(model, 1, 0, []) == 0.0
+    row = model.require_row(1, 0)
+    assert row.sum() == pytest.approx(1.0, abs=1e-15)
     # M1's ego-side outcome pattern fixes r=0, leaving (0,0) and (0,1)
-    two = group_event_probability(model, 1, 0, [(0, 0), (0, 1)])
-    assert two == pytest.approx(2 / 10 + 3 / 10, abs=1e-15)
+    assert row[0, 0] + row[0, 1] == pytest.approx(2 / 10 + 3 / 10, abs=1e-15)
     with pytest.raises(UndefinedRowError):
-        group_event_probability(model, 0, 1, [(0, 0)])
+        model.require_row(0, 1)
 
 
 def test_pooling_collapses_participation():
