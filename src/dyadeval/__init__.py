@@ -8,8 +8,7 @@ by bootstrap simulation and by exact Poisson-Binomial convolution.
 """
 
 from ._version import __version__
-from .census import (CellIndex, DyadRecord, DyadTable, MarginalSet, all_cells,
-                     build_table, marginals)
+from .census import CellIndex, DyadRecord, DyadTable, all_cells, build_table
 from .errors import (DyadevalError, InputError, NumericalIntegrityError,
                      UndefinedRowError)
 from .inference import (DiscreteDistribution, InferenceConfig, TestResult,
@@ -24,8 +23,7 @@ from .sim import (EdgeModel, SimNetwork, SimParams, assign_initial_states,
 
 __all__ = [
     "__version__",
-    "CellIndex", "DyadRecord", "DyadTable", "MarginalSet", "all_cells",
-    "build_table", "marginals",
+    "CellIndex", "DyadRecord", "DyadTable", "all_cells", "build_table",
     "DyadevalError", "InputError", "NumericalIntegrityError", "UndefinedRowError",
     "MeasureId", "MeasureSpec", "MeasureValue", "MEASURE_LABELS",
     "cells_matching", "evaluate", "spec_for",

@@ -1,4 +1,4 @@
-"""Core dyad types: the 64-cell census and its marginal count families.
+"""Core dyad types: the ego-alter dyad record and the 64-cell census.
 
 A dyad is an ordered ego-alter pair annotated with six bits:
 
@@ -16,7 +16,7 @@ undirected ties emit both orientations at ingestion time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -27,9 +27,7 @@ __all__ = [
     "CellIndex",
     "DyadRecord",
     "DyadTable",
-    "MarginalSet",
     "build_table",
-    "marginals",
     "all_cells",
 ]
 
@@ -193,39 +191,3 @@ def build_table(records: Sequence[DyadRecord] | Iterable[DyadRecord],
         minlength=64,
     ).astype(np.int64)
     return DyadTable(counts, item_id=item if item is not None else (items.pop() if items else None))
-
-
-@dataclass(frozen=True)
-class MarginalSet:
-    """The marginal aggregations of a census the null model is fitted from.
-
-    Arrays are bit-indexed:
-
-        n0[p, q]              dyads with pre-state (p, q), any participation
-        n_pqrs[p, q, r, s]    pre/post joint counts pooled over participation
-        n0_group[x, y, p, q]  pre-state counts within one participation quadrant
-    """
-
-    n0: np.ndarray
-    n_pqrs: np.ndarray
-    n0_group: np.ndarray
-    total: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        for name, shape in (("n0", (2, 2)), ("n_pqrs", (2, 2, 2, 2)),
-                            ("n0_group", (2, 2, 2, 2))):
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            arr.flags.writeable = False
-
-
-def marginals(table: DyadTable) -> MarginalSet:
-    """Compute the marginal families of a census."""
-    c = table.by_bits()
-    return MarginalSet(
-        n0=c.sum(axis=(0, 1, 4, 5)),
-        n_pqrs=c.sum(axis=(0, 1)),
-        n0_group=c.sum(axis=(4, 5)),
-        total=table.total,
-    )

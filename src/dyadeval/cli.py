@@ -9,7 +9,8 @@ Subcommands:
 
 A config file (``--config PATH`` or ``--config=PATH``, ``key = value``
 lines, '#' comments) supplies defaults, each read as its flag's value would
-be; explicit command-line flags win.  Exit codes: 0 success, 1 input
+be; a key that names no flag of the subcommand is an input error, and
+explicit command-line flags win.  Exit codes: 0 success, 1 input
 error (a usage error included), 2 numerical-integrity failure.
 """
 
@@ -132,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--alpha", type=float, default=None,
                     help="override the significance cutoff used for glyphs")
 
-    parser._dyadeval_subparsers = (ev, tb, sim, ch)
+    parser._dyadeval_subparsers = {"evaluate": ev, "table": tb, "simulate": sim, "chart": ch}
     return parser
 
 
@@ -163,15 +164,21 @@ def _switch(key: str, raw: str) -> bool:
     raise InputError(f"config key {key}: expected true or false, got {raw!r}")
 
 
-def _set_config_defaults(parser: argparse.ArgumentParser, values: dict[str, str]) -> None:
-    """Make a config file's values every subcommand's defaults.  argparse
-    passes a string default through its option's ``type`` as it would the
-    flag's own value, so a bad number is a usage error; on/off flags take
+def _set_config_defaults(parser: argparse.ArgumentParser, command: str,
+                         values: dict[str, str]) -> None:
+    """Make a config file's values the defaults of subcommand ``command``.
+    A key that names none of its flags is an input error.  argparse passes
+    a string default through its option's ``type`` as it would the flag's
+    own value, so a bad number is a usage error; on/off flags take
     true/yes/on/1 or false/no/off/0."""
-    for sp in parser._dyadeval_subparsers:
-        switches = {a.dest for a in sp._actions if isinstance(a, argparse._StoreTrueAction)}
-        sp.set_defaults(**{key: _switch(key, raw) if key in switches else raw
-                           for key, raw in values.items()})
+    sp = parser._dyadeval_subparsers[command]
+    flags = {a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction)}
+    for key in values:
+        if key not in flags:
+            raise InputError(f"config key {key!r} names no flag of {command!r}")
+    switches = {a.dest for a in sp._actions if isinstance(a, argparse._StoreTrueAction)}
+    sp.set_defaults(**{key: _switch(key, raw) if key in switches else raw
+                       for key, raw in values.items()})
 
 
 def _read_items_file(path: str, delimiter: str) -> tuple[tuple[str, str], ...]:
@@ -362,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:  # parsed again over the file's defaults
-            _set_config_defaults(parser, _load_config_file(args.config))
+            _set_config_defaults(parser, args.command, _load_config_file(args.config))
             args = parser.parse_args(argv)
         code = _COMMANDS[args.command](args)
     except InputError as exc:

@@ -46,6 +46,15 @@ from the bootstrap's samples), P(M* >= obs) when obs > mean and
 P(M* <= obs) when obs < mean; an observation exactly at the mean gets
 direction "none" and p = 1.  Set ``two_sided=True`` to double the tail
 (capped at 1).
+
+One run plan serves every entry point.  ``run_items`` fits each item's
+model once, takes each measure's observed value, null mean and direction
+once, and splits the work into tasks: ranges of bootstrap chunks plus one
+exact task per item.  The tasks run inline or through a map the caller
+supplies (``io.evaluate_items`` passes a pool of forked workers); only
+this module knows the chunk layout and the split.  ``run_all`` is the
+one-item case, inline; ``bootstrap_test`` and ``exact_test`` are its
+one-measure cases.
 """
 
 from __future__ import annotations
@@ -53,13 +62,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .census import DyadTable
 from .errors import InputError, NumericalIntegrityError
-from .measures import MeasureId, MeasureSpec, evaluate, spec_for
+from .measures import MeasureId, MeasureSpec, spec_for
 from .null_model import NullModel, fit, _chunk_streams, _sample_group_outcomes
 
 __all__ = [
@@ -164,14 +173,15 @@ class TestResult:
 
 @dataclass(frozen=True)
 class InferenceConfig:
-    """Settings for batch evaluation of the eight measures."""
+    """Settings for batch evaluation of the eight measures.  An ad-hoc
+    ``MeasureSpec`` among ``measures`` is reported with measure None."""
 
     method: str = "both"
     trials: int = 100_000
     alpha: float = 0.05
     seed: int = 0
     two_sided: bool = False
-    measures: tuple[MeasureId, ...] = tuple(MeasureId)
+    measures: tuple[MeasureId | MeasureSpec, ...] = tuple(MeasureId)
 
     def __post_init__(self) -> None:
         if self.method not in ("bootstrap", "exact", "both"):
@@ -303,41 +313,6 @@ def _difference_tails(pos: DiscreteDistribution, neg: DiscreteDistribution):
             lambda v: float(neg.pmf @ pos.tail_le(v + neg.support())))
 
 
-def _tail_result(measure, observed: int, null_mean: float, deviation: int,
-                 tail_ge, tail_le, method: str, alpha: float,
-                 trials: int | None, two_sided: bool, addone=None) -> TestResult:
-    if deviation > 0:
-        direction, p = DIRECTION_POSITIVE, tail_ge(observed)
-    elif deviation < 0:
-        direction, p = DIRECTION_NEGATIVE, tail_le(observed)
-    else:
-        direction, p = DIRECTION_NONE, 1.0
-    p_addone = addone(direction) if addone is not None else None
-    if two_sided:
-        p = min(1.0, 2.0 * p)
-        if p_addone is not None:
-            p_addone = min(1.0, 2.0 * p_addone)
-    return TestResult(
-        measure=measure,
-        observed=observed,
-        null_mean=float(null_mean),
-        direction=direction,
-        p_value=float(p),
-        method=method,
-        alpha=alpha,
-        significant=bool(p < alpha),
-        trials=trials,
-        p_value_addone=p_addone,
-        two_sided=two_sided,
-    )
-
-
-def _require_fitted(model: NullModel) -> NullModel:
-    if model.total == 0:
-        raise InputError("cannot test against a null model fitted from an empty table")
-    return model
-
-
 def _side_blocks(model: NullModel, weights: np.ndarray, sign: int) -> list[TrialGroup]:
     """The binomial blocks of the side of a weight row whose cells carry
     ``sign``, read off ``weights.reshape(2, 2, 2, 2, 4)`` by (x, y, p, q)
@@ -383,30 +358,56 @@ def _null_mean(model: NullModel, weights: np.ndarray, observed: int) -> tuple[fl
     return null_mean, 1 if observed > null_mean else -1
 
 
-def _exact_with_model(table: DyadTable, model: NullModel,
-                      measure: MeasureId | MeasureSpec,
-                      alpha: float, two_sided: bool) -> TestResult:
-    spec = spec_for(measure) if isinstance(measure, MeasureId) else measure
-    measure_id = measure if isinstance(measure, MeasureId) else None
-    observed = evaluate(table, spec).value
-    null_mean, deviation = _null_mean(model, spec.weights, observed)
-    return _tail_result(measure_id, observed, null_mean, deviation,
-                        *_difference_tails(pb_pmf(_side_blocks(model, spec.weights, 1)),
-                                           pb_pmf(_side_blocks(model, spec.weights, -1))),
-                        method="exact", alpha=alpha, trials=None,
-                        two_sided=two_sided)
-
-
 def exact_test(table: DyadTable, measure: MeasureId | MeasureSpec,
                alpha: float = 0.05, two_sided: bool = False,
                model: NullModel | None = None) -> TestResult:
     """Exact tail probability of a measure under the null model.
 
     The model is fitted from the table unless an explicit one is given
-    (e.g. to test data against the model that generated it).
+    (e.g. to test data against the model that generated it).  This is the
+    one-measure exact case of ``run_all``.
     """
-    model = _require_fitted(model if model is not None else fit(table))
-    return _exact_with_model(table, model, measure, alpha, two_sided)
+    config = InferenceConfig(method="exact", alpha=alpha, two_sided=two_sided,
+                             measures=(measure,))
+    return _run_one(table, config, model)[0]
+
+
+def bootstrap_test(table: DyadTable, measure: MeasureId | MeasureSpec,
+                   trials: int, seed, alpha: float = 0.05,
+                   two_sided: bool = False,
+                   model: NullModel | None = None) -> TestResult:
+    """Monte Carlo tail probability from ``trials`` null censuses.
+
+    Deterministic given the seed.  This is the one-measure bootstrap case
+    of ``run_all``: the same seed and trial count produce the same null
+    censuses, so single-measure results match the batch run exactly.
+    """
+    config = InferenceConfig(method="bootstrap", trials=trials, alpha=alpha, seed=seed,
+                             two_sided=two_sided, measures=(measure,))
+    return _run_one(table, config, model)[0]
+
+
+def run_all(table: DyadTable, config: InferenceConfig = InferenceConfig()
+            ) -> list[TestResult]:
+    """Run the configured method(s) for every measure.
+
+    With ``method="both"`` each measure yields a bootstrap and an exact
+    result (in that order); bootstrap trials are drawn once and shared
+    across measures, exactly as if each census had been evaluated on all
+    eight.  Trials are drawn and scored one chunk at a time and only tail
+    counts are kept, so memory does not grow with ``config.trials``.
+    Results are ordered by measure, then method.  This is ``run_items`` for
+    one item, inline.
+    """
+    return _run_one(table, config)
+
+
+def _run_one(table: DyadTable, config: InferenceConfig,
+             model: NullModel | None = None) -> list[TestResult]:
+    [outcome] = run_items([(table, config, model)])
+    if isinstance(outcome, InputError):
+        raise outcome
+    return outcome
 
 
 # Trials per bootstrap chunk: a chunk's null censuses are 16,384 x 64 int64
@@ -438,92 +439,118 @@ def _tail_counts(model: NullModel, weights: np.ndarray, observed: np.ndarray,
     return counts
 
 
-def _bootstrap_result(measure, model: NullModel, weights: np.ndarray, observed: int,
-                      counts, trials: int, alpha: float, two_sided: bool) -> TestResult:
-    """The result from the counts of null values >= and <= the observed
-    one, the only value ``_tail_result`` reads the tails at."""
-    ge, le = (int(k) for k in counts)
-    k = {DIRECTION_POSITIVE: ge, DIRECTION_NEGATIVE: le}
-    null_mean, deviation = _null_mean(model, weights, observed)
-    return _tail_result(measure, observed, null_mean, deviation,
-                        lambda _: ge / trials, lambda _: le / trials,
-                        method="bootstrap", alpha=alpha, trials=trials, two_sided=two_sided,
-                        addone=lambda direction: (k.get(direction, trials) + 1) / (trials + 1))
+class _Plan(NamedTuple):
+    """One item's run: its settings and model, and per measure the weight
+    row, the observed value and (null mean, sign of the deviation)."""
+
+    config: InferenceConfig
+    model: NullModel
+    weights: np.ndarray   # (k, 64)
+    observed: np.ndarray  # (k,) int64
+    means: list[tuple[float, int]]
 
 
-def bootstrap_test(table: DyadTable, measure: MeasureId | MeasureSpec,
-                   trials: int, seed, alpha: float = 0.05,
-                   two_sided: bool = False,
-                   model: NullModel | None = None) -> TestResult:
-    """Monte Carlo tail probability from ``trials`` null censuses.
+def _plan(table: DyadTable, config: InferenceConfig, model: NullModel | None) -> _Plan:
+    model = model if model is not None else fit(table)
+    if model.total == 0:
+        raise InputError("cannot test against a null model fitted from an empty table")
+    weights = np.stack([(spec_for(m) if isinstance(m, MeasureId) else m).weights
+                        for m in config.measures])
+    observed = weights @ table.counts
+    return _Plan(config, model, weights, observed,
+                 [_null_mean(model, w, int(v)) for w, v in zip(weights, observed)])
 
-    Deterministic given the seed.  The same seed and trial count produce
-    the same null censuses as ``run_all``, so single-measure results match
-    the batch run exactly.
+
+def _run_task(task: tuple[_Plan, range | None]):
+    """One task of a run: an item's bootstrap tail counts over a range of
+    chunks, or with None its exact tail per measure, taken in the direction
+    of the deviation (1 for none)."""
+    plan, chunks = task
+    if chunks is not None:
+        return _tail_counts(plan.model, plan.weights, plan.observed, plan.config.seed,
+                            plan.config.trials, chunks)
+    tails = []
+    for w, v, (_, deviation) in zip(plan.weights, plan.observed.tolist(), plan.means):
+        tail_ge, tail_le = _difference_tails(pb_pmf(_side_blocks(plan.model, w, 1)),
+                                             pb_pmf(_side_blocks(plan.model, w, -1)))
+        tails.append(tail_ge(v) if deviation > 0 else tail_le(v) if deviation < 0 else 1.0)
+    return tails
+
+
+_DIRECTIONS = {1: DIRECTION_POSITIVE, -1: DIRECTION_NEGATIVE, 0: DIRECTION_NONE}
+
+
+def _results(plan: _Plan, counts: np.ndarray | None, tails: list[float] | None
+             ) -> list[TestResult]:
+    """An item's results, by measure then method, from its tail counts over
+    all chunks and its exact tails, each None when its method is not run.
+
+    A bootstrap p-value is the share of null values on the observed side of
+    the model's mean; its add-one value counts the observed census too.
     """
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
-    model = _require_fitted(model if model is not None else fit(table))
-    spec = spec_for(measure) if isinstance(measure, MeasureId) else measure
-    measure_id = measure if isinstance(measure, MeasureId) else None
-    observed = evaluate(table, spec).value
-    counts = _tail_counts(model, spec.weights[None], np.array([observed]), seed, trials,
-                          _chunks(trials))
-    return _bootstrap_result(measure_id, model, spec.weights, observed, counts[0], trials,
-                             alpha, two_sided)
-
-
-def _weights(config: InferenceConfig) -> np.ndarray:
-    """The (k, 64) weight rows of the configured measures."""
-    return np.stack([spec_for(m).weights for m in config.measures])
-
-
-def _bootstrap_counts(table: DyadTable, config: InferenceConfig, chunks: range) -> np.ndarray:
-    """``run_all``'s tail counts over ``chunks``, one row per measure."""
-    weights = _weights(config)
-    return _tail_counts(_require_fitted(fit(table)), weights, weights @ table.counts,
-                        config.seed, config.trials, chunks)
-
-
-def _exact_results(table: DyadTable, config: InferenceConfig) -> list[TestResult]:
-    model = _require_fitted(fit(table))
-    return [_exact_with_model(table, model, m, config.alpha, config.two_sided)
-            for m in config.measures]
-
-
-def _assemble(table: DyadTable, config: InferenceConfig, counts: np.ndarray | None,
-              exact: list[TestResult] | None) -> list[TestResult]:
-    """``run_all``'s results from the tail counts over all chunks and the
-    exact results, each None when its method is not run."""
-    model = _require_fitted(fit(table))
-    weights = _weights(config)
-    results: list[TestResult] = []
-    for i, (m, w, observed) in enumerate(zip(config.measures, weights, weights @ table.counts)):
+    config, trials = plan.config, plan.config.trials
+    results = []
+    for i, (m, v, (null_mean, deviation)) in enumerate(
+            zip(config.measures, plan.observed.tolist(), plan.means)):
+        found = []
         if counts is not None:
-            results.append(_bootstrap_result(m, model, w, int(observed), counts[i],
-                                             config.trials, config.alpha, config.two_sided))
-        if exact is not None:
-            results.append(exact[i])
+            ge, le = counts[i].tolist()
+            hits = ge if deviation > 0 else le if deviation < 0 else trials
+            found.append(("bootstrap", hits / trials, trials, (hits + 1) / (trials + 1)))
+        if tails is not None:
+            found.append(("exact", tails[i], None, None))
+        for method, p, n, p_addone in found:
+            if config.two_sided:
+                p = min(1.0, 2.0 * p)
+                if p_addone is not None:
+                    p_addone = min(1.0, 2.0 * p_addone)
+            results.append(TestResult(
+                measure=m if isinstance(m, MeasureId) else None, observed=v,
+                null_mean=float(null_mean), direction=_DIRECTIONS[deviation],
+                p_value=float(p), method=method, alpha=config.alpha,
+                significant=bool(p < config.alpha), trials=n, p_value_addone=p_addone,
+                two_sided=config.two_sided))
     return results
 
 
-def run_all(table: DyadTable, config: InferenceConfig = InferenceConfig()
-            ) -> list[TestResult]:
-    """Run the configured method(s) for every measure.
+def run_items(work: Sequence[tuple[DyadTable, InferenceConfig, NullModel | None]],
+              workers: int = 1, map_tasks=map) -> list[list[TestResult] | InputError]:
+    """The one run plan behind ``run_all``, ``bootstrap_test``, ``exact_test``
+    and ``evaluate_items``: each (table, config, model) item's results, or
+    the InputError that stopped it (such as an empty table), in order.
 
-    With ``method="both"`` each measure yields a bootstrap and an exact
-    result (in that order); bootstrap trials are drawn once and shared
-    across measures, exactly as if each census had been evaluated on all
-    eight.  Trials are drawn and scored one chunk at a time and only tail
-    counts are kept, so memory does not grow with ``config.trials``.
-    Results are ordered by measure, then method.
+    Each item's model is fitted once unless given, and each measure's
+    observed value, null mean and direction are taken once.  The items'
+    bootstrap chunks then go out in ranges, about four per worker over all
+    items, and each item's exact engine as one task more;
+    ``map_tasks(fn, tasks)`` runs them and returns their outcomes in order
+    (``map``, inline, by default; a pool of ``workers`` processes from
+    ``evaluate_items``).  Counts over an item's ranges add up to its
+    counts over all chunks, so results depend neither on the ranges nor on
+    the worker count.
     """
-    counts = exact = None
-    if config.method != "exact":
-        counts = _bootstrap_counts(table, config, _chunks(config.trials))
-    if config.method != "bootstrap":
-        exact = _exact_results(table, config)
-    return _assemble(table, config, counts, exact)
+    plans: list[_Plan | InputError] = []
+    for table, config, model in work:
+        try:
+            plans.append(_plan(table, config, model))
+        except InputError as exc:
+            plans.append(exc)
+    ready = [(i, plan) for i, plan in enumerate(plans) if isinstance(plan, _Plan)]
+    boot = {i: _chunks(plan.config.trials) for i, plan in ready
+            if plan.config.method != "exact"}
+    step = max(1, -(-sum(map(len, boot.values())) // (4 * workers)))
+    tasks = [(i, chunks[k:k + step]) for i, chunks in boot.items()
+             for k in range(0, len(chunks), step)]
+    tasks += [(i, None) for i, plan in ready if plan.config.method != "bootstrap"]
+    counts = dict.fromkeys(boot, 0)
+    exact = {}
+    for (i, chunks), part in zip(tasks, map_tasks(_run_task, [(plans[i], c) for i, c in tasks])):
+        if chunks is None:
+            exact[i] = part
+        else:
+            counts[i] = counts[i] + part
+    return [plan if isinstance(plan, InputError) else _results(plan, counts.get(i), exact.get(i))
+            for i, plan in enumerate(plans)]
 
 
 def method_disagreement(results: Sequence[TestResult]) -> dict[MeasureId, float]:

@@ -26,6 +26,10 @@ edge list     two identifier columns; lines starting with '#' and blank
 Missing data policy is listwise deletion per dyad per item, always with a
 drop count in the report.  Files are read as UTF-8; an undecodable byte or
 a field over csv's size limit is an InputError naming the file and line.
+
+Batch evaluation builds each item's table here and hands the items to
+``inference.run_items``, which plans and splits their runs; this module
+only supplies the map that runs the tasks in forked worker processes.
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ import numpy as np
 from ._version import __version__
 from .census import CellIndex, DyadRecord, DyadTable, build_table
 from .errors import InputError
-from .inference import (InferenceConfig, TestResult, _assemble, _bootstrap_counts,
-                        _chunks, _exact_results)
+from .inference import InferenceConfig, TestResult, run_items
 from .measures import MeasureId
 from .sim import probabilities_to_counts
 
@@ -406,16 +409,26 @@ def join_node_edges(nodes: Sequence[NodeSurveyRow], edges: Sequence[tuple[str, s
     return records, stats
 
 
-def _parse_count(token: str, line_no: int, column: str, path) -> int:
+# Largest cell count a 64-cell table takes: every integer up to it is exact
+# as a float, and 64 such cells still sum within int64.
+_MAX_COUNT = 2**53
+
+
+def _parse_value(token: str, line_no: int, column: str, path, probabilities: bool) -> float:
+    """A value of a 64-cell table: a probability in [0, 1], or a count."""
     try:
         value = float(token)
     except ValueError:
         raise InputError(f"{path}: line {line_no}: column {column!r} is not "
                          f"a number: {token!r}") from None
-    if value < 0 or value != int(value):
+    if probabilities:
+        if not 0.0 <= value <= 1.0:
+            raise InputError(f"{path}: line {line_no}: column {column!r} must be "
+                             f"a probability in [0, 1], got {token!r}")
+    elif not (0.0 <= value <= _MAX_COUNT and value.is_integer()):
         raise InputError(f"{path}: line {line_no}: column {column!r} must be "
-                         f"a non-negative integer, got {token!r}")
-    return int(value)
+                         f"a non-negative integer of at most 2**53, got {token!r}")
+    return value
 
 
 _GRID_RS = ("rs00", "rs01", "rs10", "rs11")
@@ -426,7 +439,8 @@ def parse_table64(path, probabilities: bool = False, scale: int = 100,
     """Read a 64-cell census, in long or grid form.
 
     With ``probabilities=True`` the values are per-row probabilities and are
-    converted to counts via round(value * scale).
+    converted to counts via round(value * scale).  A missing, non-numeric
+    or out-of-range value is an InputError naming the file, line and column.
     """
     path = Path(path)
     with _open_csv(path, delimiter) as reader:
@@ -436,37 +450,31 @@ def parse_table64(path, probabilities: bool = False, scale: int = 100,
             raise InputError(f"{path}: empty file, expected a header row") from None
         rows = [(n, row) for n, row in enumerate(reader, start=2)
                 if row and any(cell.strip() for cell in row)]
-    values = np.zeros(64, dtype=float)
-    filled = np.zeros(64, dtype=bool)
     if all(c in header for c in ("x", "y", "p", "q", "r", "s", "value")):
-        idx = {h: header.index(h) for h in ("x", "y", "p", "q", "r", "s", "value")}
-        for line_no, row in rows:
-            bits = [_parse_bit(row[idx[b]], line_no, b) for b in ("x", "y", "p", "q", "r", "s")]
-            code = (bits[0] << 5 | bits[1] << 4 | bits[2] << 3
-                    | bits[3] << 2 | bits[4] << 1 | bits[5])
-            if filled[code]:
-                raise InputError(f"{path}: line {line_no}: duplicate cell "
-                                 f"(x,y,p,q,r,s)={tuple(bits)}")
-            filled[code] = True
-            values[code] = (float(row[idx["value"]]) if probabilities
-                            else _parse_count(row[idx["value"]], line_no, "value", path))
+        bit_columns, value_columns, unit = ("x", "y", "p", "q", "r", "s"), ("value",), "cell"
     elif all(c in header for c in ("x", "y", "p", "q") + _GRID_RS):
-        idx = {h: header.index(h) for h in ("x", "y", "p", "q") + _GRID_RS}
-        for line_no, row in rows:
-            bits = [_parse_bit(row[idx[b]], line_no, b) for b in ("x", "y", "p", "q")]
-            base = bits[0] << 5 | bits[1] << 4 | bits[2] << 3 | bits[3] << 2
-            for rs, column in enumerate(_GRID_RS):
-                code = base | rs
-                if filled[code]:
-                    raise InputError(f"{path}: line {line_no}: duplicate group "
-                                     f"(x,y,p,q)={tuple(bits)}")
-                filled[code] = True
-                values[code] = (float(row[idx[column]]) if probabilities
-                                else _parse_count(row[idx[column]], line_no, column, path))
+        bit_columns, value_columns, unit = ("x", "y", "p", "q"), _GRID_RS, "group"
     else:
         raise InputError(
             f"{path}: header must be either x,y,p,q,r,s,value or "
             f"x,y,p,q,{','.join(_GRID_RS)} (got {header})")
+    idx = {h: header.index(h) for h in bit_columns + value_columns}
+    values = np.zeros(64, dtype=float)
+    filled = np.zeros(64, dtype=bool)
+    for line_no, row in rows:
+        for column in bit_columns + value_columns:
+            if idx[column] >= len(row):
+                raise InputError(f"{path}: line {line_no}: column {column!r} is "
+                                 f"missing (got {len(row)} fields)")
+        bits = [_parse_bit(row[idx[b]], line_no, b) for b in bit_columns]
+        first = sum(bit << (5 - i) for i, bit in enumerate(bits))
+        for code, column in enumerate(value_columns, start=first):
+            if filled[code]:
+                raise InputError(f"{path}: line {line_no}: duplicate {unit} "
+                                 f"({','.join(bit_columns)})={tuple(bits)}")
+            filled[code] = True
+            values[code] = _parse_value(row[idx[column]], line_no, column, path,
+                                        probabilities)
     if not filled.all():
         raise InputError(f"{path}: only {int(filled.sum())} of 64 cells provided")
     if probabilities:
@@ -539,64 +547,20 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_task(task: tuple[DyadTable, InferenceConfig, range | None]):
-    """One part of an item's ``run_all``: the bootstrap tail counts over a
-    range of chunks, or with None the exact results.  (part, None), or
-    (None, message) on bad input."""
-    table, inference, chunks = task
-    try:
-        if chunks is None:
-            return _exact_results(table, inference), None
-        return _bootstrap_counts(table, inference, chunks), None
-    except InputError as exc:
-        return None, str(exc)
-
-
-def _run_tasks(tasks: list) -> list:
-    """``_run_task`` over ``tasks`` in order, in forked workers when more
-    than one task and more than one CPU are at hand."""
+def _run_tasks(fn: Callable, tasks: list) -> list:
+    """``fn`` over ``tasks`` in order, in forked workers when more than one
+    task and more than one CPU are at hand."""
     jobs = min(len(tasks), _worker_count())
     if jobs > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
             with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                outcomes = pool.map(_run_task, tasks, chunksize=1)
+                outcomes = pool.map(fn, tasks, chunksize=1)
                 pool.close()
                 pool.join()
             return outcomes
-    return [_run_task(t) for t in tasks]
-
-
-def _run_items(work: list[tuple[DyadTable, InferenceConfig]]
-               ) -> list[tuple[tuple[TestResult, ...] | None, str | None]]:
-    """Each item's ``run_all`` results, (results, None), or (None, message)
-    on bad input, in order.
-
-    Bootstrap chunks go out in ranges, about four per worker over all
-    items, and each item's exact engine as one task more.  Counts over an
-    item's ranges add up to its counts over all chunks, so results depend
-    neither on the ranges nor on the worker count.
-    """
-    boot = [_chunks(inf.trials) if inf.method != "exact" else range(0) for _, inf in work]
-    step = max(1, -(-sum(map(len, boot)) // (4 * _worker_count())))
-    tasks = [(i, chunks[k:k + step]) for i, chunks in enumerate(boot)
-             for k in range(0, len(chunks), step)]
-    tasks += [(i, None) for i, (_, inf) in enumerate(work) if inf.method != "bootstrap"]
-    counts = [None if inf.method == "exact" else 0 for _, inf in work]
-    exact: list = [None] * len(work)
-    errors: list[str | None] = [None] * len(work)
-    outcomes = _run_tasks([(*work[i], chunks) for i, chunks in tasks])
-    for (i, chunks), (part, error) in zip(tasks, outcomes):
-        if error is not None or errors[i] is not None:
-            errors[i] = errors[i] or error
-        elif chunks is None:
-            exact[i] = part
-        else:
-            counts[i] += part
-    return [(None, error) if error is not None
-            else (tuple(_assemble(table, inf, n, e)), None)
-            for (table, inf), n, e, error in zip(work, counts, exact, errors)]
+    return [fn(t) for t in tasks]
 
 
 def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
@@ -604,79 +568,69 @@ def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
 
     Per-item randomness comes from the children of SeedSequence(seed) in
     item order, so results are reproducible and independent of which other
-    items are present only when the item list is unchanged.  An item with
-    bad input produces a report carrying its error; other items still run.
-    A ``NumericalIntegrityError`` is a fault of the engine, not of an item,
-    and propagates.
+    items are present only when the item list is unchanged.  An item whose
+    census cannot be tested (no dyads) produces a report carrying its error;
+    other items still run.  An input file that cannot be read is an
+    InputError of the whole run.  A ``NumericalIntegrityError`` is a fault
+    of the engine, not of an item, and propagates.
 
-    Tables are built here, in item order; the items' inference then runs in
-    up to one forked worker process per CPU (inline for a single task or
-    CPU): each item's bootstrap chunks in ranges and its exact results as
-    tasks of their own, so one item's bootstrap uses every CPU too.  Each
-    item draws only from its own seed child, chunk j from stream j of it, so
-    results do not depend on the worker count.  A worker holds one chunk's
-    null censuses at a time (16,384 x 64 int64 cell counts) plus running
-    tail counts, whatever the trial count.
+    Tables are built here, in item order; ``inference.run_items`` then
+    plans every item's run and splits it into tasks (each item's bootstrap
+    chunks in ranges, its exact engine as one task more), and this module
+    only runs those tasks in up to one forked worker process per CPU
+    (inline for a single task or CPU), so one item's bootstrap uses every
+    CPU too.  Each item draws only from its own seed child, chunk j from
+    stream j of it, so results do not depend on the worker count.  A worker
+    holds one chunk's null censuses at a time (16,384 x 64 int64 cell
+    counts) plus running tail counts, whatever the trial count.
 
     A dyad CSV is streamed: each block of rows is tallied into per-item
     counts with one ``bincount`` and no per-row record, so ingestion holds
     O(block + items) memory whatever the row count.  Its row rules are those
     of ``parse_dyad_csv`` (same drops, same first error).
     """
-    builders: list[tuple[str, str, Callable[[], tuple[DyadTable, int]]]] = []
     if config.input_mode == "dyad_csv":
         if config.dyads_path is None:
             raise InputError("dyad_csv mode requires dyads_path")
         counts, dropped = _tally_dyad_csv(config.dyads_path, config.delimiter)
-        for item_id, label in _item_labels(config, counts):
-            table = DyadTable(counts.get(item_id, np.zeros(64, dtype=np.int64)),
-                              item_id=item_id)
-            builders.append((item_id, label, lambda table=table,
-                             n_drop=dropped.get(item_id, 0): (table, n_drop)))
+        labels = _item_labels(config, counts)
     elif config.input_mode == "node_edges":
         if config.nodes_path is None or config.edges_path is None:
             raise InputError("node_edges mode requires nodes_path and edges_path")
         wanted = [item for item, _ in config.items] if config.items is not None else None
         nodes, found = parse_node_csv(config.nodes_path, wanted, config.delimiter)
         edges = read_edge_list(config.edges_path, config.delimiter)
-        for item_id, label in _item_labels(config, found):
-            def build(item_id=item_id):
-                recs, stats = join_node_edges(nodes, edges, item_id, config.orientation)
-                return build_table(recs, item=item_id), stats.dropped
-            builders.append((item_id, label, build))
+        labels = _item_labels(config, found)
     else:
         if config.table_path is None:
             raise InputError("table64 mode requires table_path")
         labels = _item_labels(config, ["table"])
         if len(labels) != 1:
             raise InputError("table64 mode takes exactly one item")
-        item_id, label = labels[0]
-        builders.append((item_id, label,
-                         lambda: (parse_table64(config.table_path,
-                                                config.table_probabilities,
-                                                config.table_scale,
-                                                config.delimiter), 0)))
+        table64 = parse_table64(config.table_path, config.table_probabilities,
+                                config.table_scale, config.delimiter)
 
-    children = np.random.SeedSequence(config.seed).spawn(len(builders))
-    reports: list[ItemReport | None] = []
-    pending, work = [], []
-    for (item_id, label, build), child in zip(builders, children):
-        try:
-            table, n_dropped = build()
-            if config.invert_behavior:
-                table = table.invert_behavior()
-        except InputError as exc:
-            reports.append(ItemReport(item_id, label, (), 0, 0, error=str(exc)))
-            continue
-        pending.append((len(reports), item_id, label, table.total, n_dropped))
-        reports.append(None)
-        work.append((table, config.inference(child)))
-    for (at, item_id, label, used, n_dropped), (results, error) in zip(
-            pending, _run_items(work)):
-        reports[at] = (ItemReport(item_id, label, (), 0, 0, error=error) if error is not None
-                       else ItemReport(item_id, label, results, dyads_used=used,
-                                       dyads_dropped=n_dropped))
-    return reports
+    built = []
+    for item_id, _ in labels:
+        if config.input_mode == "dyad_csv":
+            table = DyadTable(counts.get(item_id, np.zeros(64, dtype=np.int64)),
+                              item_id=item_id)
+            n_dropped = dropped.get(item_id, 0)
+        elif config.input_mode == "node_edges":
+            records, stats = join_node_edges(nodes, edges, item_id, config.orientation)
+            table, n_dropped = build_table(records, item=item_id), stats.dropped
+        else:
+            table, n_dropped = table64, 0
+        built.append((table.invert_behavior() if config.invert_behavior else table, n_dropped))
+    children = np.random.SeedSequence(config.seed).spawn(len(labels))
+    outcomes = run_items([(table, config.inference(child), None)
+                          for (table, _), child in zip(built, children)],
+                         _worker_count(), _run_tasks)
+    return [ItemReport(item_id, label, (), 0, 0, error=str(outcome))
+            if isinstance(outcome, InputError)
+            else ItemReport(item_id, label, tuple(outcome), dyads_used=table.total,
+                            dyads_dropped=n_dropped)
+            for (item_id, label), (table, n_dropped), outcome in zip(labels, built, outcomes)]
 
 
 _CSV_FIELDS = ("item_id", "item_label", "measure", "measure_label", "method",

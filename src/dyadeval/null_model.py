@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .census import DyadTable, marginals
+from .census import DyadTable
 from .errors import UndefinedRowError
 
 __all__ = ["NullModel", "fit", "sample"]
@@ -128,12 +128,14 @@ def fit(table: DyadTable) -> NullModel:
     total 0 has all rows undefined and is rejected by the inference entry
     points.
     """
-    marg = marginals(table)
-    row_defined = marg.n0 > 0
+    c = table.by_bits()
+    row_counts = c.sum(axis=(0, 1))
+    row_totals = c.sum(axis=(0, 1, 4, 5))
+    row_defined = row_totals > 0
     p0 = np.zeros((2, 2, 2, 2))
-    p0[row_defined] = marg.n_pqrs[row_defined] / marg.n0[row_defined][:, None, None]
-    return NullModel(p0=p0, masses=marg.n0_group.copy(), row_defined=row_defined,
-                     row_counts=marg.n_pqrs.copy(), row_totals=marg.n0.copy())
+    p0[row_defined] = row_counts[row_defined] / row_totals[row_defined][:, None, None]
+    return NullModel(p0=p0, masses=c.sum(axis=(4, 5)), row_defined=row_defined,
+                     row_counts=row_counts, row_totals=row_totals)
 
 
 def _sample_group_outcomes(model: NullModel, trials: int, rng: np.random.Generator

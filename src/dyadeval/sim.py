@@ -351,7 +351,7 @@ def probabilities_to_counts(probability_table, scale: int) -> DyadTable:
     probs = np.asarray(probability_table, dtype=float).reshape(64)
     if scale < 1:
         raise InputError(f"scale must be >= 1, got {scale}")
-    if np.any(probs < 0) or np.any(probs > 1):
+    if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails too
         raise InputError("probabilities must lie in [0, 1]")
     rows = probs.reshape(16, 4)
     row_sums = rows.sum(axis=1)

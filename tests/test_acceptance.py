@@ -12,7 +12,7 @@ import pytest
 
 from dyadeval import (DyadTable, EdgeModel, InferenceConfig, MeasureId,
                       SimParams, TrialGroup, evaluate, exact_test, fit,
-                      marginals, method_disagreement, pb_pmf, run_all, sample,
+                      method_disagreement, pb_pmf, run_all, sample,
                       simulate_dyad_table)
 from dyadeval.cli import main
 
@@ -184,12 +184,11 @@ def test_criterion_6_structural_identities():
         scale = int(rng.integers(1, 60))
         counts = rng.integers(0, scale, size=64).astype(np.int64)
         table = DyadTable(counts)
-        marg = marginals(table)
-        assert int(marg.n0.sum()) == table.total
-        assert int(marg.n_pqrs.sum()) == table.total
-        assert np.array_equal(marg.n_pqrs.sum(axis=(2, 3)), marg.n0)
-        assert np.array_equal(marg.n0_group.sum(axis=(0, 1)), marg.n0)
         model = fit(table)
+        assert int(model.row_totals.sum()) == table.total
+        assert int(model.row_counts.sum()) == table.total
+        assert np.array_equal(model.row_counts.sum(axis=(2, 3)), model.row_totals)
+        assert np.array_equal(model.masses.sum(axis=(0, 1)), model.row_totals)
         for p in (0, 1):
             for q in (0, 1):
                 if model.row_defined[p, q]:

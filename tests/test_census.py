@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dyadeval import (CellIndex, DyadRecord, DyadTable, InputError, all_cells,
-                      build_table, marginals)
+                      build_table, fit)
 
 from oracles import cell_code, marginals_by_loops
 
@@ -116,11 +116,11 @@ def test_table_addition():
 def test_single_dyad_marginal_propagation():
     # one dyad at (x=1, y=0, p=0, q=1, r=1, s=0)
     table = build_table([rec(1, 0, 0, 1, 1, 0)])
-    marg = marginals(table)
-    assert marg.n0[0, 1] == 1 and marg.n0.sum() == 1
-    assert marg.n_pqrs.sum(axis=(0, 1))[1, 0] == 1
-    assert marg.n_pqrs[0, 1, 1, 0] == 1 and marg.n_pqrs.sum() == 1
-    assert marg.n0_group[1, 0, 0, 1] == 1 and marg.n0_group.sum() == 1
+    model = fit(table)
+    assert model.row_totals[0, 1] == 1 and model.row_totals.sum() == 1
+    assert model.row_counts.sum(axis=(0, 1))[1, 0] == 1
+    assert model.row_counts[0, 1, 1, 0] == 1 and model.row_counts.sum() == 1
+    assert model.masses[1, 0, 0, 1] == 1 and model.masses.sum() == 1
 
 
 def test_post_time_grouped_marginal_semantics():
@@ -138,16 +138,16 @@ def test_marginals_match_loop_oracle():
     rng = np.random.default_rng(19)
     for _ in range(25):
         counts = rng.integers(0, 40, size=64).astype(np.int64)
-        marg = marginals(DyadTable(counts))
+        model = fit(DyadTable(counts))
         n0, n1, n_pqrs, n0_group, n1_group = marginals_by_loops(counts)
         for (p, q), v in n0.items():
-            assert marg.n0[p, q] == v
+            assert model.row_totals[p, q] == v
         for (r, s), v in n1.items():
-            assert marg.n_pqrs.sum(axis=(0, 1))[r, s] == v
+            assert model.row_counts.sum(axis=(0, 1))[r, s] == v
         for (p, q, r, s), v in n_pqrs.items():
-            assert marg.n_pqrs[p, q, r, s] == v
+            assert model.row_counts[p, q, r, s] == v
         for (x, y, p, q), v in n0_group.items():
-            assert marg.n0_group[x, y, p, q] == v
+            assert model.masses[x, y, p, q] == v
         for (x, y, r, s), v in n1_group.items():
             assert DyadTable(counts).by_bits().sum(axis=(2, 3))[x, y, r, s] == v
 
@@ -156,12 +156,12 @@ def test_marginal_identities():
     rng = np.random.default_rng(23)
     counts = rng.integers(0, 100, size=64).astype(np.int64)
     table = DyadTable(counts)
-    marg = marginals(table)
-    assert marg.total == table.total
-    assert marg.n0.sum() == table.total
-    assert marg.n_pqrs.sum() == table.total
-    assert np.array_equal(marg.n_pqrs.sum(axis=(2, 3)), marg.n0)
-    assert np.array_equal(marg.n0_group.sum(axis=(0, 1)), marg.n0)
+    model = fit(table)
+    assert model.total == table.total
+    assert model.row_totals.sum() == table.total
+    assert model.row_counts.sum() == table.total
+    assert np.array_equal(model.row_counts.sum(axis=(2, 3)), model.row_totals)
+    assert np.array_equal(model.masses.sum(axis=(0, 1)), model.row_totals)
 
 
 def test_invert_behavior_permutes_cells():

@@ -257,6 +257,41 @@ def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys, line):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, line", [
+    ("table", "trails = 5"), ("table", "items = x"), ("evaluate", "trails = 5")])
+def test_config_key_naming_no_flag_is_input_error(tmp_path, capsys, command, line):
+    cfg = tmp_path / "dyadeval.cfg"
+    cfg.write_text(f"method = exact\n{line}\n")
+    inputs = {"table": ["--table", str(uniform_table(tmp_path)), "--probabilities"],
+              "evaluate": ["--dyads", str(frozen_dyads(tmp_path))]}
+    out = tmp_path / "r.json"
+    assert main(["--config", str(cfg), command, *inputs[command], "--out-json", str(out)]) == 1
+    key = line.split(" = ")[0]
+    assert f"error: config key {key!r} names no flag of {command!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token, probabilities", [
+    ("inf", False), ("nan", False), ("1e30", False), ("abc", True), ("nan", True),
+    (None, False)])
+def test_bad_table_value_is_input_error(tmp_path, capsys, token, probabilities):
+    # the value at line 5, column rs01, is bad; None cuts that row short there
+    lines = ["x,y,p,q,rs00,rs01,rs10,rs11"]
+    for group in range(16):
+        bits = [(group >> shift) & 1 for shift in (3, 2, 1, 0)]
+        values = ["0.25" if probabilities else "3"] * 4
+        if group == 3:
+            values = values[:1] if token is None else [values[0], token, *values[2:]]
+        lines.append(",".join(map(str, bits + values)))
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["table", "--table", str(path), "--method", "exact"]
+    assert main(argv + (["--probabilities"] if probabilities else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 5: column 'rs01' ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["table", "--table", "t.txt", "--items", "i.csv"],
     ["simulate", "--evaluate", "--items", "i.csv"],

@@ -454,6 +454,17 @@ def test_bootstrap_degenerate_table():
     assert res.trials == 50
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0])
+def test_single_tests_validate_alpha_as_run_all_does(alpha):
+    # bootstrap_test and exact_test take their settings through InferenceConfig
+    table = simulate_dyad_table()
+    for call in (lambda: bootstrap_test(table, MeasureId.M1, 10, 0, alpha=alpha),
+                 lambda: exact_test(table, MeasureId.M1, alpha=alpha),
+                 lambda: run_all(table, InferenceConfig(alpha=alpha))):
+        with pytest.raises(InputError, match=r"alpha must lie in \(0, 1\)"):
+            call()
+
+
 def test_bootstrap_validation():
     table = simulate_dyad_table()
     with pytest.raises(InputError):

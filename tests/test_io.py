@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from oracles import parse_dyad_csv_by_rows
 
-from dyadeval import (DyadTable, InferenceConfig, InputError, MeasureId, build_table, io,
-                      run_all)
+from dyadeval import (DyadTable, InferenceConfig, InputError, MeasureId, MeasureSpec,
+                      NullModel, bootstrap_test, build_table, exact_test, fit, inference,
+                      io, run_all)
+from dyadeval.inference import run_items
 from dyadeval.io import (EvaluationConfig, ItemReport, emit_report, evaluate_items,
                          join_node_edges, load_report_json, parse_dyad_csv,
                          parse_node_csv, parse_table64, read_edge_list)
@@ -142,8 +144,8 @@ def reference_tables(path, items):
 def streamed_tables(path, items, monkeypatch):
     """The tables and drop counts ``evaluate_items`` builds, inference skipped."""
     tables = []
-    monkeypatch.setattr(io, "_run_items", lambda work: (
-        tables.extend(t for t, _ in work) or [((), None)] * len(work)))
+    monkeypatch.setattr(io, "run_items", lambda work, workers, map_tasks: (
+        tables.extend(t for t, _, _ in work) or [[]] * len(work)))
     config = EvaluationConfig(dyads_path=str(path), method="exact",
                               items=None if items is None else tuple((i, i) for i in items))
     reports = outcome(evaluate_items, config)
@@ -477,14 +479,69 @@ def _worker_pid(task):
 
 
 def test_run_tasks_in_forked_workers(monkeypatch):
-    # forked workers inherit the patched _run_task
-    monkeypatch.setattr(io, "_run_task", _worker_pid)
     monkeypatch.setattr(io, "_worker_count", lambda: 2)
-    pids = io._run_tasks([None] * 4)
+    pids = io._run_tasks(_worker_pid, [None] * 4)
     assert len(pids) == 4 and os.getpid() not in pids
-    assert io._run_tasks([None]) == [os.getpid()]  # a single task runs inline
+    assert io._run_tasks(_worker_pid, [None]) == [os.getpid()]  # a single task runs inline
     monkeypatch.setattr(io, "_worker_count", lambda: 1)
-    assert io._run_tasks([None] * 3) == [os.getpid()] * 3
+    assert io._run_tasks(_worker_pid, [None] * 3) == [os.getpid()] * 3
+
+
+def long_table_csv(tmp_path, name, counts):
+    lines = ["x,y,p,q,r,s,value"]
+    lines += [",".join(str(code >> shift & 1) for shift in range(5, -1, -1)) + f",{value}"
+              for code, value in enumerate(counts)]
+    return write(tmp_path, name, "\n".join(lines) + "\n")
+
+
+def test_one_run_plan_agrees_bit_for_bit(tmp_path, monkeypatch):
+    # bootstrap_test, exact_test, run_all, run_items and a one-item
+    # evaluate_items share one run plan: built-in measures, a custom spec and
+    # a hand-built model, at one and two workers, with chunks of 257 trials so
+    # that every bootstrap spreads over several tasks
+    monkeypatch.setattr("dyadeval.inference._CHUNK_TRIALS", 257)
+    spec = MeasureSpec({(1, 1, p, q, 1, s) for p in (0, 1) for q in (0, 1) for s in (0, 1)},
+                       {(0, 0, p, q, r, 1) for p in (0, 1) for q in (0, 1) for r in (0, 1)})
+    rng = np.random.default_rng(2718)
+    for case in range(3):
+        counts = rng.integers(0, int(rng.integers(2, 40)), size=64)
+        table = DyadTable(counts)
+        path = long_table_csv(tmp_path, f"t{case}.csv", counts)
+        seed, trials, two_sided = int(rng.integers(1000)), int(rng.integers(300, 2000)), case == 1
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        expected = run_all(table, InferenceConfig(trials=trials, seed=child, two_sided=two_sided))
+        assert expected == [r for m in MeasureId for r in (
+            bootstrap_test(table, m, trials, child, two_sided=two_sided),
+            exact_test(table, m, two_sided=two_sided))]
+        fitted = fit(table)
+        hand = NullModel(p0=fitted.p0, masses=fitted.masses, row_defined=fitted.row_defined)
+        custom = InferenceConfig(trials=trials, seed=child, two_sided=two_sided,
+                                 measures=(spec, MeasureId.M3))
+        alone = [r for m in custom.measures for r in (
+            bootstrap_test(table, m, trials, child, two_sided=two_sided, model=hand),
+            exact_test(table, m, two_sided=two_sided, model=hand))]
+        assert [r.measure for r in alone] == [None, None, MeasureId.M3, MeasureId.M3]
+        for workers in (1, 2):
+            monkeypatch.setattr(io, "_worker_count", lambda: workers)
+            [report] = evaluate_items(EvaluationConfig(
+                input_mode="table64", table_path=str(path), items=(("t", "t"),),
+                trials=trials, seed=seed, two_sided=two_sided))
+            assert list(report.results) == expected
+            assert run_items([(table, custom, hand)], workers, io._run_tasks) == [alone]
+
+
+def test_each_item_fitted_once_and_each_null_mean_taken_once(tmp_path, monkeypatch):
+    calls = {"fit": 0, "_null_mean": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(inference, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(inference, name, counted)
+    monkeypatch.setattr(io, "_worker_count", lambda: 1)  # tasks inline, so counted too
+    config = EvaluationConfig(dyads_path=str(frozen_dyad_csv(tmp_path, items=("q1", "q2", "q3"))),
+                              method="both", trials=300)
+    assert all(r.error is None for r in evaluate_items(config))
+    assert calls == {"fit": 3, "_null_mean": 3 * len(MeasureId)}
 
 
 def test_evaluate_items_table64_mode(tmp_path):

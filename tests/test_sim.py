@@ -231,6 +231,10 @@ def test_probabilities_to_counts_validation():
         probabilities_to_counts(probs, scale=100)
     with pytest.raises(InputError, match="scale"):
         probabilities_to_counts(np.full(64, 0.25), scale=0)
+    probs = np.full(64, 0.25)
+    probs[4:8] = np.nan  # a NaN row compares false against every bound
+    with pytest.raises(InputError, match=r"\[0, 1\]"):
+        probabilities_to_counts(probs, scale=100)
 
 
 def test_simulate_deterministic():
