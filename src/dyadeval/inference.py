@@ -28,12 +28,18 @@ binomial of their summed mass, which is exact in distribution; a side of
 one of the eight measures then has at most four blocks.  Each block's PMF
 is evaluated only on the window where it is >= 1e-300 (entries below that
 are zero in ``DiscreteDistribution`` anyway).  This is exact up to float
-rounding and O(W^2) with W ~ 80 sd per block, instead of O(N^2) in the
+rounding and O(W^2) with W ~ 75 sd per block, instead of O(N^2) in the
 side's trial total.  The binomial PMF itself is Loader's saddle-point form
 (C. Loader, "Fast and Accurate Computation of Binomial Probabilities",
 2000; the algorithm of R's ``dbinom``): Stirling-series errors plus
 deviance terms, so no difference of log-gamma values cancels, in numpy
-alone.
+alone.  An exact task takes the windows of all blocks of all sides of all
+its measures in one batch: each window is first bounded by the Chernoff
+bound n KL(k / n || p) <= ln(1e300) + 1, so it is evaluated once, and the
+entries of all windows go through the PMF in passes of at most 8,192, so
+numpy's per-call cost is paid per pass rather than per block and the
+temporaries stay small.  An entry's value does not depend on the pass it
+falls in.
 
 The tail of the difference X - Y of the two sides never needs its PMF:
 P(X - Y >= v) = sum_y P(Y = y) P(X >= v + y) is one dot product of Y's PMF
@@ -62,6 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -214,16 +221,19 @@ def _stirlerr(n: np.ndarray) -> np.ndarray:
     return np.where(small, _STIRLERR[np.where(small, n, 0).astype(np.intp)], series)
 
 
-def _bd0(x: np.ndarray, m: float) -> np.ndarray:
-    """Deviance x log(x / m) + m - x for x > 0, summed as a series in
-    v = (x - m) / (x + m) where |x - m| < 0.1 (x + m), so it does not cancel
-    near x = m; the series stops once its terms no longer change the sum."""
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Deviance x log(x / m) + m - x for x > 0, elementwise for ``m`` of
+    x's shape, summed as a series in v = (x - m) / (x + m) where
+    |x - m| < 0.1 (x + m), so it does not cancel near x = m.  The series
+    stops once its terms no longer change any sum: the terms shrink and keep
+    their sign, so a sum that has stopped changing changes no more."""
     out = x * np.log(x / m) + m - x
     near = np.abs(x - m) < 0.1 * (x + m)
     if near.any():
-        d = x[near] - m
-        v = d / (x[near] + m)
-        total, term, v2 = d * v, 2.0 * x[near] * v, v * v
+        x, m = x[near], m[near]
+        d = x - m
+        v = d / (x + m)
+        total, term, v2 = d * v, 2.0 * x * v, v * v
         j = 1
         while True:
             term = term * v2
@@ -235,57 +245,132 @@ def _bd0(x: np.ndarray, m: float) -> np.ndarray:
     return out
 
 
-def _binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) PMF at integers 0 <= k <= n by Loader's saddle-point form.
+def _binom_pmf(k: np.ndarray, n, p) -> np.ndarray:
+    """Binomial(n, p) PMF at integers 0 <= k <= n by Loader's saddle-point
+    form, elementwise for a 1-D ``k``, with ``n`` >= 1 and ``p`` scalars or
+    arrays of k's shape.
 
     exp(stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, np)
     - bd0(n - k, nq)) / sqrt(2 pi k (n - k) / n) inside, n log(1 - p) and
     n log(p) at k = 0 and k = n, point masses for p in {0, 1}.  The
     log(2 pi k (n - k) / n) term is a sum of logs, not Loader's
-    log1p(-k / n), which cancels at k = n - 1.
+    log1p(-k / n), which cancels at k = n - 1.  The terms of (n, p) alone
+    are taken once per run of entries sharing them, their logs and
+    exponentials in Python floats, so an entry's value does not depend on
+    which entries are evaluated with it.
     """
     k = np.asarray(k, dtype=float)
-    if p == 0.0 or p == 1.0:
-        return (k == n * p).astype(float)
-    q = 1.0 - p
+    n = np.broadcast_to(np.asarray(n, dtype=float), k.shape)
+    p = np.broadcast_to(np.asarray(p, dtype=float), k.shape)
     out = np.zeros_like(k)
-    out[k == 0] = math.exp(n * math.log1p(-p))
-    out[k == n] = math.exp(n * math.log1p(-q))
-    inner = (k > 0) & (k < n)
-    x = k[inner]
-    lc = (_stirlerr(n) - _stirlerr(x) - _stirlerr(n - x)
-          - _bd0(x, n * p) - _bd0(n - x, n * q))
-    out[inner] = np.exp(lc - 0.5 * (_LN_2PI + np.log(x) + np.log(n - x) - math.log(n)))
+    if k.size == 0:
+        return out
+    new = np.ones(k.shape, dtype=bool)
+    new[1:] = (n[1:] != n[:-1]) | (p[1:] != p[:-1])
+    starts = np.flatnonzero(new)
+    lengths = np.diff(np.append(starts, k.size))
+    run_n, run_p = n[starts], p[starts]
+    # per run: the PMF at k = 0 and at k = n, and log n
+    terms = [(math.exp(nn * math.log1p(-pp)), math.exp(nn * math.log1p(-(1.0 - pp))),
+              math.log(nn)) if 0.0 < pp < 1.0 else (float(pp == 0.0), float(pp == 1.0), 0.0)
+             for nn, pp in zip(run_n.tolist(), run_p.tolist())]
+    at_0, at_n, log_n = (np.repeat(column, lengths) for column in zip(*terms))
+    out[k == 0] = at_0[k == 0]
+    out[k == n] = at_n[k == n]
+    inner = (k > 0) & (k < n) & np.repeat((run_p > 0.0) & (run_p < 1.0), lengths)
+    if inner.any():
+        x, nn, pp = k[inner], n[inner], p[inner]
+        lc = (np.repeat(_stirlerr(run_n), lengths)[inner] - _stirlerr(x) - _stirlerr(nn - x)
+              - _bd0(x, nn * pp) - _bd0(nn - x, nn * (1.0 - pp)))
+        out[inner] = np.exp(lc - 0.5 * (_LN_2PI + np.log(x) + np.log(nn - x) - log_n[inner]))
     return out
 
 
-def _binom_window(n: int, prob: float) -> tuple[int, np.ndarray]:
-    """Binomial(n, prob) PMF on the window of values where it is >= 1e-300.
+# Entries per evaluation pass over the binomial windows: bounds the
+# evaluator's temporaries (a few dozen float arrays of this length) whatever
+# the census size, while keeping numpy's per-call cost small.
+_PASS_ENTRIES = 8_192
+# A binomial PMF entry is at most exp(stirlerr(n) - n KL(k / n || p)), with
+# stirlerr(n) < 0.082, so outside n KL <= ln(1e300) + 1 it is below 1e-300.
+_WINDOW_LOG = -math.log(_PMF_FLOOR) + 1.0
 
-    Starts from mean +/- (40 sd + 40), clipped to [0, n].  The PMF is
-    unimodal and that range straddles the mode, so an edge entry still at or
-    above the floor means the window is too narrow there: that edge moves
-    out by the current width and the PMF is evaluated again.  Sub-floor
-    entries at either edge are then cut, since ``DiscreteDistribution``
-    would zero them anyway.
+
+def _first_windows(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First window [lo, hi] of each Binomial(n, p): the values k with
+    n KL(k / n || p) <= ``_WINDOW_LOG`` and the next value out on each side,
+    within [0, n], bisected for all blocks at once.  For p in {0, 1} the
+    point mass and the value next to it."""
+    lo = np.where(p < 1.0, 0, n - 1)
+    hi = np.where(p > 0.0, n, 1)
+    live = (p > 0.0) & (p < 1.0)
+    if live.any():
+        trials = n[live].astype(float)
+        nn, pp = np.tile(trials, 2), np.tile(p[live], 2)
+        log_mean, log_nq = np.log(nn * pp), np.log(nn * (1.0 - pp))
+        inside = nn * pp  # KL is 0 there and grows away from it on each side
+        outside = np.concatenate([np.zeros_like(trials), trials])
+        while (wide := np.flatnonzero(np.abs(outside - inside) > 1.0)).size:
+            mid = 0.5 * (inside[wide] + outside[wide])
+            rest = nn[wide] - mid
+            within = (mid * (np.log(mid) - log_mean[wide])
+                      + rest * (np.log(rest) - log_nq[wide])) <= _WINDOW_LOG
+            inside[wide[within]] = mid[within]
+            outside[wide[~within]] = mid[~within]
+        below, above = np.split(outside, 2)
+        lo[live], hi[live] = np.floor(below), np.ceil(above)
+    return np.maximum(lo, 0), np.minimum(hi, n)
+
+
+def _binom_windows(blocks: Sequence[TrialGroup]) -> list[tuple[int, np.ndarray]]:
+    """Binomial(count, success_prob) PMF of each block (count >= 1) on the
+    window of values where it is >= 1e-300, as (first value, PMF) pairs.
+
+    The first windows come from the Chernoff bound (``_first_windows``), and
+    all of them are evaluated together, in passes of at most
+    ``_PASS_ENTRIES`` entries.  The PMF is unimodal and each window straddles
+    the mode, so an edge entry still at or above the floor would mean the
+    window is too narrow there: that edge moves out by the window's width
+    and the windows are evaluated again.  Sub-floor entries at either edge
+    are then cut, since ``DiscreteDistribution`` would zero them anyway.
     """
-    mean = n * prob
-    half = 40.0 * (mean * (1.0 - prob)) ** 0.5 + 40.0
-    lo = max(0, int(mean - half))
-    hi = min(n, int(mean + half) + 1)
+    if not blocks:
+        return []
+    n = np.array([g.count for g in blocks], dtype=np.int64)
+    p = np.array([g.success_prob for g in blocks])
+    lo, hi = _first_windows(n, p)
     while True:
-        block = _binom_pmf(np.arange(lo, hi + 1), n, prob)
-        grow_lo = lo > 0 and block[0] >= _PMF_FLOOR
-        grow_hi = hi < n and block[-1] >= _PMF_FLOOR
-        if not (grow_lo or grow_hi):
+        size = hi - lo + 1
+        end = np.cumsum(size)
+        start = end - size
+        pmf = np.empty(int(end[-1]))
+        for first in range(0, len(pmf), _PASS_ENTRIES):
+            at = np.arange(first, min(first + _PASS_ENTRIES, len(pmf)))
+            b = np.searchsorted(end, at, side="right")
+            pmf[at] = _binom_pmf(lo[b] + (at - start[b]), n[b], p[b])
+        grow_lo = (lo > 0) & (pmf[start] >= _PMF_FLOOR)
+        grow_hi = (hi < n) & (pmf[end - 1] >= _PMF_FLOOR)
+        if not (grow_lo | grow_hi).any():
             break
-        width = hi - lo + 1
-        if grow_lo:
-            lo = max(0, lo - width)
-        if grow_hi:
-            hi = min(n, hi + width)
-    kept = np.flatnonzero(block >= _PMF_FLOOR)  # never empty: holds the mode
-    return lo + int(kept[0]), block[kept[0]:kept[-1] + 1]
+        lo = np.where(grow_lo, np.maximum(0, lo - size), lo)
+        hi = np.where(grow_hi, np.minimum(n, hi + size), hi)
+    at = np.arange(len(pmf))
+    kept = pmf >= _PMF_FLOOR  # each window keeps at least its mode
+    first = np.minimum.reduceat(np.where(kept, at, len(pmf)), start)
+    last = np.maximum.reduceat(np.where(kept, at, -1), start)
+    return [(w + f - s, pmf[f:t + 1]) for w, s, f, t in
+            zip(lo.tolist(), start.tolist(), first.tolist(), last.tolist())]
+
+
+def _convolved(windows: Iterable[tuple[int, np.ndarray]]) -> DiscreteDistribution:
+    """The distribution of a sum of independent blocks given by their
+    (first value, PMF) windows: their sequential direct convolution; no
+    windows is a point mass at 0."""
+    support_min = 0
+    pmf = np.array([1.0])
+    for lo, block in windows:
+        support_min += lo
+        pmf = np.convolve(pmf, block)
+    return DiscreteDistribution(support_min, pmf)
 
 
 def pb_pmf(groups: Sequence[TrialGroup] | Iterable[TrialGroup]) -> DiscreteDistribution:
@@ -294,15 +379,7 @@ def pb_pmf(groups: Sequence[TrialGroup] | Iterable[TrialGroup]) -> DiscreteDistr
     Sequential convolution of the groups' binomial PMFs, each restricted to
     the window where it is >= 1e-300; an empty input is a point mass at 0.
     """
-    support_min = 0
-    pmf = np.array([1.0])
-    for g in groups:
-        if g.count == 0:
-            continue
-        lo, block = _binom_window(g.count, g.success_prob)
-        support_min += lo
-        pmf = np.convolve(pmf, block)
-    return DiscreteDistribution(support_min, pmf)
+    return _convolved(_binom_windows([g for g in groups if g.count > 0]))
 
 
 def _difference_tails(pos: DiscreteDistribution, neg: DiscreteDistribution):
@@ -469,10 +546,13 @@ def _run_task(task: tuple[_Plan, range | None]):
     if chunks is not None:
         return _tail_counts(plan.model, plan.weights, plan.observed, plan.config.seed,
                             plan.config.trials, chunks)
+    sides = [_side_blocks(plan.model, w, sign) for w in plan.weights for sign in (1, -1)]
+    windows = iter(_binom_windows([g for blocks in sides for g in blocks]))
     tails = []
-    for w, v, (_, deviation) in zip(plan.weights, plan.observed.tolist(), plan.means):
-        tail_ge, tail_le = _difference_tails(pb_pmf(_side_blocks(plan.model, w, 1)),
-                                             pb_pmf(_side_blocks(plan.model, w, -1)))
+    for v, (_, deviation), pos, neg in zip(plan.observed.tolist(), plan.means,
+                                           sides[::2], sides[1::2]):
+        tail_ge, tail_le = _difference_tails(_convolved(islice(windows, len(pos))),
+                                             _convolved(islice(windows, len(neg))))
         tails.append(tail_ge(v) if deviation > 0 else tail_le(v) if deviation < 0 else 1.0)
     return tails
 

@@ -123,13 +123,14 @@ def _is_missing(token: str) -> bool:
     return token.strip().lower() in _MISSING_TOKENS
 
 
-def _parse_bit(token: str, line_no: int, column: str) -> int:
+def _parse_bit(token: str, line_no: int, column: str, path: Path) -> int:
     value = token.strip()
     if value == "0":
         return 0
     if value == "1":
         return 1
-    raise InputError(f"line {line_no}: column {column!r} must be 0 or 1, got {token!r}")
+    raise InputError(f"{path}: line {line_no}: column {column!r} must be 0 or 1, "
+                     f"got {token!r}")
 
 
 class _ItemIndex(dict):
@@ -172,7 +173,7 @@ def _check_row(row: list[str], line_no: int, path: Path, cols: list[int],
         return -1
     code = 0
     for name, value in zip(_DYAD_COLUMNS[2:8], bit_cells):
-        code = code << 1 | _parse_bit(value, line_no, name)
+        code = code << 1 | _parse_bit(value, line_no, name, path)
     ego = row[cols[0]].strip()
     if ego == row[cols[1]].strip():
         raise InputError(f"{path}: line {line_no}: self-dyad not allowed: "
@@ -316,15 +317,15 @@ def parse_node_csv(path, items: Sequence[str] | None = None,
                                  f"{len(header)} fields, got {len(row)}")
             part_cell = row[idx["participation"]]
             participation = (None if _is_missing(part_cell)
-                             else _parse_bit(part_cell, line_no, "participation"))
+                             else _parse_bit(part_cell, line_no, "participation", path))
             bits: dict[str, tuple[int, int] | None] = {}
             for item in use_items:
                 before, after = row[idx[f"{item}_before"]], row[idx[f"{item}_after"]]
                 if _is_missing(before) or _is_missing(after):
                     bits[item] = None
                 else:
-                    bits[item] = (_parse_bit(before, line_no, f"{item}_before"),
-                                  _parse_bit(after, line_no, f"{item}_after"))
+                    bits[item] = (_parse_bit(before, line_no, f"{item}_before", path),
+                                  _parse_bit(after, line_no, f"{item}_after", path))
             rows.append(NodeSurveyRow(row[idx["node_id"]].strip(), participation, bits))
     return rows, use_items
 
@@ -466,7 +467,7 @@ def parse_table64(path, probabilities: bool = False, scale: int = 100,
             if idx[column] >= len(row):
                 raise InputError(f"{path}: line {line_no}: column {column!r} is "
                                  f"missing (got {len(row)} fields)")
-        bits = [_parse_bit(row[idx[b]], line_no, b) for b in bit_columns]
+        bits = [_parse_bit(row[idx[b]], line_no, b, path) for b in bit_columns]
         first = sum(bit << (5 - i) for i, bit in enumerate(bits))
         for code, column in enumerate(value_columns, start=first):
             if filled[code]:

@@ -3,9 +3,11 @@
 Everything here is written directly from first principles (loops over all
 64 cells, literal subset enumeration, exact rational arithmetic over all
 joint multinomial outcomes) and deliberately shares no code with the
-package under test beyond the documented bit order.  The dyad CSV reference
-builds the package's ``DyadRecord`` and raises its ``InputError``, so that
-records and error messages compare directly.
+package under test beyond the documented bit order.  The binomial window
+reference takes the package's binomial PMF, since what it checks is the
+window around it.  The dyad CSV reference builds the package's
+``DyadRecord`` and raises its ``InputError``, so that records and error
+messages compare directly.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from scipy.stats import binom
 
 from dyadeval import DyadRecord, InputError
+from dyadeval.inference import _binom_pmf
 
 
 def cell_code(x, y, p, q, r, s) -> int:
@@ -150,6 +153,33 @@ def difference_distribution(pos, neg) -> tuple[int, np.ndarray]:
     reversed, which the exact engine's dot-product tails avoid."""
     pmf = np.convolve(pos.pmf, neg.pmf[::-1])
     return pos.support_min - (neg.support_min + len(neg.pmf) - 1), pmf
+
+
+def binom_window_by_growth(n: int, prob: float) -> tuple[int, np.ndarray]:
+    """(first value, PMF) of Binomial(n, prob) on the window where it is
+    >= 1e-300, by the per-block growth loop the exact engine used before its
+    windows were batched: start from mean +/- (40 sd + 40), clipped to
+    [0, n]; while an edge entry is still at or above the floor, move that
+    edge out by the current width and evaluate again; then cut sub-floor
+    entries at either edge.  It takes the package's binomial PMF, so the
+    windows it finds compare bit for bit with the batched evaluator's."""
+    mean = n * prob
+    half = 40.0 * (mean * (1.0 - prob)) ** 0.5 + 40.0
+    lo = max(0, int(mean - half))
+    hi = min(n, int(mean + half) + 1)
+    while True:
+        block = _binom_pmf(np.arange(lo, hi + 1), n, prob)
+        grow_lo = lo > 0 and block[0] >= 1e-300
+        grow_hi = hi < n and block[-1] >= 1e-300
+        if not (grow_lo or grow_hi):
+            break
+        width = hi - lo + 1
+        if grow_lo:
+            lo = max(0, lo - width)
+        if grow_hi:
+            hi = min(n, hi + width)
+    kept = np.flatnonzero(block >= 1e-300)
+    return lo + int(kept[0]), block[kept[0]:kept[-1] + 1]
 
 
 def distribution_mean(support_min: int, pmf) -> float:
@@ -306,13 +336,14 @@ def _is_missing(token: str) -> bool:
     return token.strip().lower() in _MISSING_TOKENS
 
 
-def _parse_bit(token: str, line_no: int, column: str) -> int:
+def _parse_bit(token: str, line_no: int, column: str, path: Path) -> int:
     value = token.strip()
     if value == "0":
         return 0
     if value == "1":
         return 1
-    raise InputError(f"line {line_no}: column {column!r} must be 0 or 1, got {token!r}")
+    raise InputError(f"{path}: line {line_no}: column {column!r} must be 0 or 1, "
+                     f"got {token!r}")
 
 
 def parse_dyad_csv_by_rows(path, delimiter: str = ","
@@ -347,7 +378,7 @@ def parse_dyad_csv_by_rows(path, delimiter: str = ","
             if any(_is_missing(v) for v in bit_cells.values()):
                 drops.append((line_no, item if not _is_missing(item) else None))
                 continue
-            bits = {name: _parse_bit(value, line_no, name)
+            bits = {name: _parse_bit(value, line_no, name, path)
                     for name, value in bit_cells.items()}
             try:
                 records.append(DyadRecord(

@@ -369,6 +369,31 @@ def test_evaluate_node_edges_inputs(tmp_path, capsys):
     assert payload["items"][0]["dyads_used"] == 4
 
 
+@pytest.mark.parametrize("reader", ["dyads", "nodes", "table"])
+def test_bad_bit_error_names_the_file(tmp_path, capsys, reader):
+    # a bit token other than 0/1 (or a missing-value token) at line 3
+    if reader == "dyads":
+        path = tmp_path / "d.csv"
+        path.write_text(DYAD_HEADER + "\nu,v,1,0,1,1,0,1,q1\nu,v,1,0,2,1,0,1,q1\n")
+        argv, column = ["evaluate", "--dyads", str(path)], "ego_b0"
+    elif reader == "nodes":
+        path = tmp_path / "n.csv"
+        path.write_text("node_id,participation,q1_before,q1_after\na,1,1,0\nb,0,2,1\n")
+        edges = tmp_path / "e.txt"
+        edges.write_text("a,b\n")
+        argv, column = ["evaluate", "--nodes", str(path), "--edges", str(edges)], "q1_before"
+    else:
+        path = tmp_path / "t.csv"
+        path.write_text(uniform_table(tmp_path).read_text().replace("\n0,0,0,1,", "\n0,0,0,x,"))
+        argv, column = ["table", "--table", str(path), "--probabilities"], "q"
+    out = tmp_path / "r.json"
+    assert main(argv + ["--method", "exact", "--out-json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 3: column {column!r} must be 0 or 1")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unwritable_output_is_input_error(tmp_path, capsys):
     dyads = frozen_dyads(tmp_path)
     code = main(["evaluate", "--dyads", str(dyads), "--method", "exact",

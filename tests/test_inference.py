@@ -10,12 +10,14 @@ from dyadeval import (DiscreteDistribution, DyadTable, InferenceConfig,
                       TrialGroup, bootstrap_test, evaluate, exact_test, fit,
                       method_disagreement, pb_pmf, run_all, simulate_dyad_table)
 from dyadeval import MeasureSpec, NullModel, SimParams, sample
-from dyadeval.inference import (_CHUNK_TRIALS, _STIRLERR, _binom_pmf, _binom_window,
-                                _difference_tails, _stirlerr)
+from dyadeval import inference
+from dyadeval.inference import (_CHUNK_TRIALS, _PASS_ENTRIES, _STIRLERR, _binom_pmf,
+                                _binom_windows, _difference_tails, _side_blocks,
+                                _stirlerr)
 from dyadeval.null_model import _sample_group_outcomes
 from dyadeval.measures import spec_for
 
-from oracles import (cell_code, difference_distribution,
+from oracles import (binom_window_by_growth, cell_code, difference_distribution,
                      difference_pmf_by_double_loop, distribution_mean,
                      enumeration_cost, exact_test_by_full_convolution,
                      measure_cells_by_formula, measure_values_by_formula,
@@ -115,13 +117,92 @@ def test_binom_pmf_matches_scipy(prob):
     rng = np.random.default_rng(606)
     drawn = np.exp(rng.uniform(np.log(3), np.log(3_000_000), size=12)).astype(int)
     for n in sorted({1, 2, 15, 16, 3_000_000, *drawn.tolist()}):
-        lo, block = _binom_window(n, prob)
+        [(lo, block)] = _binom_windows([TrialGroup(n, prob)])
         k = np.unique(np.concatenate([np.arange(lo, lo + len(block)), [0, 1, n - 1, n],
                                       rng.integers(0, n + 1, size=200)]))
         ours, ref = _binom_pmf(k, n, prob), binom.pmf(k, n, prob)
         big = ref >= 1e-280
         assert np.all(np.abs(ours[big] - ref[big]) <= 1e-10 * ref[big]), n
         assert np.all(np.abs(ours[~big] - ref[~big]) <= 1e-280), n
+
+
+def window_grid_blocks(seed):
+    rng = np.random.default_rng(seed)
+    drawn = np.exp(rng.uniform(np.log(3), np.log(3_000_000), size=6)).astype(int)
+    return [TrialGroup(n, prob)
+            for n in (1, 2, 15, 16, 3_000_000, *drawn.tolist())
+            for prob in (0.0, 1e-4, 0.0999, 0.37, 0.9999, 1.0, float(rng.uniform()))]
+
+
+@pytest.mark.parametrize("pass_entries", [_PASS_ENTRIES, 97])
+def test_binom_windows_match_growth_oracle(monkeypatch, pass_entries):
+    # whole grid lists, shuffled, cut short and one block at a time: every
+    # window has the oracle's first value and bit-identical entries, also
+    # for blocks that straddle a pass boundary
+    monkeypatch.setattr(inference, "_PASS_ENTRIES", pass_entries)
+    rng = np.random.default_rng(707)
+    blocks = window_grid_blocks(708)
+    expected = {g: binom_window_by_growth(g.count, g.success_prob) for g in blocks}
+    straddled = 0
+    for order in (blocks, list(rng.permutation(blocks)), blocks[:9], *([g] for g in blocks[::5])):
+        windows = _binom_windows(order)
+        assert len(windows) == len(order)
+        for g, (lo, block) in zip(order, windows):
+            assert lo == expected[g][0], g
+            assert np.array_equal(block, expected[g][1]), g
+        lo, hi = inference._first_windows(np.array([g.count for g in order]),
+                                          np.array([g.success_prob for g in order]))
+        end = np.cumsum(hi - lo + 1)
+        straddled += int(np.sum((end - 1) // pass_entries > (end - (hi - lo + 1)) // pass_entries))
+    assert straddled > 10
+
+
+def test_exact_tails_match_growth_oracle_bit_for_bit():
+    # run_all's exact tails equal tails built from the per-block windows of
+    # the oracle, convolved side by side in the engine's order
+    for seed in range(50):
+        table = simulate_dyad_table(SimParams(seed=seed), node_count=60 + 20 * seed)
+        model = fit(table)
+        for res in run_all(table, InferenceConfig(method="exact")):
+            weights = spec_for(res.measure).weights
+            sides = []
+            for sign in (1, -1):
+                support_min, pmf = 0, np.array([1.0])
+                for g in _side_blocks(model, weights, sign):
+                    lo, block = binom_window_by_growth(g.count, g.success_prob)
+                    support_min += lo
+                    pmf = np.convolve(pmf, block)
+                sides.append(DiscreteDistribution(support_min, pmf))
+            tail_ge, tail_le = _difference_tails(*sides)
+            tail = {"positive": tail_ge, "negative": tail_le,
+                    "none": lambda v: 1.0}[res.direction](res.observed)
+            assert res.p_value == tail, (seed, res.measure)
+
+
+def test_exact_task_work_is_bounded(monkeypatch):
+    # one exact task on a ~5k-dyad table, 8 measures: no evaluation pass
+    # exceeds the cap, and no window is evaluated twice
+    passes, kept, counts = [], [], []
+    full_pmf, full_windows = _binom_pmf, _binom_windows
+
+    def counted_pmf(k, n, p):
+        passes.append(len(k))
+        return full_pmf(k, n, p)
+
+    def counted_windows(blocks):
+        windows = full_windows(blocks)
+        kept.extend(len(block) for _, block in windows)
+        counts.extend(g.count for g in blocks)
+        return windows
+
+    monkeypatch.setattr(inference, "_binom_pmf", counted_pmf)
+    monkeypatch.setattr(inference, "_binom_windows", counted_windows)
+    table = simulate_dyad_table(SimParams(seed=3), node_count=900)
+    assert 4_000 <= table.total <= 6_000
+    run_all(table, InferenceConfig(method="exact"))
+    assert len(passes) > 1 and max(passes) <= _PASS_ENTRIES
+    assert sum(kept) < sum(counts) + len(counts)  # windows are trimmed
+    assert sum(passes) <= sum(kept) + 4 * len(kept)
 
 
 def test_binom_pmf_point_masses():

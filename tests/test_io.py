@@ -194,7 +194,7 @@ def test_block_reader_raises_row_error_before_later_read_error(tmp_path):
         path.write_bytes((head + body).encode() + tail)
         with pytest.raises(InputError) as exc:
             parse_dyad_csv(path)
-        assert str(exc.value) == "line 3: column 'ego_b0' must be 0 or 1, got '7'"
+        assert str(exc.value) == f"{path}: line 3: column 'ego_b0' must be 0 or 1, got '7'"
 
 
 def test_dyad_tally_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
