@@ -141,8 +141,8 @@ def _load_config_file(path: str) -> dict:
     cfg_path = Path(path)
     if not cfg_path.exists():
         raise InputError(f"no such config file: {path}")
-    with _open_text(cfg_path) as handle:
-        text = handle.read()
+    with _open_text(cfg_path) as lines:
+        text = "".join(lines)
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -185,8 +185,8 @@ def _read_items_file(path: str, delimiter: str) -> tuple[tuple[str, str], ...]:
     items_path = Path(path)
     if not items_path.exists():
         raise InputError(f"no such items file: {path}")
-    with _open_text(items_path) as handle:
-        text = handle.read()
+    with _open_text(items_path) as lines:
+        text = "".join(lines)
     items = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.strip().startswith("#"):

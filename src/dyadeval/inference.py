@@ -390,23 +390,43 @@ def _difference_tails(pos: DiscreteDistribution, neg: DiscreteDistribution):
             lambda v: float(neg.pmf @ pos.tail_le(v + neg.support())))
 
 
-def _side_blocks(model: NullModel, weights: np.ndarray, sign: int) -> list[TrialGroup]:
-    """The binomial blocks of the side of a weight row whose cells carry
-    ``sign``, read off ``weights.reshape(2, 2, 2, 2, 4)`` by (x, y, p, q)
-    group and (r, s) outcome column.
+# The 15 non-empty sets of (r, s) outcome columns, in the order of their
+# ascending column tuples: (0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 3), ...
+_COLUMN_SETS = sorted(tuple(c for c in range(4) if m >> c & 1) for m in range(1, 16))
+_SET_COLUMNS = np.array([[c in cols for c in range(4)] for cols in _COLUMN_SETS])
+_SET_RANK = np.zeros(16, np.intp)  # column bit mask (column c is bit c) -> rank
+_SET_RANK[[sum(1 << c for c in cols) for cols in _COLUMN_SETS]] = np.arange(15)
+
+
+def _side_blocks(model: NullModel, weights: np.ndarray) -> list[list[TrialGroup]]:
+    """The binomial blocks of each side of each of the (k, 64) weight rows,
+    in the order row 0's positive side, its negative side, row 1's positive
+    side, and so on.  A side's cells are read off ``weights[i].reshape(2,
+    2, 2, 2, 4)`` by (x, y, p, q) group and (r, s) outcome column.
 
     A group's success probability depends only on its (p, q) row and its
     outcome columns, so groups sharing both add up to one binomial of their
-    summed mass (exact in distribution).  Blocks come in (p, q, columns)
-    order, each probability summed over its columns in ascending order.
+    summed mass (exact in distribution).  A side's blocks come in (p, q,
+    columns) order, each probability summed over its columns in ascending
+    order.  A block on an undefined row raises ``UndefinedRowError``.
     """
-    side = weights.reshape(2, 2, 2, 2, 4) == sign
-    masses: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for x, y, p, q in np.argwhere(side.any(axis=-1) & (model.masses > 0)):
-        key = (int(p), int(q), tuple(np.flatnonzero(side[x, y, p, q]).tolist()))
-        masses[key] = masses.get(key, 0) + int(model.masses[x, y, p, q])
-    return [TrialGroup(mass, float(sum(model.require_row(p, q).ravel()[c] for c in cols)))
-            for (p, q, cols), mass in sorted(masses.items())]
+    on_side = weights.reshape(-1, 1, 16, 4) == np.array([1, -1])[:, None, None]
+    columns = (on_side @ (1 << np.arange(4))).reshape(-1, 16)  # column bit mask by side, group
+    masses = model.masses.ravel()
+    side, group = np.nonzero((columns > 0) & (masses > 0))
+    mass = np.zeros(len(columns) * 60, np.int64)  # by side, (p, q) row, column set
+    np.add.at(mass, side * 60 + (group & 3) * 15 + _SET_RANK[columns[side, group]],
+              masses[group])
+    keys = np.flatnonzero(mass)
+    side, rows, sets = keys // 60, keys // 15 % 4, keys % 15
+    undefined = rows[~model.row_defined.ravel()[rows]]
+    if undefined.size:
+        model.require_row(*divmod(int(undefined[0]), 2))
+    terms = np.where(_SET_COLUMNS[sets], model.p0.reshape(4, 4)[rows], 0.0)
+    probs = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
+    blocks = [TrialGroup(m, p) for m, p in zip(mass[keys].tolist(), probs.tolist())]
+    cuts = np.searchsorted(side, np.arange(len(columns) + 1)).tolist()
+    return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 _MEAN_TIE_TOL = 1e-9
@@ -428,8 +448,9 @@ def _null_mean(model: NullModel, weights: np.ndarray, observed: int) -> tuple[fl
                          for g in zip(*np.nonzero(signed))),
                         Fraction(0))
         return float(mean_frac), (observed > mean_frac) - (observed < mean_frac)
-    null_mean = (sum(g.count * g.success_prob for g in _side_blocks(model, weights, 1))
-                 - sum(g.count * g.success_prob for g in _side_blocks(model, weights, -1)))
+    pos, neg = _side_blocks(model, weights)
+    null_mean = (sum(g.count * g.success_prob for g in pos)
+                 - sum(g.count * g.success_prob for g in neg))
     if abs(observed - null_mean) <= _MEAN_TIE_TOL * max(1.0, abs(null_mean)):
         return null_mean, 0
     return null_mean, 1 if observed > null_mean else -1
@@ -546,7 +567,7 @@ def _run_task(task: tuple[_Plan, range | None]):
     if chunks is not None:
         return _tail_counts(plan.model, plan.weights, plan.observed, plan.config.seed,
                             plan.config.trials, chunks)
-    sides = [_side_blocks(plan.model, w, sign) for w in plan.weights for sign in (1, -1)]
+    sides = _side_blocks(plan.model, plan.weights)
     windows = iter(_binom_windows([g for blocks in sides for g in blocks]))
     tails = []
     for v, (_, deviation), pos, neg in zip(plan.observed.tolist(), plan.means,

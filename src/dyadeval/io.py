@@ -8,7 +8,11 @@ dyad CSV      header ego_id, alter_id, ego_part, alter_part, ego_b0,
               non-binary value is a hard error naming row and column.
               Repeated (ego, alter, item) rows are tallied as given, once
               per row: detecting them would need a key set as large as the
-              file, and the file is streamed in blocks of rows.
+              file, and the file is streamed in blocks.  ``evaluate_items``
+              reads it as bytes and tallies each plain block (ASCII, no
+              quote, CR or NUL, no over-long line) in numpy; from the first
+              block that is not plain on, csv reads the rest, as it reads
+              the whole file for ``parse_dyad_csv``.
 
 node CSV      header node_id, participation, then <item>_before and
               <item>_after column pairs; empty/NA cells mark that item
@@ -25,7 +29,9 @@ edge list     two identifier columns; lines starting with '#' and blank
 
 Missing data policy is listwise deletion per dyad per item, always with a
 drop count in the report.  Files are read as UTF-8; an undecodable byte or
-a field over csv's size limit is an InputError naming the file and line.
+a field over csv's size limit is an InputError naming the file and line,
+raised when that line is reached, so a bad row before it is reported
+first.  A row is numbered by the physical line it starts on.
 
 Batch evaluation builds each item's table here and hands the items to
 ``inference.run_items``, which plans and splits their runs; this module
@@ -39,10 +45,11 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from io import TextIOWrapper
 from itertools import compress, islice, repeat
 from operator import eq, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,8 +80,15 @@ _MISSING_TOKENS = {"", "na", "nan", "none", "null", "."}
 _DYAD_COLUMNS = ("ego_id", "alter_id", "ego_part", "alter_part",
                  "ego_b0", "alter_b0", "ego_b1", "alter_b1", "item_id")
 
-# Rows of a dyad CSV held in memory at once.
+# Rows of a dyad CSV held in memory at once on its csv path.
 _BLOCK_ROWS = 65_536
+
+# Bytes of a dyad CSV tallied at once on its byte path.
+_BLOCK_BYTES = 1 << 18
+
+# Longest id or item, in bytes, that the byte path compares and packs in
+# numpy; a row with a longer one goes through the row rules.
+_SPAN_BYTES = 64
 
 _CELLS = [CellIndex.from_code(code) for code in range(64)]
 
@@ -83,17 +97,29 @@ _CELL_CODES = {tuple(str(bit) for bit in cell): cell.code for cell in _CELLS}
 
 
 @contextmanager
-def _open_text(path: Path) -> Iterator[TextIO]:
-    """``path`` opened as UTF-8 text, newlines left to csv.  An undecodable
-    byte met inside the block is an InputError naming the path and line."""
+def _open_text(path: Path, start: int = 0) -> Iterator[Iterator[str]]:
+    """The lines of ``path`` from byte ``start`` on, decoded as UTF-8 with
+    newlines left to csv.  A line holding an undecodable byte is an
+    InputError naming the path and its line, raised when that line is
+    reached, so that the lines before it are read first."""
     if not path.exists():
         raise InputError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open("rb") as raw:
+        raw.seek(start)
+        handle = TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline="")
         try:
-            yield handle
-        except UnicodeDecodeError:
+            yield map(_utf8, handle)
+        except UnicodeEncodeError:
             raise InputError(f"{path}: line {_undecodable_line(path)}: "
                              "not UTF-8 text") from None
+
+
+def _utf8(line: str) -> str:
+    """``line``, if it came from valid UTF-8: an undecodable byte read with
+    ``surrogateescape`` is a lone surrogate, which cannot be encoded."""
+    if not line.isascii():
+        line.encode("utf-8")
+    return line
 
 
 def _undecodable_line(path: Path) -> int:
@@ -108,15 +134,17 @@ def _undecodable_line(path: Path) -> int:
 
 
 @contextmanager
-def _open_csv(path: Path, delimiter: str) -> Iterator[Iterator[list[str]]]:
-    """A csv reader over ``path``; a csv error met inside the block (such as
-    a field over csv's size limit) is an InputError naming the path and line."""
-    with _open_text(path) as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+def _open_csv(path: Path, delimiter: str, start: int = 0, line_no: int = 1
+              ) -> Iterator[Iterator[list[str]]]:
+    """A csv reader over ``path`` from byte ``start`` on, which is the start
+    of line ``line_no``; a csv error met inside the block (such as a field
+    over csv's size limit) is an InputError naming the path and line."""
+    with _open_text(path, start) as lines:
+        reader = csv.reader(lines, delimiter=delimiter)
         try:
             yield reader
         except csv.Error as exc:
-            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+            raise InputError(f"{path}: line {line_no - 1 + reader.line_num}: {exc}") from None
 
 
 def _is_missing(token: str) -> bool:
@@ -181,37 +209,47 @@ def _check_row(row: list[str], line_no: int, path: Path, cols: list[int],
     return code
 
 
-def _read_dyad_blocks(path: Path, delimiter: str, items: _ItemIndex
-                      ) -> Iterator[_DyadBlock]:
-    """Stream a dyad CSV in blocks of ``_BLOCK_ROWS`` rows.
+def _dyad_layout(header: list[str] | None, path: Path) -> tuple[list[int], int]:
+    """The index of each of ``_DYAD_COLUMNS`` in a dyad CSV's header row,
+    and the header's width."""
+    if header is None:
+        raise InputError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in header]
+    missing_cols = [c for c in _DYAD_COLUMNS if c not in header]
+    if missing_cols:
+        raise InputError(f"{path}: header lacks columns {missing_cols}")
+    return [header.index(name) for name in _DYAD_COLUMNS], len(header)
+
+
+def _read_dyad_blocks(path: Path, delimiter: str, items: _ItemIndex,
+                      layout: tuple[list[int], int] | None = None,
+                      start: int = 0, line_no: int = 1) -> Iterator[_DyadBlock]:
+    """Stream a dyad CSV through csv in blocks of ``_BLOCK_ROWS`` rows, from
+    byte ``start`` on, which begins line ``line_no``.  The header is read
+    there unless its ``layout`` is given.
 
     A row whose six bits are exact "0"/"1" tokens and whose stripped ids
     differ is kept through one dict lookup; every other row goes through
-    ``_check_row`` in file order, so the first bad row raises the error the
-    row rules give it.  Item ids are registered in ``items`` as met, also
-    for rows that are then dropped.
+    ``_check_row`` in file order, numbered by the physical line it starts
+    on, so the first bad row raises the error the row rules give it.  Item
+    ids are registered in ``items`` as met, also for rows that are then
+    dropped.
     """
-    with _open_csv(path, delimiter) as reader:
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: empty file, expected a header row")
-        header = [h.strip() for h in header]
-        missing_cols = [c for c in _DYAD_COLUMNS if c not in header]
-        if missing_cols:
-            raise InputError(f"{path}: header lacks columns {missing_cols}")
-        cols = [header.index(name) for name in _DYAD_COLUMNS]
-        width = len(header)
+    with _open_csv(path, delimiter, start, line_no) as reader:
+        cols, width = layout or _dyad_layout(next(reader, None), path)
         bits_of = itemgetter(*cols[2:8])
         ego_of, alter_of, item_of = (itemgetter(c) for c in (cols[0], cols[1], cols[8]))
         filler = [""] * width  # stands in for a short row, which fails the lookup
-        line_no = 2
         while True:
             rows: list[list[str]] = []
+            ends: list[int] = []  # reader.line_num after each row: its last line
+            before = reader.line_num
             error: Exception | None = None
             try:
                 for row in islice(reader, _BLOCK_ROWS):
                     rows.append(row)
-            except (csv.Error, UnicodeDecodeError) as exc:
+                    ends.append(reader.line_num)
+            except (csv.Error, UnicodeEncodeError) as exc:
                 error = exc  # raised once the rows read before it are checked
             n = len(rows)
             short = np.fromiter(map(len, rows), np.intp, n) < width
@@ -226,7 +264,8 @@ def _read_dyad_blocks(path: Path, delimiter: str, items: _ItemIndex
             drops: list[tuple[int, str | None]] = []
             check = (code < 0) | np.fromiter(map(eq, ego, alter), bool, n)
             for i in np.flatnonzero(check).tolist():
-                code[i] = _check_row(rows[i], line_no + i, path, cols, width, drops)
+                first_line = line_no + (ends[i - 1] if i else before)
+                code[i] = _check_row(rows[i], first_line, path, cols, width, drops)
             kept = code >= 0
             keep = kept.tolist()
             yield _DyadBlock(code[kept], item[kept], list(compress(ego, keep)),
@@ -235,7 +274,6 @@ def _read_dyad_blocks(path: Path, delimiter: str, items: _ItemIndex
                 raise error
             if n < _BLOCK_ROWS:
                 return
-            line_no += n
 
 
 def parse_dyad_csv(path, delimiter: str = ",") -> tuple[list[DyadRecord], list[tuple[int, str | None]]]:
@@ -243,8 +281,8 @@ def parse_dyad_csv(path, delimiter: str = ",") -> tuple[list[DyadRecord], list[t
 
     Returns (records, drops) where drops lists (line number, item id or
     None) for rows excluded because of missing bits.  The file is read
-    through the block reader ``evaluate_items`` streams, so the row rules
-    are the same; the result holds one record per kept row.
+    through csv by the block reader ``evaluate_items`` falls back on, so
+    the row rules are the same; the result holds one record per kept row.
     """
     records: list[DyadRecord] = []
     drops: list[tuple[int, str | None]] = []
@@ -259,20 +297,158 @@ def parse_dyad_csv(path, delimiter: str = ",") -> tuple[list[DyadRecord], list[t
     return records, drops
 
 
+def _byte_blocks(handle, limit: int) -> Iterator[tuple[int, int, bytes]]:
+    """(first byte, first line number, block) over a binary file: each read
+    of ``_BLOCK_BYTES`` is cut after its last newline and the rest carried
+    into the next.  A carry over ``limit`` bytes with no newline is given
+    whole, so a carry never holds more than ``limit`` bytes and one read."""
+    start, line_no, carry = 0, 1, b""
+    while True:
+        chunk = handle.read(_BLOCK_BYTES)
+        data = carry + chunk
+        if not data:
+            return
+        cut = data.rfind(b"\n") + 1
+        if not chunk or (not cut and len(data) > limit):
+            cut = len(data)
+        if cut:
+            yield start, line_no, data[:cut]
+            start += cut
+            line_no += data.count(b"\n", 0, cut)
+        carry = data[cut:]
+
+
+def _plain_lines(block: bytes, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``block`` with a final newline as bytes, and the position of each
+    newline, if csv reads every line of it as the line split at the
+    delimiter: ASCII with no quote, CR or NUL, and no line longer than
+    ``limit``, csv's field size limit.  None if not."""
+    if not block.isascii() or b'"' in block or b"\r" in block or b"\0" in block:
+        return None
+    buf = np.frombuffer(block if block.endswith(b"\n") else block + b"\n", np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    if np.diff(ends, prepend=-1).max() > limit + 1:
+        return None
+    return buf, ends
+
+
+_BIT_VALUES = 1 << np.arange(5, -1, -1)
+
+
+def _plain_rows(buf: np.ndarray, ends: np.ndarray, line_no: int, path: Path,
+                delimiter: str, layout: tuple[list[int], int], items: _ItemIndex
+                ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str | None]]]:
+    """(cell code, item index) of the kept rows of a plain block, whose row
+    i ends at newline ``ends[i]`` and starts on line ``line_no + i``, and
+    the block's drops.
+
+    A fast row has ``width`` fields and no byte below 0x21 but the
+    delimiter; each of its bits is the byte 0 or 1, its ego and alter ids
+    differ, and no id or item is over ``_SPAN_BYTES``.  Fast rows are
+    tallied in numpy, their items through one ``np.unique``.  Every other
+    row is split at the delimiter, which is what csv makes of a plain line,
+    and goes through ``_check_row`` in file order.
+    """
+    cols, width = layout
+    delim = ord(delimiter)
+    starts = np.r_[0, ends[:-1] + 1]
+    delims = np.flatnonzero(buf == delim)
+    n_delims = np.diff(np.searchsorted(delims, ends), prepend=0)
+    fast = n_delims == width - 1
+    low = np.flatnonzero(buf < 0x21)
+    fast[np.searchsorted(ends, low[(buf[low] != 10) & (buf[low] != delim)])] = False
+    rows = np.flatnonzero(fast)
+    bounds = np.empty((rows.size, width + 1), np.intp)  # field j is bounds[j]+1 .. bounds[j+1]
+    bounds[:, 0] = starts[rows] - 1
+    bounds[:, 1:-1] = delims[np.repeat(fast, n_delims)].reshape(-1, width - 1)
+    bounds[:, -1] = ends[rows]
+    bit_cols = np.array(cols[2:8])
+    bits = buf[bounds[:, bit_cols] + 1] - 48  # uint8: a byte below "0" wraps above 1
+    ok = ((bounds[:, bit_cols + 1] - bounds[:, bit_cols] == 2) & (bits <= 1)).all(axis=1)
+    id_cols = np.array([cols[0], cols[1], cols[8]])  # ego, alter, item
+    lo, hi = bounds[:, id_cols] + 1, bounds[:, id_cols + 1]
+    ok &= (hi - lo).max(axis=1, initial=0) <= _SPAN_BYTES
+    rows, code, lo, hi = rows[ok], bits[ok] @ _BIT_VALUES, lo[ok], hi[ok]
+    span = max(8, int(np.max(hi - lo, initial=0)))  # 8 bytes: items sort as ints
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((buf, np.zeros(_SPAN_BYTES, np.uint8))), _SPAN_BYTES)
+    packed = windows[lo, :span]  # (row, field, byte), zero-padded below
+    packed[np.arange(span) >= (hi - lo)[..., None]] = 0
+    differ = (packed[:, 0] != packed[:, 1]).any(axis=1)  # else a self-dyad, left to the row rules
+    rows, code = rows[differ], code[differ]
+    keys = packed[differ, 2].view(np.uint64 if span == 8 else f"S{span}").ravel()
+    tokens, item = np.unique(keys, return_inverse=True)
+    tokens = tokens.view(f"S{span}").tolist()
+    item = np.array([items[token.decode()] for token in tokens], np.intp)[item]
+
+    slow = np.ones(ends.size, bool)
+    slow[rows] = False
+    codes: list[int] = []
+    indices: list[int] = []
+    drops: list[tuple[int, str | None]] = []
+    for i in np.flatnonzero(slow).tolist():
+        row = buf[starts[i]:ends[i]].tobytes().decode().split(delimiter)
+        cell = _check_row(row, line_no + i, path, cols, width, drops)
+        if cell >= 0:
+            codes.append(cell)
+            indices.append(items[row[cols[8]]])
+    return (np.concatenate([code, np.array(codes, np.intp)]),
+            np.concatenate([item, np.array(indices, np.intp)]), drops)
+
+
+def _tallied_blocks(path: Path, delimiter: str, items: _ItemIndex
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, str | None]]]]:
+    """(cell code, item index) of the kept rows of a dyad CSV, and its
+    drops, block by block.
+
+    The file is read as bytes in blocks of ``_BLOCK_BYTES``, each cut at its
+    last newline, and each plain block (see ``_plain_lines``) is tallied by
+    ``_plain_rows``, the header taken from the first block through csv.
+    From the first block that is not plain, or from the start with a
+    delimiter that is not plain ASCII, the rest goes through csv
+    (``_read_dyad_blocks``): the bytes before it hold no quote, so that
+    block starts a row.
+    """
+    if not path.exists():
+        raise InputError(f"no such file: {path}")
+    limit = csv.field_size_limit()
+    layout, start, line_no = None, 0, 1
+    if delimiter.isascii() and delimiter not in '"\r\n\0':
+        with path.open("rb") as handle:
+            for start, line_no, block in _byte_blocks(handle, limit):
+                plain = _plain_lines(block, limit)
+                if plain is None:
+                    break
+                buf, ends = plain
+                if layout is None:
+                    header = buf[:ends[0]].tobytes().decode()
+                    layout = _dyad_layout(next(csv.reader([header], delimiter=delimiter)), path)
+                    buf, ends, line_no = buf[ends[0] + 1:], ends[1:] - (ends[0] + 1), 2
+                if ends.size:
+                    yield _plain_rows(buf, ends, line_no, path, delimiter, layout, items)
+            else:
+                if layout is not None:  # all plain; csv names an empty file
+                    return
+    for block in _read_dyad_blocks(path, delimiter, items, layout, start, line_no):
+        yield block.code, block.item, block.drops
+
+
 def _tally_dyad_csv(path, delimiter: str
                     ) -> tuple[dict[str, np.ndarray], dict[str | None, int]]:
     """Per-item 64-cell counts of a dyad CSV, for items with at least one
     kept row, and per-item drop counts (None for a missing item id).
-    Memory is O(block + items): no per-row record is made."""
+    Memory is O(block + items): no per-row record is made, and a plain
+    block makes no Python object per row but for the rows the row rules
+    check one by one."""
     items = _ItemIndex()
     counts = np.zeros(0, dtype=np.int64)
     dropped: dict[str | None, int] = {}
-    for block in _read_dyad_blocks(Path(path), delimiter, items):
-        tally = np.bincount(block.item * 64 + block.code, minlength=64 * len(items.ids))
+    for code, item, drops in _tallied_blocks(Path(path), delimiter, items):
+        tally = np.bincount(item * 64 + code, minlength=64 * len(items.ids))
         tally[: counts.size] += counts
         counts = tally
-        for _, item in block.drops:
-            dropped[item] = dropped.get(item, 0) + 1
+        for _, item_id in drops:
+            dropped[item_id] = dropped.get(item_id, 0) + 1
     by_item = counts.reshape(-1, 64)
     return ({item: by_item[i] for item, i in items.ids.items() if by_item[i].any()},
             dropped)
@@ -340,8 +516,8 @@ def read_edge_list(path, delimiter: str = ",") -> list[tuple[str, str]]:
     _check_delimiter(delimiter)
     path = Path(path)
     edges: list[tuple[str, str]] = []
-    with _open_text(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
+    with _open_text(path) as lines:
+        for line_no, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -585,10 +761,10 @@ def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
     holds one chunk's null censuses at a time (16,384 x 64 int64 cell
     counts) plus running tail counts, whatever the trial count.
 
-    A dyad CSV is streamed: each block of rows is tallied into per-item
-    counts with one ``bincount`` and no per-row record, so ingestion holds
-    O(block + items) memory whatever the row count.  Its row rules are those
-    of ``parse_dyad_csv`` (same drops, same first error).
+    A dyad CSV is streamed: each block is tallied into per-item counts with
+    one ``bincount`` and no per-row record, so ingestion holds O(block +
+    items) memory whatever the row count.  Its row rules are those of
+    ``parse_dyad_csv`` (same drops, same first error).
     """
     if config.input_mode == "dyad_csv":
         if config.dyads_path is None:
@@ -724,8 +900,8 @@ def _csv_quote(text: str) -> str:
 def load_report_json(path) -> list[ItemReport]:
     """Re-parse a JSON report into ItemReports (inverse of emit_report)."""
     path = Path(path)
-    with _open_text(path) as handle:
-        text = handle.read()
+    with _open_text(path) as lines:
+        text = "".join(lines)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

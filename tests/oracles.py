@@ -7,14 +7,17 @@ package under test beyond the documented bit order.  The binomial window
 reference takes the package's binomial PMF, since what it checks is the
 window around it.  The dyad CSV reference builds the package's
 ``DyadRecord`` and raises its ``InputError``, so that records and error
-messages compare directly.
+messages compare directly; the side-block reference builds the package's
+``TrialGroup`` and raises through its ``NullModel.require_row``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +25,7 @@ import numpy as np
 from scipy.stats import binom
 
 from dyadeval import DyadRecord, InputError
-from dyadeval.inference import _binom_pmf
+from dyadeval.inference import TrialGroup, _binom_pmf
 
 
 def cell_code(x, y, p, q, r, s) -> int:
@@ -180,6 +183,22 @@ def binom_window_by_growth(n: int, prob: float) -> tuple[int, np.ndarray]:
             hi = min(n, hi + width)
     kept = np.flatnonzero(block >= 1e-300)
     return lo + int(kept[0]), block[kept[0]:kept[-1] + 1]
+
+
+def side_blocks_by_columns(model, weights, sign) -> list[TrialGroup]:
+    """The binomial blocks of the side of one weight row whose cells carry
+    ``sign``, as the exact engine built them one side at a time: each
+    (x, y, p, q) group with mass and cells on the side is keyed by its (p, q)
+    row and its tuple of (r, s) outcome columns, masses with equal keys are
+    added, and each block's probability is the row's entries summed over
+    its columns in ascending order, the blocks in key order."""
+    side = weights.reshape(2, 2, 2, 2, 4) == sign
+    masses: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    for x, y, p, q in np.argwhere(side.any(axis=-1) & (model.masses > 0)):
+        key = (int(p), int(q), tuple(np.flatnonzero(side[x, y, p, q]).tolist()))
+        masses[key] = masses.get(key, 0) + int(model.masses[x, y, p, q])
+    return [TrialGroup(mass, float(sum(model.require_row(p, q).ravel()[c] for c in cols)))
+            for (p, q, cols), mass in sorted(masses.items())]
 
 
 def distribution_mean(support_min: int, pmf) -> float:
@@ -346,49 +365,80 @@ def _parse_bit(token: str, line_no: int, column: str, path: Path) -> int:
                      f"got {token!r}")
 
 
+# What an undecodable byte decodes to under errors="surrogateescape".
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def parse_dyad_csv_by_rows(path, delimiter: str = ","
                            ) -> tuple[list[DyadRecord], list[tuple[int, str | None]]]:
     """The row-by-row dyad CSV parser that ``dyadeval.io.parse_dyad_csv``
     was before the block reader: one validated ``DyadRecord`` per row, the
-    row rules applied in file order.  Returns (records, drops)."""
+    row rules applied in file order, each row numbered by the physical line
+    it starts on.  Returns (records, drops).
+
+    The whole file is decoded up front, undecodable bytes kept as
+    surrogates, so errors come in file order: a row holding an undecodable
+    byte raises "not UTF-8 text" with the line of the file's first such
+    byte when that row is reached, and a csv error raises with the line csv
+    stopped on."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad_line = data.count(b"\n", 0, exc.start) + 1
+    text = data.decode("utf-8", errors="surrogateescape")
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+
+    def rows():
+        """(first line, row) over the file."""
+        while True:
+            line_no = reader.line_num + 1
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+            if any(map(_ESCAPED_BYTE.search, row)):
+                raise InputError(f"{path}: line {bad_line}: not UTF-8 text")
+            yield line_no, row
+
     records: list[DyadRecord] = []
     drops: list[tuple[int, str | None]] = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+    lines = rows()
+    header = next(lines, None)
+    if header is None:
+        raise InputError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in header[1]]
+    missing_cols = [c for c in _DYAD_COLUMNS if c not in header]
+    if missing_cols:
+        raise InputError(f"{path}: header lacks columns {missing_cols}")
+    col = {name: header.index(name) for name in _DYAD_COLUMNS}
+    for line_no, row in lines:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < len(header):
+            raise InputError(f"{path}: line {line_no}: expected "
+                             f"{len(header)} fields, got {len(row)}")
+        item = row[col["item_id"]].strip()
+        bit_cells = {name: row[col[name]] for name in _DYAD_COLUMNS[2:8]}
+        if any(_is_missing(v) for v in bit_cells.values()):
+            drops.append((line_no, item if not _is_missing(item) else None))
+            continue
+        bits = {name: _parse_bit(value, line_no, name, path)
+                for name, value in bit_cells.items()}
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        missing_cols = [c for c in _DYAD_COLUMNS if c not in header]
-        if missing_cols:
-            raise InputError(f"{path}: header lacks columns {missing_cols}")
-        col = {name: header.index(name) for name in _DYAD_COLUMNS}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                raise InputError(f"{path}: line {line_no}: expected "
-                                 f"{len(header)} fields, got {len(row)}")
-            item = row[col["item_id"]].strip()
-            bit_cells = {name: row[col[name]] for name in _DYAD_COLUMNS[2:8]}
-            if any(_is_missing(v) for v in bit_cells.values()):
-                drops.append((line_no, item if not _is_missing(item) else None))
-                continue
-            bits = {name: _parse_bit(value, line_no, name, path)
-                    for name, value in bit_cells.items()}
-            try:
-                records.append(DyadRecord(
-                    ego_id=row[col["ego_id"]].strip(),
-                    alter_id=row[col["alter_id"]].strip(),
-                    x=bits["ego_part"], y=bits["alter_part"],
-                    p=bits["ego_b0"], q=bits["alter_b0"],
-                    r=bits["ego_b1"], s=bits["alter_b1"],
-                    item_id=item,
-                ))
-            except ValueError as exc:
-                raise InputError(f"{path}: line {line_no}: {exc}") from None
+            records.append(DyadRecord(
+                ego_id=row[col["ego_id"]].strip(),
+                alter_id=row[col["alter_id"]].strip(),
+                x=bits["ego_part"], y=bits["alter_part"],
+                p=bits["ego_b0"], q=bits["alter_b0"],
+                r=bits["ego_b1"], s=bits["alter_b1"],
+                item_id=item,
+            ))
+        except ValueError as exc:
+            raise InputError(f"{path}: line {line_no}: {exc}") from None
     return records, drops

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,8 @@ from oracles import (binom_window_by_growth, cell_code, difference_distribution,
                      enumeration_cost, exact_test_by_full_convolution,
                      measure_cells_by_formula, measure_values_by_formula,
                      null_distribution_by_enumeration,
-                     pb_pmf_by_subsets, tail_probability_from_distribution)
+                     pb_pmf_by_subsets, side_blocks_by_columns,
+                     tail_probability_from_distribution)
 
 
 def table_from(cells_counts):
@@ -166,9 +168,9 @@ def test_exact_tails_match_growth_oracle_bit_for_bit():
         for res in run_all(table, InferenceConfig(method="exact")):
             weights = spec_for(res.measure).weights
             sides = []
-            for sign in (1, -1):
+            for blocks in _side_blocks(model, weights):
                 support_min, pmf = 0, np.array([1.0])
-                for g in _side_blocks(model, weights, sign):
+                for g in blocks:
                     lo, block = binom_window_by_growth(g.count, g.success_prob)
                     support_min += lo
                     pmf = np.convolve(pmf, block)
@@ -177,6 +179,36 @@ def test_exact_tails_match_growth_oracle_bit_for_bit():
             tail = {"positive": tail_ge, "negative": tail_le,
                     "none": lambda v: 1.0}[res.direction](res.observed)
             assert res.p_value == tail, (seed, res.measure)
+
+
+def test_side_blocks_match_per_side_oracle():
+    # the blocks of all sides of the eight measures and of random signed
+    # weight rows (up to four columns a group), built in one pass, are the
+    # blocks the per-side, per-column loop builds: same order, counts and
+    # bit-identical probabilities
+    rng = np.random.default_rng(5)
+    weights = np.concatenate([np.stack([spec_for(m).weights for m in MeasureId]),
+                              rng.integers(-1, 2, (12, 64))])
+    expected = lambda model: [side_blocks_by_columns(model, w, sign)
+                              for w in weights for sign in (1, -1)]
+    for seed in range(50):
+        model = fit(simulate_dyad_table(SimParams(seed=seed), node_count=40 + 10 * seed))
+        assert _side_blocks(model, weights) == expected(model), seed
+    for case in range(30):
+        # hand-built models without tallies: random rows, some of them
+        # undefined, and sparse random masses
+        defined = rng.random((2, 2)) < 0.8
+        p0 = rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2) * defined[..., None, None]
+        masses = rng.integers(0, 50, (2, 2, 2, 2)) * (rng.random((2, 2, 2, 2)) < 0.6)
+        model = NullModel(p0=p0, masses=masses, row_defined=defined)
+        assert model.row_counts is None
+        try:
+            want = expected(model)
+        except InputError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _side_blocks(model, weights)
+        else:
+            assert _side_blocks(model, weights) == want, case
 
 
 def test_exact_task_work_is_bounded(monkeypatch):

@@ -1,5 +1,7 @@
+import csv
 import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -127,9 +129,9 @@ def is_error(result):
     return isinstance(result, tuple) and result[0] == "error"
 
 
-def reference_tables(path, items):
+def reference_tables(path, items, delimiter=","):
     """Per-item tables and drop counts from the row-by-row reference parser."""
-    parsed = outcome(parse_dyad_csv_by_rows, path)
+    parsed = outcome(parse_dyad_csv_by_rows, path, delimiter)
     if is_error(parsed):
         return parsed
     records, drops = parsed
@@ -141,12 +143,12 @@ def reference_tables(path, items):
              sum(1 for _, i in drops if i == item)) for item in names]
 
 
-def streamed_tables(path, items, monkeypatch):
+def streamed_tables(path, items, monkeypatch, delimiter=","):
     """The tables and drop counts ``evaluate_items`` builds, inference skipped."""
     tables = []
     monkeypatch.setattr(io, "run_items", lambda work, workers, map_tasks: (
         tables.extend(t for t, _, _ in work) or [[]] * len(work)))
-    config = EvaluationConfig(dyads_path=str(path), method="exact",
+    config = EvaluationConfig(dyads_path=str(path), method="exact", delimiter=delimiter,
                               items=None if items is None else tuple((i, i) for i in items))
     reports = outcome(evaluate_items, config)
     if is_error(reports):
@@ -197,8 +199,161 @@ def test_block_reader_raises_row_error_before_later_read_error(tmp_path):
         assert str(exc.value) == f"{path}: line 3: column 'ego_b0' must be 0 or 1, got '7'"
 
 
+def tally_outcome(path, delimiter=","):
+    """``io._tally_dyad_csv`` as plain lists, or ("error", message)."""
+    result = outcome(io._tally_dyad_csv, path, delimiter)
+    if is_error(result):
+        return result
+    counts, dropped = result
+    return {item: c.tolist() for item, c in counts.items()}, dropped
+
+
+def reference_tally(path, delimiter):
+    """What ``tally_outcome`` should give, from the row-by-row reference."""
+    parsed = outcome(parse_dyad_csv_by_rows, path, delimiter)
+    if is_error(parsed):
+        return parsed
+    records, drops = parsed
+    counts = {}
+    for rec in records:
+        counts.setdefault(rec.item_id, [0] * 64)[rec.cell.code] += 1
+    return counts, dict(Counter(item for _, item in drops))
+
+
+def test_row_lines_count_physical_lines_after_multiline_field(tmp_path):
+    # row 2's quoted id spans physical lines 2-3, so the next row starts on
+    # line 4: its error and its drop name line 4 on every reader
+    head = DYAD_HEADER + '\n"u\nx",v,1,0,1,1,0,1,q1\n'
+    bad = write(tmp_path, "bad.csv", head + "w,z,1,0,7,1,0,1,q1\n")
+    message = f"{bad}: line 4: column 'ego_b0' must be 0 or 1, got '7'"
+    for reader in (parse_dyad_csv, parse_dyad_csv_by_rows, tally_outcome):
+        assert outcome(reader, bad) == ("error", message)
+    dropped = write(tmp_path, "drop.csv", head + "w,z,1,0,NA,1,0,1,q1\n")
+    assert parse_dyad_csv(dropped)[1] == parse_dyad_csv_by_rows(dropped)[1] == [(4, "q1")]
+    assert tally_outcome(dropped)[1] == {"q1": 1}
+
+
+def test_plain_file_checks_only_its_missing_bit_rows(tmp_path, monkeypatch):
+    # on a plain file the byte path keeps every clean row in numpy: the row
+    # rules see just the 1% of rows with a missing bit, and csv never runs
+    na = set(range(37, 20_000, 100))
+    lines = [DYAD_HEADER] + [f"e{i},a{i},{i & 1},0,{'NA' if i in na else 1},{i >> 1 & 1},0,1,"
+                             f"q{i % 7}" for i in range(20_000)]
+    path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+    checked = []
+    check_row = io._check_row
+    monkeypatch.setattr(io, "_check_row", lambda row, line_no, *rest: (
+        checked.append(line_no) or check_row(row, line_no, *rest)))
+    monkeypatch.setattr(io, "_read_dyad_blocks", None)
+    counts, dropped = io._tally_dyad_csv(path, ",")
+    assert checked == [i + 2 for i in sorted(na)]
+    assert dropped == Counter(f"q{i % 7}" for i in na)
+    assert sum(int(c.sum()) for c in counts.values()) == 20_000 - len(na)
+
+
+_FUZZ_EGOS, _FUZZ_ALTERS = ["u", "n00619", "", "w "], ["v", "n01903", "x", " y"]
+_FUZZ_BITS = ["0", "1"] * 20 + ["NA", "na", "", ".", "None", " 1", "0 ", "\x0c1"]
+_FUZZ_BAD_BITS = ["2", "x", "01", "1.0", "-1", "1x"]
+_FUZZ_ITEMS = ["q1", "q2", "", "NA", " q1", "q_longer_than_8", "q" * 70]
+_FUZZ_LIMIT = 300
+# The first field of a row that turns its block away from the byte path:
+# a quoted id holding the delimiter or a newline, a non-ASCII id, an
+# undecodable byte, a field over csv's (lowered) size limit; or CRLF line
+# ends from that row on.
+_FUZZ_TURNS = {"quote": lambda d: f'"u{d}x"'.encode(), "quoted_newline": lambda d: b'"u\nx"',
+               "non_ascii": lambda d: "\u00e9".encode(), "undecodable": lambda d: b"\xff",
+               "oversized": lambda d: b"w" * (_FUZZ_LIMIT + 1), "crlf": None}
+
+
+def fuzz_dyad_csv(rng, path, delimiter):
+    """A seeded dyad CSV of 0-60 rows: permuted and extra columns, clean and
+    missing bits, blank, short and long rows, empty and long item ids,
+    self-dyads and, in half the files, bad bits; in two thirds of the files
+    one row from which on the file is not plain.  Returns the byte offset
+    of that row's line, or None."""
+    names = list(io._DYAD_COLUMNS) + [f"extra{i}" for i in range(rng.integers(0, 3))]
+    header = [names[i] for i in rng.permutation(len(names))]
+    bad_rate = [0.0, 0.02][rng.integers(2)]
+    lines = [delimiter.join(header).encode()]
+    for _ in range(rng.integers(0, 61)):
+        kind = rng.random()
+        if kind < 0.04:
+            lines.append(["", delimiter * 3, "  "][rng.integers(3)].encode())
+            continue
+        field = {name: "z" for name in header}
+        field["ego_id"] = _FUZZ_EGOS[rng.integers(4)]
+        field["alter_id"] = (_FUZZ_ALTERS[rng.integers(4)] if rng.random() > 0.01
+                             else field["ego_id"] + " " * rng.integers(2))
+        for name in io._DYAD_COLUMNS[2:8]:
+            field[name] = (_FUZZ_BITS[rng.integers(len(_FUZZ_BITS))] if rng.random() < 0.15
+                           else str(rng.integers(2)))
+        if rng.random() < bad_rate:
+            field[io._DYAD_COLUMNS[rng.integers(2, 8)]] = _FUZZ_BAD_BITS[rng.integers(6)]
+        field["item_id"] = _FUZZ_ITEMS[rng.integers(len(_FUZZ_ITEMS))]
+        row = [field[name] for name in header]
+        if kind < 0.04 + bad_rate:
+            row = row[:rng.integers(1, len(row))]
+        elif kind < 0.08:
+            row.append("more")
+        lines.append(delimiter.join(row).encode())
+    turn_at = None
+    if len(lines) > 1 and rng.random() < 2 / 3:
+        at = int(rng.integers(1, len(lines)))
+        turn = list(_FUZZ_TURNS)[rng.integers(len(_FUZZ_TURNS))]
+        cut = lines[at].find(delimiter.encode())
+        rest = lines[at][cut:] if cut >= 0 else b""  # the row past its first field
+        if turn == "crlf":
+            lines[at:] = [line + b"\r" for line in lines[at:]]
+        else:
+            lines[at] = _FUZZ_TURNS[turn](delimiter) + rest
+        turn_at = len(b"\n".join(lines[:at])) + 1
+    path.write_bytes(b"\n".join(lines) + b"\n" * int(rng.integers(2)))
+    return turn_at
+
+
+@pytest.fixture
+def low_field_limit():
+    """csv's field size limit lowered to ``_FUZZ_LIMIT`` for one test."""
+    limit = csv.field_size_limit(_FUZZ_LIMIT)
+    yield
+    csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("delimiter", [",", ";", "\t"])
+def test_byte_path_matches_row_reference(tmp_path, monkeypatch, low_field_limit, delimiter):
+    # per-item tables, drop counts and the first error of the byte path and
+    # of evaluate_items equal the row-by-row reference's, with blocks of a
+    # few dozen bytes so rows straddle block edges; the switch to csv comes
+    # at a row boundary at or before the first row that is not plain
+    switches = []
+    read_blocks = io._read_dyad_blocks
+    monkeypatch.setattr(io, "_read_dyad_blocks", lambda path, delim, items, *at: (
+        switches.append(at) or read_blocks(path, delim, items, *at)))
+    rng = np.random.default_rng([12, ord(delimiter)])
+    errors = switched = 0
+    for case in range(150):
+        monkeypatch.setattr(io, "_BLOCK_BYTES", int(rng.integers(16, 80)))
+        path = tmp_path / f"d{case}.csv"
+        turn_at = fuzz_dyad_csv(rng, path, delimiter)
+        expected = reference_tally(path, delimiter)
+        switches.clear()
+        assert tally_outcome(path, delimiter) == expected, case
+        items = [None, ["q1", "q2", "NA", "", "q_longer_than_8", "q_absent"]][case % 2]
+        assert (streamed_tables(path, items, monkeypatch, delimiter)
+                == reference_tables(path, items, delimiter)), case
+        data = path.read_bytes()
+        for layout, start, line_no in switches[:1]:
+            assert turn_at is not None and start <= turn_at, case
+            assert start == 0 or (layout is not None and data[start - 1] == ord("\n")), case
+            assert line_no == data.count(b"\n", 0, start) + 1, case
+            switched += start > 0
+        errors += is_error(expected)
+    assert 20 < errors < 110 and switched > 20, (errors, switched)
+
+
 def test_dyad_tally_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "_BLOCK_ROWS", 500)
+    monkeypatch.setattr(io, "_BLOCK_BYTES", 16_384)
     peaks = []
     for rows in (10_000, 100_000):
         lines = [DYAD_HEADER] + [f"e{i},a{i},{i & 1},0,1,{i >> 1 & 1},0,1,q{i % 5}"
