@@ -18,8 +18,8 @@ from .measures import (MEASURE_LABELS, MeasureId, MeasureSpec, MeasureValue,
                        cells_matching, evaluate, spec_for)
 from .null_model import NullModel, fit, sample
 from .sim import (EdgeModel, SimNetwork, SimParams, assign_initial_states,
-                  generate_network, probabilities_to_counts, simulate,
-                  simulate_dyad_table, to_dyad_records, transition)
+                  dyad_codes, generate_network, probabilities_to_counts,
+                  simulate, simulate_dyad_table, transition)
 
 __all__ = [
     "__version__",
@@ -32,6 +32,6 @@ __all__ = [
     "bootstrap_test", "exact_test",
     "method_disagreement", "pb_pmf", "run_all",
     "EdgeModel", "SimNetwork", "SimParams", "assign_initial_states",
-    "generate_network", "probabilities_to_counts", "simulate",
-    "simulate_dyad_table", "to_dyad_records", "transition",
+    "dyad_codes", "generate_network", "probabilities_to_counts", "simulate",
+    "simulate_dyad_table", "transition",
 ]

@@ -10,8 +10,9 @@ A dyad is an ordered ego-alter pair annotated with six bits:
     s  alter had the behavior at the post-intervention time
 
 Cells are numbered 0..63 with x as the most significant bit, then
-y, p, q, r, s.  Dyads are kept directed as observed; callers that want
-undirected ties emit both orientations at ingestion time.
+y, p, q, r, s (``cell_codes``); a census is a ``tally`` of codes.  Dyads
+are kept directed as observed; callers that want undirected ties emit
+both orientations at ingestion time.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = [
     "DyadTable",
     "build_table",
     "all_cells",
+    "cell_codes",
+    "tally",
 ]
 
 _BITS = ("x", "y", "p", "q", "r", "s")
@@ -60,14 +63,7 @@ class CellIndex(NamedTuple):
     def from_code(cls, code: int) -> "CellIndex":
         if not 0 <= code <= 63:
             raise ValueError(f"cell code must be in 0..63, got {code}")
-        return cls(
-            (code >> 5) & 1,
-            (code >> 4) & 1,
-            (code >> 3) & 1,
-            (code >> 2) & 1,
-            (code >> 1) & 1,
-            code & 1,
-        )
+        return cls(*(code >> shift & 1 for shift in range(5, -1, -1)))
 
     def validate(self) -> "CellIndex":
         for name, value in zip(_BITS, self):
@@ -97,8 +93,7 @@ class DyadRecord:
     def __post_init__(self) -> None:
         if self.ego_id == self.alter_id:
             raise ValueError(f"self-dyad not allowed: ego_id == alter_id == {self.ego_id!r}")
-        for name in _BITS:
-            _check_bit(name, getattr(self, name))
+        self.cell.validate()
 
     @property
     def cell(self) -> CellIndex:
@@ -113,13 +108,13 @@ class DyadRecord:
         return replace(self, p=1 - self.p, q=1 - self.q, r=1 - self.r, s=1 - self.s)
 
 
-# Permutation of cell codes under behavior-bit inversion, fixed at import.
-_INVERT_PERM = np.array(
-    [CellIndex.from_code(c)._replace(
-        p=1 - (c >> 3 & 1), q=1 - (c >> 2 & 1), r=1 - (c >> 1 & 1), s=1 - (c & 1)
-    ).code for c in range(64)],
-    dtype=np.intp,
-)
+def cell_codes(x, y, p, q, r, s) -> np.ndarray:
+    """Cell codes 32x + 16y + 8p + 4q + 2r + s of dyads given as bit arrays."""
+    code = np.zeros(np.shape(x), dtype=np.intp)
+    for bit in (x, y, p, q, r, s):
+        code <<= 1
+        code |= bit
+    return code
 
 
 @dataclass(frozen=True)
@@ -142,16 +137,9 @@ class DyadTable:
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
 
-    @classmethod
-    def zeros(cls, item_id: str | None = None) -> "DyadTable":
-        return cls(np.zeros(64, dtype=np.int64), item_id=item_id)
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def count(self, cell: CellIndex) -> int:
-        return int(self.counts[cell.code])
 
     def by_bits(self) -> np.ndarray:
         """The counts as a read-only (2,2,2,2,2,2) view with axes (x,y,p,q,r,s)."""
@@ -159,14 +147,17 @@ class DyadTable:
 
     def invert_behavior(self) -> "DyadTable":
         """Census of the same dyads with behavior bits recoded (p,q,r,s -> 1 - bit)."""
-        out = np.zeros(64, dtype=np.int64)
-        out[_INVERT_PERM] = self.counts
-        return DyadTable(out, item_id=self.item_id)
+        return DyadTable(self.counts[np.arange(64) ^ 0b1111], item_id=self.item_id)
 
     def __add__(self, other: "DyadTable") -> "DyadTable":
         if not isinstance(other, DyadTable):
             return NotImplemented
         return DyadTable(self.counts + other.counts, item_id=self.item_id)
+
+
+def tally(codes: np.ndarray, item: str | None = None) -> DyadTable:
+    """The census of dyads given by their cell codes."""
+    return DyadTable(np.bincount(codes, minlength=64), item_id=item)
 
 
 def build_table(records: Sequence[DyadRecord] | Iterable[DyadRecord],
@@ -186,8 +177,5 @@ def build_table(records: Sequence[DyadRecord] | Iterable[DyadRecord],
         )
     if item is not None and items and items != {item}:
         raise InputError(f"records carry item_id {items.pop()!r}, expected {item!r}")
-    counts = np.bincount(
-        np.fromiter((rec.cell.code for rec in records), dtype=np.intp, count=len(records)),
-        minlength=64,
-    ).astype(np.int64)
-    return DyadTable(counts, item_id=item if item is not None else (items.pop() if items else None))
+    return tally(np.fromiter((rec.cell.code for rec in records), np.intp, len(records)),
+                 item if item is not None else (items.pop() if items else None))

@@ -27,9 +27,9 @@ from ._version import __version__
 from .chart import emit_bubble_chart
 from .errors import InputError, NumericalIntegrityError
 from .inference import method_disagreement
-from .io import (EvaluationConfig, ItemReport, _open_text, emit_report,
-                 evaluate_items, load_report_json)
-from .sim import EdgeModel, SimParams, simulate, to_dyad_records
+from .io import (EvaluationConfig, ItemReport, _csv_quote, _open_text, _write_bytes,
+                 emit_report, evaluate_items, load_report_json, read_edge_list)
+from .sim import EdgeModel, SimParams, dyad_codes, simulate
 
 __all__ = ["main", "build_parser"]
 
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--p-social", type=float, default=0.2)
     sim.add_argument("--baseline-prevalence", type=float, default=0.5)
     sim.add_argument("--peer-weight", type=float, default=0.5)
-    sim.add_argument("--item-id", default="sim", help="item id stamped on the records")
+    sim.add_argument("--item-id", default="sim", help="item id stamped on the dyads")
     sim.add_argument("--out-dyads", metavar="PATH", help="write the dyad CSV here")
     sim.add_argument("--evaluate", action="store_true",
                      help="run the significance tests on the simulated data")
@@ -293,19 +293,27 @@ def _cmd_table(args) -> int:
     return _emit_all(evaluate_items(config), args)
 
 
-def _write_dyad_csv(records, path) -> None:
+# The six bit fields of a dyad CSV row, by cell code.
+_BIT_FIELDS = [",".join(f"{code:06b}") for code in range(64)]
+
+
+def _write_dyad_csv(network, codes, item_id: str, path) -> None:
+    """The network's dyads as a dyad CSV, one row per code in ``codes``."""
+    ids, item = [_csv_quote(node) for node in network.node_ids], _csv_quote(item_id)
     lines = ["ego_id,alter_id,ego_part,alter_part,ego_b0,alter_b0,ego_b1,alter_b1,item_id"]
-    lines += [f"{r.ego_id},{r.alter_id},{r.x},{r.y},{r.p},{r.q},{r.r},{r.s},{r.item_id}"
-              for r in records]
-    try:
-        Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from None
+    lines += [f"{ids[u]},{ids[v]},{_BIT_FIELDS[code]},{item}"
+              for (u, v), code in zip(network.dyads, codes.tolist())]
+    _write_bytes(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _cmd_simulate(args) -> int:
-    from .io import read_edge_list
+    import tempfile
 
+    if not (args.out_dyads or args.evaluate):
+        raise InputError("simulate needs --out-dyads and/or --evaluate")
+    if args.item_id != args.item_id.strip():  # the dyad CSV reader strips item ids
+        raise InputError(f"--item-id must not start or end with whitespace, "
+                         f"got {args.item_id!r}")
     if args.edge_kind == "edge_list":
         if not args.edges_file:
             raise InputError("edge_kind=edge_list requires --edges-file")
@@ -324,28 +332,22 @@ def _cmd_simulate(args) -> int:
         p_social=args.p_social, baseline_prevalence=args.baseline_prevalence,
         peer_weight=args.peer_weight, seed=args.seed)
     network = simulate(params, node_count=args.node_count, edge_model=model)
-    records = to_dyad_records(network, item_id=args.item_id)
-    print(f"simulated {network.node_count} nodes, {len(records)} dyads")
-    if args.out_dyads:
-        _write_dyad_csv(records, args.out_dyads)
-        print(f"wrote {args.out_dyads}")
-    if args.evaluate:
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            dyads_path = args.out_dyads or str(Path(tmp) / "sim_dyads.csv")
-            if not args.out_dyads:
-                _write_dyad_csv(records, dyads_path)
-            config = EvaluationConfig(
-                input_mode="dyad_csv", dyads_path=dyads_path,
-                items=((args.item_id, args.item_id),), method=args.method,
-                trials=args.trials, alpha=args.alpha, seed=args.seed,
-                two_sided=args.two_sided, invert_behavior=args.invert_behavior,
-                delimiter=",")
-            return _emit_all(evaluate_items(config), args)
-    elif not args.out_dyads:
-        raise InputError("simulate needs --out-dyads and/or --evaluate")
-    return 0
+    codes = dyad_codes(network)
+    print(f"simulated {network.node_count} nodes, {codes.size} dyads")
+    with tempfile.TemporaryDirectory() as tmp:
+        dyads_path = args.out_dyads or str(Path(tmp) / "sim_dyads.csv")
+        _write_dyad_csv(network, codes, args.item_id, dyads_path)
+        if args.out_dyads:
+            print(f"wrote {args.out_dyads}")
+        if not args.evaluate:
+            return 0
+        config = EvaluationConfig(
+            input_mode="dyad_csv", dyads_path=dyads_path,
+            items=((args.item_id, args.item_id),), method=args.method,
+            trials=args.trials, alpha=args.alpha, seed=args.seed,
+            two_sided=args.two_sided, invert_behavior=args.invert_behavior,
+            delimiter=",")
+        return _emit_all(evaluate_items(config), args)
 
 
 def _cmd_chart(args) -> int:

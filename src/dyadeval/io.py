@@ -16,7 +16,7 @@ dyad CSV      header ego_id, alter_id, ego_part, alter_part, ego_b0,
 
 node CSV      header node_id, participation, then <item>_before and
               <item>_after column pairs; empty/NA cells mark that item
-              missing for the node.
+              missing for the node.  A node id may appear on one row only.
 
 edge list     two identifier columns; lines starting with '#' and blank
               lines are skipped.
@@ -33,7 +33,9 @@ a field over csv's size limit is an InputError naming the file and line,
 raised when that line is reached, so a bad row before it is reported
 first.  A row is numbered by the physical line it starts on.
 
-Batch evaluation builds each item's table here and hands the items to
+Every input reaches the census as 64-cell codes, with no object per dyad
+but in the records views ``parse_dyad_csv`` and ``join_node_edges``.
+Batch evaluation tallies each item's table here and hands the items to
 ``inference.run_items``, which plans and splits their runs; this module
 only supplies the map that runs the tasks in forked worker processes.
 """
@@ -46,7 +48,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from io import TextIOWrapper
-from itertools import compress, islice, repeat
+from itertools import compress, islice, repeat, starmap
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -54,14 +56,14 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ._version import __version__
-from .census import CellIndex, DyadRecord, DyadTable, build_table
+from .census import CellIndex, DyadRecord, DyadTable, cell_codes, tally
 from .errors import InputError
 from .inference import InferenceConfig, TestResult, run_items
 from .measures import MeasureId
 from .sim import probabilities_to_counts
 
 __all__ = [
-    "NodeSurveyRow",
+    "NodeSurvey",
     "JoinStats",
     "EvaluationConfig",
     "ItemReport",
@@ -332,9 +334,6 @@ def _plain_lines(block: bytes, limit: int) -> tuple[np.ndarray, np.ndarray] | No
     return buf, ends
 
 
-_BIT_VALUES = 1 << np.arange(5, -1, -1)
-
-
 def _plain_rows(buf: np.ndarray, ends: np.ndarray, line_no: int, path: Path,
                 delimiter: str, layout: tuple[list[int], int], items: _ItemIndex
                 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str | None]]]:
@@ -368,7 +367,7 @@ def _plain_rows(buf: np.ndarray, ends: np.ndarray, line_no: int, path: Path,
     id_cols = np.array([cols[0], cols[1], cols[8]])  # ego, alter, item
     lo, hi = bounds[:, id_cols] + 1, bounds[:, id_cols + 1]
     ok &= (hi - lo).max(axis=1, initial=0) <= _SPAN_BYTES
-    rows, code, lo, hi = rows[ok], bits[ok] @ _BIT_VALUES, lo[ok], hi[ok]
+    rows, code, lo, hi = rows[ok], cell_codes(*bits[ok].T), lo[ok], hi[ok]
     span = max(8, int(np.max(hi - lo, initial=0)))  # 8 bytes: items sort as ints
     windows = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((buf, np.zeros(_SPAN_BYTES, np.uint8))), _SPAN_BYTES)
@@ -455,17 +454,29 @@ def _tally_dyad_csv(path, delimiter: str
 
 
 @dataclass(frozen=True)
-class NodeSurveyRow:
-    """One survey respondent: participation plus per-item before/after bits."""
+class NodeSurvey:
+    """A node survey as int8 columns, -1 marking a missing value: each
+    node's participation and, per item, its (before, after) bits.  ``index``
+    maps a node id to its row; one more row, all -1, stands for an unknown id."""
 
-    node_id: str
-    participation: int | None
-    item_bits: dict[str, tuple[int, int] | None]
+    index: dict[str, int]
+    participation: np.ndarray    # (nodes + 1,)
+    bits: dict[str, np.ndarray]  # item -> (nodes + 1, 2)
+
+
+def _numbered(reader) -> Iterator[tuple[int, list[str]]]:
+    """(the line it starts on, row) for each row of ``reader`` that is not blank."""
+    end = reader.line_num
+    for row in reader:
+        line_no, end = end + 1, reader.line_num
+        if any(cell.strip() for cell in row):
+            yield line_no, row
 
 
 def parse_node_csv(path, items: Sequence[str] | None = None,
-                   delimiter: str = ",") -> tuple[list[NodeSurveyRow], list[str]]:
-    """Read a node survey CSV; returns (rows, item ids found in the header)."""
+                   delimiter: str = ",") -> tuple[NodeSurvey, list[str]]:
+    """Read a node survey CSV; returns (survey, item ids found in the header).
+    An item with a missing before or after cell is missing for the node."""
     path = Path(path)
     with _open_csv(path, delimiter) as reader:
         try:
@@ -484,26 +495,31 @@ def parse_node_csv(path, items: Sequence[str] | None = None,
             if f"{item}_before" not in header or f"{item}_after" not in header:
                 raise InputError(f"{path}: header lacks columns for item {item!r}")
         idx = {h: i for i, h in enumerate(header)}
-        rows: list[NodeSurveyRow] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+        index: dict[str, int] = {}
+        lines: list[int] = []
+        values: list[int] = []  # per node: participation, then each item's two bits
+        for line_no, row in _numbered(reader):
             if len(row) < len(header):
                 raise InputError(f"{path}: line {line_no}: expected "
                                  f"{len(header)} fields, got {len(row)}")
-            part_cell = row[idx["participation"]]
-            participation = (None if _is_missing(part_cell)
-                             else _parse_bit(part_cell, line_no, "participation", path))
-            bits: dict[str, tuple[int, int] | None] = {}
+            node_id = row[idx["node_id"]].strip()
+            if node_id in index:
+                raise InputError(f"{path}: line {line_no}: node_id {node_id!r} "
+                                 f"repeats line {lines[index[node_id]]}")
+            index[node_id] = len(lines)
+            lines.append(line_no)
+            part = row[idx["participation"]]
+            values.append(-1 if _is_missing(part)
+                          else _parse_bit(part, line_no, "participation", path))
             for item in use_items:
-                before, after = row[idx[f"{item}_before"]], row[idx[f"{item}_after"]]
-                if _is_missing(before) or _is_missing(after):
-                    bits[item] = None
-                else:
-                    bits[item] = (_parse_bit(before, line_no, f"{item}_before", path),
-                                  _parse_bit(after, line_no, f"{item}_after", path))
-            rows.append(NodeSurveyRow(row[idx["node_id"]].strip(), participation, bits))
-    return rows, use_items
+                names = f"{item}_before", f"{item}_after"
+                tokens = [row[idx[name]] for name in names]
+                values += ((-1, -1) if any(map(_is_missing, tokens))
+                           else map(_parse_bit, tokens, repeat(line_no), names, repeat(path)))
+    width = 1 + 2 * len(use_items)
+    table = np.array(values + [-1] * width, dtype=np.int8).reshape(-1, width)
+    return NodeSurvey(index, table[:, 0], {item: table[:, 1 + 2 * i: 3 + 2 * i]
+                                           for i, item in enumerate(use_items)}), use_items
 
 
 def _check_delimiter(delimiter) -> None:
@@ -544,46 +560,50 @@ class JoinStats:
         return self.dropped_unknown_node + self.dropped_missing_bits + self.dropped_self_edge
 
 
-def join_node_edges(nodes: Sequence[NodeSurveyRow], edges: Sequence[tuple[str, str]],
-                    item: str, orientation: str = "directed",
-                    ) -> tuple[list[DyadRecord], JoinStats]:
-    """Join survey rows with an edge list into dyad records for one item.
-
-    ``orientation="directed"`` emits one record per edge as listed;
-    ``"symmetrize"`` emits both orientations.  Dyads with an unresolvable
-    endpoint or any missing bit are dropped and counted, never fatal.
-    """
+def _resolve_edges(survey: NodeSurvey, edges: Sequence[tuple[str, str]],
+                   orientation: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, dyads) survey rows of the ego and alter of each edge, as
+    listed or (``"symmetrize"``) as listed and reversed, an unknown id on
+    the survey's last row; and which dyads are self edges."""
     if orientation not in ("directed", "symmetrize"):
         raise InputError(f"orientation must be directed or symmetrize, got {orientation!r}")
-    lookup = {row.node_id: row for row in nodes}
-    records: list[DyadRecord] = []
-    unknown = missing = selfies = 0
-    for a, b in edges:
-        oriented = [(a, b)] if orientation == "directed" else [(a, b), (b, a)]
-        for ego_id, alter_id in oriented:
-            if ego_id == alter_id:
-                selfies += 1
-                continue
-            ego, alter = lookup.get(ego_id), lookup.get(alter_id)
-            if ego is None or alter is None:
-                unknown += 1
-                continue
-            ego_bits = ego.item_bits.get(item)
-            alter_bits = alter.item_bits.get(item)
-            if (ego.participation is None or alter.participation is None
-                    or ego_bits is None or alter_bits is None):
-                missing += 1
-                continue
-            records.append(DyadRecord(
-                ego_id=ego_id, alter_id=alter_id,
-                x=ego.participation, y=alter.participation,
-                p=ego_bits[0], q=alter_bits[0],
-                r=ego_bits[1], s=alter_bits[1],
-                item_id=item,
-            ))
-    stats = JoinStats(used=len(records), dropped_unknown_node=unknown,
-                      dropped_missing_bits=missing, dropped_self_edge=selfies)
-    return records, stats
+    row, unknown, n = survey.index.get, repeat(len(survey.index)), len(edges)
+    rows = np.array([np.fromiter(map(row, map(itemgetter(end), edges), unknown), np.intp, n)
+                     for end in (0, 1)])
+    self_edge = np.fromiter(starmap(eq, edges), bool, n)
+    if orientation == "symmetrize":
+        return np.stack([rows, rows[::-1]], axis=2).reshape(2, -1), np.repeat(self_edge, 2)
+    return rows, self_edge
+
+
+def _join_codes(survey: NodeSurvey, dyads: tuple[np.ndarray, np.ndarray], item: str
+                ) -> tuple[np.ndarray, JoinStats]:
+    """Each dyad's cell code for ``item``, -1 if dropped: as a self edge,
+    else for an unknown node, else for a missing participation or bit."""
+    rows, self_edge = dyads
+    part, bits = survey.participation, survey.bits.get(item)
+    if bits is None:
+        bits = np.full((part.size, 2), -1, dtype=np.int8)
+    columns = np.stack([part[rows], bits[rows, 0], bits[rows, 1]]).reshape(6, -1)
+    unknown = ~self_edge & (rows == part.size - 1).any(axis=0)
+    missing = ~self_edge & ~unknown & (columns < 0).any(axis=0)
+    codes = np.where(self_edge | unknown | missing, -1, cell_codes(*columns))
+    return codes, JoinStats(int((codes >= 0).sum()), int(unknown.sum()),
+                            int(missing.sum()), int(self_edge.sum()))
+
+
+def join_node_edges(nodes: NodeSurvey, edges: Sequence[tuple[str, str]],
+                    item: str, orientation: str = "directed",
+                    ) -> tuple[list[DyadRecord], JoinStats]:
+    """The records view of the join ``evaluate_items`` tallies: one record
+    per dyad of ``item`` kept.  ``orientation="directed"`` takes each edge
+    as listed; ``"symmetrize"`` takes both orientations.  Dyads with an
+    unresolvable endpoint or any missing bit are dropped and counted."""
+    dyads = _resolve_edges(nodes, edges, orientation)
+    codes, stats = _join_codes(nodes, dyads, item)
+    ids, kept = {row: node for node, row in nodes.index.items()}, codes >= 0
+    return [DyadRecord(ids[ego], ids[alter], *_CELLS[code], item_id=item)
+            for ego, alter, code in zip(*dyads[0][:, kept].tolist(), codes[kept].tolist())], stats
 
 
 # Largest cell count a 64-cell table takes: every integer up to it is exact
@@ -625,8 +645,7 @@ def parse_table64(path, probabilities: bool = False, scale: int = 100,
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise InputError(f"{path}: empty file, expected a header row") from None
-        rows = [(n, row) for n, row in enumerate(reader, start=2)
-                if row and any(cell.strip() for cell in row)]
+        rows = list(_numbered(reader))
     if all(c in header for c in ("x", "y", "p", "q", "r", "s", "value")):
         bit_columns, value_columns, unit = ("x", "y", "p", "q", "r", "s"), ("value",), "cell"
     elif all(c in header for c in ("x", "y", "p", "q") + _GRID_RS):
@@ -764,41 +783,38 @@ def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
     A dyad CSV is streamed: each block is tallied into per-item counts with
     one ``bincount`` and no per-row record, so ingestion holds O(block +
     items) memory whatever the row count.  Its row rules are those of
-    ``parse_dyad_csv`` (same drops, same first error).
+    ``parse_dyad_csv`` (same drops, same first error).  A node survey's edges
+    are resolved to survey rows once; each item's codes then come from the
+    survey's columns, as in ``join_node_edges`` but with no record per dyad.
     """
     if config.input_mode == "dyad_csv":
         if config.dyads_path is None:
             raise InputError("dyad_csv mode requires dyads_path")
         counts, dropped = _tally_dyad_csv(config.dyads_path, config.delimiter)
         labels = _item_labels(config, counts)
+        built = [(DyadTable(counts.get(item, np.zeros(64, dtype=np.int64)), item_id=item),
+                  dropped.get(item, 0)) for item, _ in labels]
     elif config.input_mode == "node_edges":
         if config.nodes_path is None or config.edges_path is None:
             raise InputError("node_edges mode requires nodes_path and edges_path")
         wanted = [item for item, _ in config.items] if config.items is not None else None
         nodes, found = parse_node_csv(config.nodes_path, wanted, config.delimiter)
-        edges = read_edge_list(config.edges_path, config.delimiter)
-        labels = _item_labels(config, found)
+        dyads = _resolve_edges(nodes, read_edge_list(config.edges_path, config.delimiter),
+                               config.orientation)
+        labels, built = _item_labels(config, found), []
+        for item, _ in labels:
+            codes, stats = _join_codes(nodes, dyads, item)
+            built.append((tally(codes[codes >= 0], item), stats.dropped))
     else:
         if config.table_path is None:
             raise InputError("table64 mode requires table_path")
         labels = _item_labels(config, ["table"])
         if len(labels) != 1:
             raise InputError("table64 mode takes exactly one item")
-        table64 = parse_table64(config.table_path, config.table_probabilities,
-                                config.table_scale, config.delimiter)
-
-    built = []
-    for item_id, _ in labels:
-        if config.input_mode == "dyad_csv":
-            table = DyadTable(counts.get(item_id, np.zeros(64, dtype=np.int64)),
-                              item_id=item_id)
-            n_dropped = dropped.get(item_id, 0)
-        elif config.input_mode == "node_edges":
-            records, stats = join_node_edges(nodes, edges, item_id, config.orientation)
-            table, n_dropped = build_table(records, item=item_id), stats.dropped
-        else:
-            table, n_dropped = table64, 0
-        built.append((table.invert_behavior() if config.invert_behavior else table, n_dropped))
+        built = [(parse_table64(config.table_path, config.table_probabilities,
+                                config.table_scale, config.delimiter), 0)]
+    if config.invert_behavior:
+        built = [(table.invert_behavior(), n_dropped) for table, n_dropped in built]
     children = np.random.SeedSequence(config.seed).spawn(len(labels))
     outcomes = run_items([(table, config.inference(child), None)
                           for (table, _), child in zip(built, children)],
@@ -892,7 +908,8 @@ _EMPTY_RESULT = TestResult(measure=None, observed=0, null_mean=0.0,
 
 
 def _csv_quote(text: str) -> str:
-    if any(ch in text for ch in ",\"\n"):
+    """``text`` as a comma-separated field, quoted as csv.writer quotes it."""
+    if any(ch in text for ch in ",\"\r\n"):
         return '"' + text.replace('"', '""') + '"'
     return text
 

@@ -3,8 +3,9 @@
 Generates a synthetic social network, assigns intervention participation
 and a peer-influenced initial behavior, then draws post-intervention states
 from participation-conditioned transition probabilities followed by a
-single synchronous conformity pass.  The result converts directly into
-dyad records for the census pipeline.
+single synchronous conformity pass.  Each ordered dyad of the result is
+read off the network's arrays as one 64-cell code (``dyad_codes``), so
+the census is one tally.
 
 Transition parameter semantics (all for the behavior bit):
 
@@ -30,7 +31,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .census import DyadRecord, DyadTable, build_table
+from .census import DyadTable, cell_codes, tally
 from .errors import InputError
 
 __all__ = [
@@ -40,7 +41,7 @@ __all__ = [
     "generate_network",
     "assign_initial_states",
     "transition",
-    "to_dyad_records",
+    "dyad_codes",
     "probabilities_to_counts",
     "simulate",
     "simulate_dyad_table",
@@ -322,23 +323,13 @@ def transition(network: SimNetwork, params: SimParams, seed) -> SimNetwork:
     return replace(network, behavior1=behavior1, behavior1_provisional=provisional)
 
 
-def to_dyad_records(network: SimNetwork, item_id: str = "sim") -> list[DyadRecord]:
-    """One DyadRecord per ordered dyad of the network."""
+def dyad_codes(network: SimNetwork) -> np.ndarray:
+    """The cell code of each ordered dyad of the network, in dyad order."""
     if network.behavior1 is None:
         raise InputError("transition must run before dyad extraction")
-    part = network.participation
-    b0 = network.behavior0
-    b1 = network.behavior1
-    return [
-        DyadRecord(
-            ego_id=network.node_ids[u], alter_id=network.node_ids[v],
-            x=int(part[u]), y=int(part[v]),
-            p=int(b0[u]), q=int(b0[v]),
-            r=int(b1[u]), s=int(b1[v]),
-            item_id=item_id,
-        )
-        for u, v in network.dyads
-    ]
+    ego, alter = np.array(network.dyads, dtype=np.intp).reshape(-1, 2).T
+    part, b0, b1 = network.participation, network.behavior0, network.behavior1
+    return cell_codes(part[ego], part[alter], b0[ego], b0[alter], b1[ego], b1[alter])
 
 
 def probabilities_to_counts(probability_table, scale: int) -> DyadTable:
@@ -381,5 +372,4 @@ def simulate_dyad_table(params: SimParams = SimParams(), node_count: int = 444,
                         edge_model: EdgeModel = EdgeModel(),
                         item_id: str = "sim") -> DyadTable:
     """Simulate and tally straight into a census."""
-    return build_table(to_dyad_records(simulate(params, node_count, edge_model),
-                                       item_id=item_id), item=item_id)
+    return tally(dyad_codes(simulate(params, node_count, edge_model)), item_id)

@@ -5,10 +5,11 @@ Everything here is written directly from first principles (loops over all
 joint multinomial outcomes) and deliberately shares no code with the
 package under test beyond the documented bit order.  The binomial window
 reference takes the package's binomial PMF, since what it checks is the
-window around it.  The dyad CSV reference builds the package's
-``DyadRecord`` and raises its ``InputError``, so that records and error
-messages compare directly; the side-block reference builds the package's
-``TrialGroup`` and raises through its ``NullModel.require_row``.
+window around it.  The dyad CSV, node+edge join and simulator references
+build the package's ``DyadRecord`` (and ``JoinStats``) and raise its
+``InputError``, so that records, counters and error messages compare
+directly; the side-block reference builds the package's ``TrialGroup``
+and raises through its ``NullModel.require_row``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ import math
 import re
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import binom
 
 from dyadeval import DyadRecord, InputError
 from dyadeval.inference import TrialGroup, _binom_pmf
+from dyadeval.io import JoinStats
 
 
 def cell_code(x, y, p, q, r, s) -> int:
@@ -442,3 +445,80 @@ def parse_dyad_csv_by_rows(path, delimiter: str = ","
         except ValueError as exc:
             raise InputError(f"{path}: line {line_no}: {exc}") from None
     return records, drops
+
+
+class NodeRow(NamedTuple):
+    """One survey respondent: participation (None if missing) plus per-item
+    (before, after) bits (None if missing)."""
+
+    node_id: str
+    participation: int | None
+    item_bits: dict
+
+
+def join_node_edges_by_rows(nodes, edges, item: str, orientation: str = "directed"
+                            ) -> tuple[list[DyadRecord], JoinStats]:
+    """The record-by-record join that ``dyadeval.io.join_node_edges`` was
+    before the columnar survey: ``nodes`` are ``NodeRow``s (the last row of
+    a repeated id wins), each oriented edge is checked in turn, a self edge
+    first, then an unknown node, then a missing participation or bit."""
+    if orientation not in ("directed", "symmetrize"):
+        raise InputError(f"orientation must be directed or symmetrize, got {orientation!r}")
+    lookup = {row.node_id: row for row in nodes}
+    records: list[DyadRecord] = []
+    unknown = missing = selfies = 0
+    for a, b in edges:
+        oriented = [(a, b)] if orientation == "directed" else [(a, b), (b, a)]
+        for ego_id, alter_id in oriented:
+            if ego_id == alter_id:
+                selfies += 1
+                continue
+            ego, alter = lookup.get(ego_id), lookup.get(alter_id)
+            if ego is None or alter is None:
+                unknown += 1
+                continue
+            ego_bits = ego.item_bits.get(item)
+            alter_bits = alter.item_bits.get(item)
+            if (ego.participation is None or alter.participation is None
+                    or ego_bits is None or alter_bits is None):
+                missing += 1
+                continue
+            records.append(DyadRecord(
+                ego_id=ego_id, alter_id=alter_id,
+                x=ego.participation, y=alter.participation,
+                p=ego_bits[0], q=alter_bits[0],
+                r=ego_bits[1], s=alter_bits[1],
+                item_id=item,
+            ))
+    stats = JoinStats(used=len(records), dropped_unknown_node=unknown,
+                      dropped_missing_bits=missing, dropped_self_edge=selfies)
+    return records, stats
+
+
+def to_dyad_records(network, item_id: str = "sim") -> list[DyadRecord]:
+    """One DyadRecord per ordered dyad of a simulated network, read node by
+    node: the reference for ``dyadeval.sim.dyad_codes``."""
+    if network.behavior1 is None:
+        raise InputError("transition must run before dyad extraction")
+    part = network.participation
+    b0 = network.behavior0
+    b1 = network.behavior1
+    return [
+        DyadRecord(
+            ego_id=network.node_ids[u], alter_id=network.node_ids[v],
+            x=int(part[u]), y=int(part[v]),
+            p=int(b0[u]), q=int(b0[v]),
+            r=int(b1[u]), s=int(b1[v]),
+            item_id=item_id,
+        )
+        for u, v in network.dyads
+    ]
+
+
+def write_dyad_csv_by_records(records, path) -> None:
+    """The dyad CSV writer ``dyadeval simulate --out-dyads`` had, one
+    unquoted row per record."""
+    lines = ["ego_id,alter_id,ego_part,alter_part,ego_b0,alter_b0,ego_b1,alter_b1,item_id"]
+    lines += [f"{r.ego_id},{r.alter_id},{r.x},{r.y},{r.p},{r.q},{r.r},{r.s},{r.item_id}"
+              for r in records]
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))

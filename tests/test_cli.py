@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import to_dyad_records, write_dyad_csv_by_records
 
-from dyadeval import InferenceConfig, io, run_all
+from dyadeval import DyadRecord, EdgeModel, InferenceConfig, SimParams, io, run_all, simulate
 from dyadeval.cli import main
 from dyadeval.inference import _binom_pmf
 
@@ -192,6 +193,115 @@ def test_simulate_writes_dyads_and_evaluates(tmp_path, capsys):
     assert header == DYAD_HEADER
     payload = json.loads(out_json.read_text())
     assert len(payload["items"][0]["results"]) == 8
+
+
+@pytest.mark.parametrize("flags, model", [
+    ([], EdgeModel()),
+    (["--both-orientations", "--mean-degree", "4"],
+     EdgeModel(mean_degree=4.0, both_orientations=True)),
+    (["--edge-kind", "small_world", "--ws-k", "4"],
+     EdgeModel(kind="small_world", k=4, rewire_prob=0.1)),
+])
+def test_simulate_out_dyads_match_record_writer(tmp_path, capsys, flags, model):
+    """With ids that need no quoting, the dyad CSV written from the
+    network's arrays is byte for byte the one written a record per dyad."""
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--node-count", "50", "--seed", "4", "--item-id", "q7",
+                 "--out-dyads", str(out)] + flags) == 0
+    network = simulate(SimParams(seed=4), node_count=50, edge_model=model)
+    write_dyad_csv_by_records(to_dyad_records(network, item_id="q7"), tmp_path / "ref.csv")
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_simulate_item_id_with_delimiter_reads_back(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--node-count", "30", "--item-id", "a,b", "--out-dyads",
+                 str(out), "--evaluate", "--method", "exact"]) == 0
+    summary = capsys.readouterr().out
+    assert "ERROR" not in summary and re.search(r"^a,b: \d+ dyads", summary, re.M)
+    records, drops = io.parse_dyad_csv(out)
+    assert records and not drops and {rec.item_id for rec in records} == {"a,b"}
+
+
+@pytest.mark.parametrize("item_id", [" x", "x ", "\tx"])
+def test_simulate_item_id_with_outer_whitespace_is_error(tmp_path, capsys, item_id):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--node-count", "30", "--item-id", item_id,
+                 "--out-dyads", str(out), "--evaluate", "--method", "exact"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: --item-id must not start or end with whitespace, got {item_id!r}" in err
+    assert not out.exists()
+
+
+def test_simulate_edge_ids_with_comma_are_quoted(tmp_path, capsys):
+    edges = tmp_path / "e.txt"
+    edges.write_text('p,q;r\nr;s"t\ns"t;p,q\n')
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--edge-kind", "edge_list", "--edges-file", str(edges),
+                 "--delimiter", ";", "--node-count", "3", "--out-dyads", str(out),
+                 "--evaluate", "--method", "exact"]) == 0
+    assert "ERROR" not in capsys.readouterr().out
+    assert out.read_text().splitlines()[1].startswith('"p,q",r,')
+    records, drops = io.parse_dyad_csv(out)
+    assert [(rec.ego_id, rec.alter_id) for rec in records] == [
+        ("p,q", "r"), ("r", 's"t'), ('s"t', "p,q")]
+    assert not drops
+
+
+def _guard_inputs(tmp_path) -> dict:
+    """A node survey with missing cells, an edge list with unknown ids and
+    self edges, a dyad CSV and a probability table."""
+    rng = np.random.default_rng(5)
+    lines = ["node_id,participation,q1_before,q1_after,q2_before,q2_after"]
+    for i in range(80):
+        cells = [str(int(rng.integers(2))) if rng.random() > 0.1 else "NA" for _ in range(5)]
+        lines.append(",".join([f"v{i}"] + cells))
+    (tmp_path / "n.csv").write_text("\n".join(lines) + "\n")
+    ends = rng.integers(84, size=(400, 2))
+    ends[::40, 1] = ends[::40, 0]
+    (tmp_path / "e.txt").write_text("".join(f"v{a},v{b}\n" for a, b in ends))
+    for name, item in (("d.csv", "q1"), ("dq.csv", "a,b")):  # plain, and read by csv
+        assert main(["simulate", "--node-count", "60", "--mean-degree", "6", "--seed", "2",
+                     "--item-id", item, "--out-dyads", str(tmp_path / name)]) == 0
+    return {"nodes": str(tmp_path / "n.csv"), "edges": str(tmp_path / "e.txt"),
+            "dyads": str(tmp_path / "d.csv"), "quoted_dyads": str(tmp_path / "dq.csv"),
+            "table": str(uniform_table(tmp_path))}
+
+
+_GUARDED_RUNS = {
+    "nodes-directed": ["evaluate", "--nodes", "{nodes}", "--edges", "{edges}"],
+    "nodes-symmetrize": ["evaluate", "--nodes", "{nodes}", "--edges", "{edges}",
+                         "--orientation", "symmetrize"],
+    "dyads": ["evaluate", "--dyads", "{dyads}"],
+    "dyads-quoted": ["evaluate", "--dyads", "{quoted_dyads}"],
+    "table": ["table", "--table", "{table}", "--probabilities"],
+    "simulate": ["simulate", "--node-count", "60", "--mean-degree", "6",
+                 "--out-dyads", "{out}/sim.csv", "--evaluate"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(_GUARDED_RUNS))
+def test_no_runtime_path_builds_a_record(tmp_path, monkeypatch, capsys, run):
+    """Every CLI run tallies cell codes: with DyadRecord made unbuildable it
+    still succeeds, and its reports are byte-identical to a normal run's."""
+    inputs = _guard_inputs(tmp_path)
+    outputs = {}
+    for guarded in (False, True):
+        out = tmp_path / f"out{guarded}"
+        out.mkdir()
+        argv = [arg.format(out=out, **inputs) for arg in _GUARDED_RUNS[run]]
+        argv += ["--method", "both", "--trials", "2000", "--seed", "3",
+                 "--out-csv", f"{out}/r.csv", "--out-json", f"{out}/r.json",
+                 "--chart", f"{out}/r.svg"]
+        with monkeypatch.context() as patch:
+            if guarded:
+                def unbuildable(record):
+                    raise AssertionError(f"a runtime path built {record!r}")
+                patch.setattr(DyadRecord, "__post_init__", unbuildable)
+            assert main(argv) == 0, capsys.readouterr()
+        outputs[guarded] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert {"r.csv", "r.json", "r.svg"} <= set(outputs[True])
+    assert outputs[True] == outputs[False]
 
 
 def test_simulate_requires_some_output(capsys):

@@ -5,11 +5,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import parse_dyad_csv_by_rows
+from oracles import NodeRow, join_node_edges_by_rows, parse_dyad_csv_by_rows
 
 from dyadeval import (DyadTable, InferenceConfig, InputError, MeasureId, MeasureSpec,
-                      NullModel, bootstrap_test, build_table, exact_test, fit, inference,
-                      io, run_all)
+                      NullModel, bootstrap_test, build_table, census, exact_test, fit,
+                      inference, io, run_all)
 from dyadeval.inference import run_items
 from dyadeval.io import (EvaluationConfig, ItemReport, emit_report, evaluate_items,
                          join_node_edges, load_report_json, parse_dyad_csv,
@@ -412,11 +412,31 @@ NODE_HEADER = "node_id,participation,q1_before,q1_after,q2_before,q2_after"
 def test_node_csv_parses_items(tmp_path):
     path = write(tmp_path, "n.csv",
                  NODE_HEADER + "\na,1,0,1,1,1\nb,0,1,0,NA,1\n")
-    rows, items = parse_node_csv(path)
+    survey, items = parse_node_csv(path)
     assert items == ["q1", "q2"]
-    assert rows[0].participation == 1
-    assert rows[0].item_bits["q1"] == (0, 1)
-    assert rows[1].item_bits["q2"] is None
+    a, b = survey.index["a"], survey.index["b"]
+    assert survey.participation[a] == 1
+    assert survey.bits["q1"][a].tolist() == [0, 1]
+    assert survey.bits["q2"][b].tolist() == [-1, -1]
+    # one trailing row stands for an unknown id: missing everywhere
+    assert survey.participation.tolist() == [1, 0, -1]
+    assert survey.bits["q1"][-1].tolist() == [-1, -1]
+
+
+def test_node_csv_rows_numbered_by_first_line(tmp_path):
+    # rows on lines 2-3 and 4-5: the bad one is on line 4, neither 3 nor 5
+    path = write(tmp_path, "n.csv", 'node_id,participation\n"a\nb",1\n"c\nd",2\n')
+    with pytest.raises(InputError) as exc:
+        parse_node_csv(path)
+    assert str(exc.value) == f"{path}: line 4: column 'participation' must be 0 or 1, got '2'"
+
+
+def test_node_csv_repeated_id_is_error(tmp_path):
+    path = write(tmp_path, "n.csv", NODE_HEADER + "\na,1,0,1,1,1\nb,0,1,0,NA,1\n"
+                 " a ,0,0,0,0,0\n")
+    with pytest.raises(InputError) as exc:
+        parse_node_csv(path)
+    assert str(exc.value) == f"{path}: line 4: node_id 'a' repeats line 2"
 
 
 def test_node_csv_unknown_item_requested(tmp_path):
@@ -436,22 +456,34 @@ def test_edge_list_bad_columns(tmp_path):
         read_edge_list(path)
 
 
-def make_nodes():
-    return [
+def node_header(items):
+    return ",".join(["node_id", "participation"]
+                    + [f"{q}_{when}" for q in items for when in ("before", "after")])
+
+
+def node_survey(tmp_path, rows, items=("q1",)):
+    """The ``NodeSurvey`` read from a node CSV holding ``rows`` (NodeRows)."""
+    def token(value):
+        return "NA" if value is None else str(value)
+
+    lines = [node_header(items)]
+    for row in rows:
+        bits = [row.item_bits.get(q) or (None, None) for q in items]
+        lines.append(",".join([row.node_id, token(row.participation)]
+                              + [token(bit) for pair in bits for bit in pair]))
+    survey, _ = parse_node_csv(write(tmp_path, "nodes.csv", "\n".join(lines) + "\n"))
+    return survey
+
+
+def make_nodes(tmp_path):
+    return node_survey(tmp_path, [
         NodeRow("a", 1, {"q1": (1, 0)}),
         NodeRow("b", 0, {"q1": (1, 1)}),
-    ]
+    ])
 
 
-class NodeRow:
-    def __init__(self, node_id, participation, item_bits):
-        self.node_id = node_id
-        self.participation = participation
-        self.item_bits = item_bits
-
-
-def test_join_directed_vs_symmetrized():
-    nodes = make_nodes()
+def test_join_directed_vs_symmetrized(tmp_path):
+    nodes = make_nodes(tmp_path)
     records, stats = join_node_edges(nodes, [("a", "b")], "q1")
     assert len(records) == 1 and stats.used == 1 and stats.dropped == 0
     rec = records[0]
@@ -461,40 +493,96 @@ def test_join_directed_vs_symmetrized():
     assert (both[1].x, both[1].y) == (0, 1)
 
 
-def test_join_unknown_node_dropped():
-    records, stats = join_node_edges(make_nodes(), [("a", "zz")], "q1")
+def test_join_unknown_node_dropped(tmp_path):
+    records, stats = join_node_edges(make_nodes(tmp_path), [("a", "zz")], "q1")
     assert records == []
     assert stats.dropped_unknown_node == 1
 
 
-def test_join_missing_bits_dropped():
-    nodes = [NodeRow("a", 1, {"q1": None}), NodeRow("b", 0, {"q1": (1, 1)})]
+def test_join_missing_bits_dropped(tmp_path):
+    nodes = node_survey(tmp_path, [NodeRow("a", 1, {"q1": None}),
+                                   NodeRow("b", 0, {"q1": (1, 1)})])
     records, stats = join_node_edges(nodes, [("a", "b")], "q1")
     assert records == []
     assert stats.dropped_missing_bits == 1
 
 
-def test_join_self_edge_counted():
-    records, stats = join_node_edges(make_nodes(), [("a", "a")], "q1")
+def test_join_self_edge_counted(tmp_path):
+    records, stats = join_node_edges(make_nodes(tmp_path), [("a", "a")], "q1")
     assert records == []
     assert stats.dropped_self_edge == 1
 
 
-def test_join_ten_node_fixture_matches_manual():
+def test_join_ten_node_fixture_matches_manual(tmp_path):
     rng = np.random.default_rng(13)
-    nodes = [NodeRow(f"n{i}", int(rng.integers(2)),
-                     {"q": (int(rng.integers(2)), int(rng.integers(2)))})
-             for i in range(10)]
+    rows = [NodeRow(f"n{i}", int(rng.integers(2)),
+                    {"q": (int(rng.integers(2)), int(rng.integers(2)))})
+            for i in range(10)]
     edges = [(f"n{i}", f"n{(i + 3) % 10}") for i in range(10)]
-    records, stats = join_node_edges(nodes, edges, "q")
+    records, stats = join_node_edges(node_survey(tmp_path, rows, items=("q",)), edges, "q")
     assert stats.used == 10
-    by_id = {n.node_id: n for n in nodes}
+    by_id = {n.node_id: n for n in rows}
     for rec, (a, b) in zip(records, edges):
         assert rec.ego_id == a and rec.alter_id == b
         assert rec.x == by_id[a].participation
         assert rec.y == by_id[b].participation
         assert (rec.p, rec.r) == by_id[a].item_bits["q"]
         assert (rec.q, rec.s) == by_id[b].item_bits["q"]
+
+
+def _random_survey(rng):
+    """A node CSV's text and the oracle's NodeRows for it: up to 12 nodes
+    over up to 3 items, each participation, before and after cell missing
+    (NA or empty) with probability 0.15 on its own."""
+    items = [f"q{i}" for i in range(int(rng.integers(4)))]
+    lines = [node_header(items)]
+    rows = []
+    for i in range(int(rng.integers(13))):
+        tokens = [str(int(rng.integers(2))) if rng.random() > 0.15
+                  else str(rng.choice(["NA", ""])) for _ in range(1 + 2 * len(items))]
+        values = [None if token in ("", "NA") else int(token) for token in tokens]
+        pairs = zip(values[1::2], values[2::2])
+        bits = {item: None if None in pair else pair for item, pair in zip(items, pairs)}
+        rows.append(NodeRow(f"n{i}", values[0], bits))
+        lines.append(",".join([f"n{i}"] + tokens))
+    return "\n".join(lines) + "\n", rows, items
+
+
+def _random_edges(rng, rows):
+    """Up to 30 edges: ends drawn from the survey's ids and 3 unknown ones,
+    a fifth of them self edges, and some edges listed again."""
+    pool = [row.node_id for row in rows] + ["u0", "u1", "u2"]
+    edges = []
+    for _ in range(int(rng.integers(31))):
+        a = str(rng.choice(pool))
+        b = a if rng.random() < 0.2 else str(rng.choice(pool))
+        edges.append((a, b))
+    for _ in range(int(rng.integers(4)) if edges else 0):
+        edges.append(edges[int(rng.integers(len(edges)))])
+    return edges
+
+
+def test_join_matches_record_oracle(tmp_path):
+    """300 random surveys: the codes, tables and counters of the columnar
+    join equal those of the record-by-record reference, for every item the
+    survey has and one it lacks, in both orientations."""
+    rng = np.random.default_rng(2024)
+    for case in range(300):
+        text, rows, items = _random_survey(rng)
+        survey, found = parse_node_csv(write(tmp_path, f"n{case}.csv", text))
+        assert found == items
+        edges = _random_edges(rng, rows)
+        orientation = ("directed", "symmetrize")[case % 2]
+        dyads = io._resolve_edges(survey, edges, orientation)
+        for item in items + ["zz"]:
+            expected, expected_stats = join_node_edges_by_rows(rows, edges, item, orientation)
+            codes, stats = io._join_codes(survey, dyads, item)
+            assert stats == expected_stats, (case, item)
+            kept = codes[codes >= 0]
+            assert kept.tolist() == [rec.cell.code for rec in expected], (case, item)
+            assert np.array_equal(census.tally(kept, item).counts,
+                                  build_table(expected, item=item).counts)
+            assert join_node_edges(survey, edges, item, orientation) == (expected, stats)
 
 
 def test_ingestion_lossless(tmp_path):
@@ -566,6 +654,14 @@ def test_table64_negative_count(tmp_path):
         lines.append(",".join(map(str, bits)) + ",1,1,1," + ("-1" if group == 0 else "1"))
     with pytest.raises(InputError, match="non-negative"):
         parse_table64(write(tmp_path, "t.csv", "\n".join(lines) + "\n"))
+
+
+def test_table64_rows_numbered_by_first_line(tmp_path):
+    path = write(tmp_path, "t.csv",
+                 'x,y,p,q,r,s,value\n"0\n",0,0,0,0,0,1\n"0\n",0,0,0,0,1,z\n')
+    with pytest.raises(InputError) as exc:
+        parse_table64(path)
+    assert str(exc.value) == f"{path}: line 4: column 'value' is not a number: 'z'"
 
 
 def test_table64_duplicate_cell(tmp_path):

@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import cell_code, to_dyad_records
 
 from dyadeval import (EdgeModel, InputError, SimNetwork, SimParams,
-                      assign_initial_states, build_table, generate_network,
+                      assign_initial_states, build_table, dyad_codes, generate_network,
                       probabilities_to_counts, simulate, simulate_dyad_table,
-                      to_dyad_records, transition)
+                      transition)
 
 
 def test_params_validation():
@@ -108,9 +109,7 @@ def test_frozen_dynamics_keeps_states():
     net = assign_initial_states(net, params, seed=3)
     net = transition(net, params, seed=4)
     assert np.array_equal(net.behavior1, net.behavior0)
-    table = build_table(to_dyad_records(net))
-    nonzero = np.nonzero(table.counts)[0]
-    for code in nonzero:
+    for code in np.unique(dyad_codes(net)).tolist():
         p, q = code >> 3 & 1, code >> 2 & 1
         r, s = code >> 1 & 1, code & 1
         assert (r, s) == (p, q)
@@ -176,6 +175,7 @@ def test_to_dyad_records_zero_state_edge():
     records = to_dyad_records(net)
     assert len(records) == 1
     assert records[0].cell.code == 0
+    assert dyad_codes(net).tolist() == [0]
 
 
 def test_to_dyad_records_matches_manual_enumeration():
@@ -195,12 +195,37 @@ def test_to_dyad_records_matches_manual_enumeration():
     ]
     got = [(r.ego_id, r.alter_id, r.x, r.y, r.p, r.q, r.r, r.s) for r in records]
     assert got == expected
+    assert dyad_codes(net).tolist() == [cell_code(*row[2:]) for row in expected]
+
+
+def test_dyad_codes_need_transition():
+    net = generate_network(10, EdgeModel(mean_degree=2.0), seed=1)
+    with pytest.raises(InputError, match="transition must run"):
+        dyad_codes(net)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_simulated_table_matches_record_oracle(seed):
+    """The census tallied from the network's arrays equals the census of
+    one record per dyad, over varied topologies and parameters."""
+    rng = np.random.default_rng(seed)
+    model = [EdgeModel(mean_degree=float(rng.uniform(2, 8)),
+                       both_orientations=bool(seed % 2)),
+             EdgeModel(kind="small_world", k=4, rewire_prob=0.3)][seed % 3 == 0]
+    params = SimParams(participation_prob=float(rng.uniform()), p_effect=float(rng.uniform()),
+                       p_social=float(rng.uniform()), seed=seed)
+    node_count = int(rng.integers(20, 120))
+    table = simulate_dyad_table(params, node_count, model, item_id=f"s{seed}")
+    expected = build_table(to_dyad_records(simulate(params, node_count, model),
+                                           item_id=f"s{seed}"))
+    assert table.item_id == expected.item_id == f"s{seed}"
+    assert np.array_equal(table.counts, expected.counts)
 
 
 def test_record_count_equals_dyad_count():
     net = simulate(SimParams(seed=5), node_count=60,
                    edge_model=EdgeModel(mean_degree=6.0))
-    assert len(to_dyad_records(net)) == len(net.dyads)
+    assert dyad_codes(net).size == len(net.dyads)
 
 
 def test_phase_conservation():
