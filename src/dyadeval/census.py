@@ -17,7 +17,7 @@ both orientations at ingestion time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -99,14 +99,6 @@ class DyadRecord:
     def cell(self) -> CellIndex:
         return CellIndex(self.x, self.y, self.p, self.q, self.r, self.s)
 
-    def invert_behavior(self) -> "DyadRecord":
-        """Recode all four behavior bits (p, q, r, s -> 1 - bit).
-
-        Flips the polarity of the behavior coding so that 0->1 transitions
-        become 1->0 and vice versa; participation bits are untouched.
-        """
-        return replace(self, p=1 - self.p, q=1 - self.q, r=1 - self.r, s=1 - self.s)
-
 
 def cell_codes(x, y, p, q, r, s) -> np.ndarray:
     """Cell codes 32x + 16y + 8p + 4q + 2r + s of dyads given as bit arrays."""
@@ -148,11 +140,6 @@ class DyadTable:
     def invert_behavior(self) -> "DyadTable":
         """Census of the same dyads with behavior bits recoded (p,q,r,s -> 1 - bit)."""
         return DyadTable(self.counts[np.arange(64) ^ 0b1111], item_id=self.item_id)
-
-    def __add__(self, other: "DyadTable") -> "DyadTable":
-        if not isinstance(other, DyadTable):
-            return NotImplemented
-        return DyadTable(self.counts + other.counts, item_id=self.item_id)
 
 
 def tally(codes: np.ndarray, item: str | None = None) -> DyadTable:

@@ -20,15 +20,16 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from ._version import __version__
 from .chart import emit_bubble_chart
 from .errors import InputError, NumericalIntegrityError
-from .inference import method_disagreement
-from .io import (EvaluationConfig, ItemReport, _csv_quote, _open_text, _write_bytes,
-                 emit_report, evaluate_items, load_report_json, read_edge_list)
+from .census import tally
+from .inference import InferenceConfig, method_disagreement
+from .io import (ItemReport, _check_delimiter, _csv_quote, _open_text, _write_bytes,
+                 dyad_csv_items, emit_report, evaluate_items, load_report_json,
+                 node_edge_items, parse_table64, read_edge_list)
 from .sim import EdgeModel, SimParams, dyad_codes, simulate
 
 __all__ = ["main", "build_parser"]
@@ -181,25 +182,30 @@ def _set_config_defaults(parser: argparse.ArgumentParser, command: str,
                        for key, raw in values.items()})
 
 
-def _read_items_file(path: str, delimiter: str) -> tuple[tuple[str, str], ...]:
+def _read_items_file(path: str, delimiter: str) -> dict[str, str]:
+    """Item id -> label, in file order; an id may be listed once only."""
     items_path = Path(path)
     if not items_path.exists():
         raise InputError(f"no such items file: {path}")
     with _open_text(items_path) as lines:
         text = "".join(lines)
-    items = []
+    labels: dict[str, str] = {}
+    lines_of: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.strip().startswith("#"):
             continue
         parts = line.split(delimiter, 1)
         item_id = parts[0].strip()
-        label = parts[1].strip() if len(parts) > 1 else item_id
         if line_no == 1 and item_id.lower() == "item_id":
             continue
-        items.append((item_id, label))
-    if not items:
+        if item_id in labels:
+            raise InputError(f"{path}: line {line_no}: item_id {item_id!r} "
+                             f"repeats line {lines_of[item_id]}")
+        labels[item_id] = parts[1].strip() if len(parts) > 1 else item_id
+        lines_of[item_id] = line_no
+    if not labels:
         raise InputError(f"{path}: no items listed")
-    return tuple(items)
+    return labels
 
 
 def _emit_all(reports: list[ItemReport], args) -> int:
@@ -262,35 +268,38 @@ def _monte_carlo_se(results, measure) -> float:
     return max(math.sqrt(p * (1.0 - p) / trials), 1.0 / trials)
 
 
+def _evaluate(items, args) -> int:
+    """Test each (item id, label, census, dyads dropped) of ``items`` and
+    write the reports."""
+    if args.invert_behavior:
+        items = [(item, label, table.invert_behavior(), dropped)
+                 for item, label, table, dropped in items]
+    config = InferenceConfig(method=args.method, trials=args.trials, alpha=args.alpha,
+                             seed=args.seed, two_sided=args.two_sided)
+    return _emit_all(evaluate_items(items, config), args)
+
+
 def _cmd_evaluate(args) -> int:
     if args.dyads and (args.nodes or args.edges):
         raise InputError("give either --dyads or --nodes/--edges, not both")
-    if args.dyads:
-        mode = "dyad_csv"
-    elif args.nodes and args.edges:
-        mode = "node_edges"
-    else:
+    if not (args.dyads or (args.nodes and args.edges)):
         raise InputError("evaluate needs --dyads, or --nodes and --edges")
-    config = EvaluationConfig(
-        input_mode=mode, dyads_path=args.dyads, nodes_path=args.nodes,
-        edges_path=args.edges, method=args.method,
-        trials=args.trials, alpha=args.alpha, seed=args.seed,
-        two_sided=args.two_sided, invert_behavior=args.invert_behavior,
-        orientation=args.orientation, delimiter=args.delimiter)
-    if args.items:  # read with the delimiter the config has checked
-        config = replace(config, items=_read_items_file(args.items, config.delimiter))
-    return _emit_all(evaluate_items(config), args)
+    _check_delimiter(args.delimiter)  # before the items file is split at it
+    labels = _read_items_file(args.items, args.delimiter) if args.items else {}
+    wanted = list(labels) or None
+    if args.dyads:
+        built = dyad_csv_items(args.dyads, wanted, args.delimiter)
+    else:
+        built = node_edge_items(args.nodes, args.edges, wanted, args.orientation,
+                                args.delimiter)
+    return _evaluate([(item, labels.get(item, item), table, dropped)
+                      for item, table, dropped in built], args)
 
 
 def _cmd_table(args) -> int:
     label = args.item_label if args.item_label is not None else args.item_id
-    config = EvaluationConfig(
-        input_mode="table64", table_path=args.table,
-        table_probabilities=args.probabilities, table_scale=args.scale,
-        items=((args.item_id, label),), method=args.method, trials=args.trials,
-        alpha=args.alpha, seed=args.seed, two_sided=args.two_sided,
-        invert_behavior=args.invert_behavior, delimiter=args.delimiter)
-    return _emit_all(evaluate_items(config), args)
+    table = parse_table64(args.table, args.probabilities, args.scale, args.delimiter)
+    return _evaluate([(args.item_id, label, table, 0)], args)
 
 
 # The six bit fields of a dyad CSV row, by cell code.
@@ -307,8 +316,6 @@ def _write_dyad_csv(network, codes, item_id: str, path) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    import tempfile
-
     if not (args.out_dyads or args.evaluate):
         raise InputError("simulate needs --out-dyads and/or --evaluate")
     if args.item_id != args.item_id.strip():  # the dyad CSV reader strips item ids
@@ -334,20 +341,12 @@ def _cmd_simulate(args) -> int:
     network = simulate(params, node_count=args.node_count, edge_model=model)
     codes = dyad_codes(network)
     print(f"simulated {network.node_count} nodes, {codes.size} dyads")
-    with tempfile.TemporaryDirectory() as tmp:
-        dyads_path = args.out_dyads or str(Path(tmp) / "sim_dyads.csv")
-        _write_dyad_csv(network, codes, args.item_id, dyads_path)
-        if args.out_dyads:
-            print(f"wrote {args.out_dyads}")
-        if not args.evaluate:
-            return 0
-        config = EvaluationConfig(
-            input_mode="dyad_csv", dyads_path=dyads_path,
-            items=((args.item_id, args.item_id),), method=args.method,
-            trials=args.trials, alpha=args.alpha, seed=args.seed,
-            two_sided=args.two_sided, invert_behavior=args.invert_behavior,
-            delimiter=",")
-        return _emit_all(evaluate_items(config), args)
+    if args.out_dyads:
+        _write_dyad_csv(network, codes, args.item_id, args.out_dyads)
+        print(f"wrote {args.out_dyads}")
+    if not args.evaluate:
+        return 0
+    return _evaluate([(args.item_id, args.item_id, tally(codes, args.item_id), 0)], args)
 
 
 def _cmd_chart(args) -> int:

@@ -57,7 +57,8 @@ One run plan serves every entry point.  ``run_items`` fits each item's
 model once, takes each measure's observed value, null mean and direction
 once, and splits the work into tasks: ranges of bootstrap chunks plus one
 exact task per item.  The tasks run inline or through a map the caller
-supplies (``io.evaluate_items`` passes a pool of forked workers); only
+supplies (``io.evaluate_items``, which takes one census per item from any
+source, passes a pool of forked workers); only
 this module knows the chunk layout and the split.  ``run_all`` is the
 one-item case, inline; ``bootstrap_test`` and ``exact_test`` are its
 one-measure cases.

@@ -8,7 +8,7 @@ dyad CSV      header ego_id, alter_id, ego_part, alter_part, ego_b0,
               non-binary value is a hard error naming row and column.
               Repeated (ego, alter, item) rows are tallied as given, once
               per row: detecting them would need a key set as large as the
-              file, and the file is streamed in blocks.  ``evaluate_items``
+              file, and the file is streamed in blocks.  ``dyad_csv_items``
               reads it as bytes and tallies each plain block (ASCII, no
               quote, CR or NUL, no over-long line) in numpy; from the first
               block that is not plain on, csv reads the rest, as it reads
@@ -34,10 +34,12 @@ raised when that line is reached, so a bad row before it is reported
 first.  A row is numbered by the physical line it starts on.
 
 Every input reaches the census as 64-cell codes, with no object per dyad
-but in the records views ``parse_dyad_csv`` and ``join_node_edges``.
-Batch evaluation tallies each item's table here and hands the items to
-``inference.run_items``, which plans and splits their runs; this module
-only supplies the map that runs the tasks in forked worker processes.
+but in the records views ``parse_dyad_csv`` and ``join_node_edges``.  Each
+source has its own census builder: ``dyad_csv_items``, ``node_edge_items``
+and ``parse_table64``.  ``evaluate_items`` takes the censuses, from any of
+them, and hands them to ``inference.run_items``, which plans and splits
+their runs; this module only supplies the map that runs the tasks in
+forked worker processes.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from io import TextIOWrapper
 from itertools import compress, islice, repeat, starmap
 from operator import eq, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,13 +67,14 @@ from .sim import probabilities_to_counts
 __all__ = [
     "NodeSurvey",
     "JoinStats",
-    "EvaluationConfig",
     "ItemReport",
     "parse_dyad_csv",
     "parse_node_csv",
     "read_edge_list",
     "join_node_edges",
     "parse_table64",
+    "dyad_csv_items",
+    "node_edge_items",
     "evaluate_items",
     "emit_report",
     "load_report_json",
@@ -135,12 +138,18 @@ def _undecodable_line(path: Path) -> int:
     return 0
 
 
+def _check_delimiter(delimiter) -> None:
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise InputError(f"delimiter must be one character, got {delimiter!r}")
+
+
 @contextmanager
 def _open_csv(path: Path, delimiter: str, start: int = 0, line_no: int = 1
               ) -> Iterator[Iterator[list[str]]]:
     """A csv reader over ``path`` from byte ``start`` on, which is the start
     of line ``line_no``; a csv error met inside the block (such as a field
     over csv's size limit) is an InputError naming the path and line."""
+    _check_delimiter(delimiter)
     with _open_text(path, start) as lines:
         reader = csv.reader(lines, delimiter=delimiter)
         try:
@@ -283,7 +292,7 @@ def parse_dyad_csv(path, delimiter: str = ",") -> tuple[list[DyadRecord], list[t
 
     Returns (records, drops) where drops lists (line number, item id or
     None) for rows excluded because of missing bits.  The file is read
-    through csv by the block reader ``evaluate_items`` falls back on, so
+    through csv by the block reader ``dyad_csv_items`` falls back on, so
     the row rules are the same; the result holds one record per kept row.
     """
     records: list[DyadRecord] = []
@@ -408,6 +417,7 @@ def _tallied_blocks(path: Path, delimiter: str, items: _ItemIndex
     (``_read_dyad_blocks``): the bytes before it hold no quote, so that
     block starts a row.
     """
+    _check_delimiter(delimiter)
     if not path.exists():
         raise InputError(f"no such file: {path}")
     limit = csv.field_size_limit()
@@ -451,6 +461,19 @@ def _tally_dyad_csv(path, delimiter: str
     by_item = counts.reshape(-1, 64)
     return ({item: by_item[i] for item, i in items.ids.items() if by_item[i].any()},
             dropped)
+
+
+def dyad_csv_items(path, items: Sequence[str] | None = None, delimiter: str = ","
+                   ) -> list[tuple[str, DyadTable, int]]:
+    """(item, census, dyads dropped) of a dyad CSV for each of ``items``, or
+    for each item with at least one kept row, sorted.  An item the file
+    lacks gets an empty census.  The file is streamed: each block is added
+    into per-item counts with one ``bincount`` and no per-row record, so
+    memory is O(block + items) whatever the row count.  The row rules are
+    those of ``parse_dyad_csv`` (same drops, same first error)."""
+    counts, dropped = _tally_dyad_csv(path, delimiter)
+    return [(item, DyadTable(counts.get(item, np.zeros(64, dtype=np.int64)), item_id=item),
+             dropped.get(item, 0)) for item in (sorted(counts) if items is None else items)]
 
 
 @dataclass(frozen=True)
@@ -522,11 +545,6 @@ def parse_node_csv(path, items: Sequence[str] | None = None,
                                            for i, item in enumerate(use_items)}), use_items
 
 
-def _check_delimiter(delimiter) -> None:
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise InputError(f"delimiter must be one character, got {delimiter!r}")
-
-
 def read_edge_list(path, delimiter: str = ",") -> list[tuple[str, str]]:
     """Two-column identifier pairs; '#' comment lines and blanks skipped."""
     _check_delimiter(delimiter)
@@ -595,7 +613,7 @@ def _join_codes(survey: NodeSurvey, dyads: tuple[np.ndarray, np.ndarray], item: 
 def join_node_edges(nodes: NodeSurvey, edges: Sequence[tuple[str, str]],
                     item: str, orientation: str = "directed",
                     ) -> tuple[list[DyadRecord], JoinStats]:
-    """The records view of the join ``evaluate_items`` tallies: one record
+    """The records view of the join ``node_edge_items`` tallies: one record
     per dyad of ``item`` kept.  ``orientation="directed"`` takes each edge
     as listed; ``"symmetrize"`` takes both orientations.  Dyads with an
     unresolvable endpoint or any missing bit are dropped and counted."""
@@ -604,6 +622,22 @@ def join_node_edges(nodes: NodeSurvey, edges: Sequence[tuple[str, str]],
     ids, kept = {row: node for node, row in nodes.index.items()}, codes >= 0
     return [DyadRecord(ids[ego], ids[alter], *_CELLS[code], item_id=item)
             for ego, alter, code in zip(*dyads[0][:, kept].tolist(), codes[kept].tolist())], stats
+
+
+def node_edge_items(nodes, edges, items: Sequence[str] | None = None,
+                    orientation: str = "directed", delimiter: str = ","
+                    ) -> list[tuple[str, DyadTable, int]]:
+    """(item, census, dyads dropped) of a node survey joined with an edge
+    list, for each of ``items``, or for each item of the survey's header,
+    sorted.  The edges are resolved to survey rows once; each item's codes
+    then come from the survey's columns, with no record per dyad."""
+    survey, found = parse_node_csv(nodes, items, delimiter)
+    dyads = _resolve_edges(survey, read_edge_list(edges, delimiter), orientation)
+    built = []
+    for item in (sorted(found) if items is None else items):
+        codes, stats = _join_codes(survey, dyads, item)
+        built.append((item, tally(codes[codes >= 0], item), stats.dropped))
+    return built
 
 
 # Largest cell count a 64-cell table takes: every integer up to it is exact
@@ -679,44 +713,6 @@ def parse_table64(path, probabilities: bool = False, scale: int = 100,
 
 
 @dataclass(frozen=True)
-class EvaluationConfig:
-    """Everything one batch evaluation needs.
-
-    ``items`` maps item id -> label; None means discover items from the
-    input.  Exactly one input mode is used: ``dyad_csv`` (path in
-    ``dyads_path``), ``node_edges`` (``nodes_path`` + ``edges_path``) or
-    ``table64`` (``table_path``).
-    """
-
-    input_mode: str = "dyad_csv"
-    dyads_path: str | None = None
-    nodes_path: str | None = None
-    edges_path: str | None = None
-    table_path: str | None = None
-    table_probabilities: bool = False
-    table_scale: int = 100
-    items: tuple[tuple[str, str], ...] | None = None
-    method: str = "both"
-    trials: int = 100_000
-    alpha: float = 0.05
-    seed: int = 0
-    two_sided: bool = False
-    invert_behavior: bool = False
-    orientation: str = "directed"
-    delimiter: str = ","
-
-    def __post_init__(self) -> None:
-        if self.input_mode not in ("dyad_csv", "node_edges", "table64"):
-            raise InputError(f"unknown input mode {self.input_mode!r}")
-        _check_delimiter(self.delimiter)
-
-    def inference(self, seed) -> InferenceConfig:
-        return InferenceConfig(method=self.method, trials=self.trials,
-                               alpha=self.alpha, seed=seed,
-                               two_sided=self.two_sided)
-
-
-@dataclass(frozen=True)
 class ItemReport:
     """Results and data-quality counters for one behavioral item."""
 
@@ -726,13 +722,6 @@ class ItemReport:
     dyads_used: int
     dyads_dropped: int
     error: str | None = None
-
-
-def _item_labels(config: EvaluationConfig, discovered: Iterable[str]
-                 ) -> list[tuple[str, str]]:
-    if config.items is not None:
-        return list(config.items)
-    return [(item, item) for item in sorted(discovered)]
 
 
 def _worker_count() -> int:
@@ -759,71 +748,36 @@ def _run_tasks(fn: Callable, tasks: list) -> list:
     return [fn(t) for t in tasks]
 
 
-def evaluate_items(config: EvaluationConfig) -> list[ItemReport]:
-    """Census -> null model -> all measures, per item.
+def evaluate_items(items: Sequence[tuple[str, str, DyadTable, int]],
+                   config: InferenceConfig) -> list[ItemReport]:
+    """Null model -> all measures, for each (item id, label, census, dyads
+    dropped) of ``items``.
 
-    Per-item randomness comes from the children of SeedSequence(seed) in
-    item order, so results are reproducible and independent of which other
-    items are present only when the item list is unchanged.  An item whose
-    census cannot be tested (no dyads) produces a report carrying its error;
-    other items still run.  An input file that cannot be read is an
-    InputError of the whole run.  A ``NumericalIntegrityError`` is a fault
-    of the engine, not of an item, and propagates.
+    Item i draws from child i of SeedSequence(config.seed), so results are
+    reproducible and independent of which other items are present only
+    when the item list is unchanged.  An item whose census cannot be tested
+    (no dyads) produces a report carrying its error; other items still run.
+    A ``NumericalIntegrityError`` is a fault of the engine, not of an item,
+    and propagates.
 
-    Tables are built here, in item order; ``inference.run_items`` then
-    plans every item's run and splits it into tasks (each item's bootstrap
-    chunks in ranges, its exact engine as one task more), and this module
-    only runs those tasks in up to one forked worker process per CPU
-    (inline for a single task or CPU), so one item's bootstrap uses every
-    CPU too.  Each item draws only from its own seed child, chunk j from
-    stream j of it, so results do not depend on the worker count.  A worker
-    holds one chunk's null censuses at a time (16,384 x 64 int64 cell
-    counts) plus running tail counts, whatever the trial count.
-
-    A dyad CSV is streamed: each block is tallied into per-item counts with
-    one ``bincount`` and no per-row record, so ingestion holds O(block +
-    items) memory whatever the row count.  Its row rules are those of
-    ``parse_dyad_csv`` (same drops, same first error).  A node survey's edges
-    are resolved to survey rows once; each item's codes then come from the
-    survey's columns, as in ``join_node_edges`` but with no record per dyad.
+    ``inference.run_items`` plans every item's run and splits it into tasks
+    (each item's bootstrap chunks in ranges, its exact engine as one task
+    more), and this module only runs those tasks in up to one forked worker
+    process per CPU (inline for a single task or CPU), so one item's
+    bootstrap uses every CPU too.  Chunk j of an item draws from stream j
+    of its seed child, so results do not depend on the worker count.  A
+    worker holds one chunk's null censuses at a time (16,384 x 64 int64
+    cell counts) plus running tail counts, whatever the trial count.
     """
-    if config.input_mode == "dyad_csv":
-        if config.dyads_path is None:
-            raise InputError("dyad_csv mode requires dyads_path")
-        counts, dropped = _tally_dyad_csv(config.dyads_path, config.delimiter)
-        labels = _item_labels(config, counts)
-        built = [(DyadTable(counts.get(item, np.zeros(64, dtype=np.int64)), item_id=item),
-                  dropped.get(item, 0)) for item, _ in labels]
-    elif config.input_mode == "node_edges":
-        if config.nodes_path is None or config.edges_path is None:
-            raise InputError("node_edges mode requires nodes_path and edges_path")
-        wanted = [item for item, _ in config.items] if config.items is not None else None
-        nodes, found = parse_node_csv(config.nodes_path, wanted, config.delimiter)
-        dyads = _resolve_edges(nodes, read_edge_list(config.edges_path, config.delimiter),
-                               config.orientation)
-        labels, built = _item_labels(config, found), []
-        for item, _ in labels:
-            codes, stats = _join_codes(nodes, dyads, item)
-            built.append((tally(codes[codes >= 0], item), stats.dropped))
-    else:
-        if config.table_path is None:
-            raise InputError("table64 mode requires table_path")
-        labels = _item_labels(config, ["table"])
-        if len(labels) != 1:
-            raise InputError("table64 mode takes exactly one item")
-        built = [(parse_table64(config.table_path, config.table_probabilities,
-                                config.table_scale, config.delimiter), 0)]
-    if config.invert_behavior:
-        built = [(table.invert_behavior(), n_dropped) for table, n_dropped in built]
-    children = np.random.SeedSequence(config.seed).spawn(len(labels))
-    outcomes = run_items([(table, config.inference(child), None)
-                          for (table, _), child in zip(built, children)],
+    children = np.random.SeedSequence(config.seed).spawn(len(items))
+    outcomes = run_items([(table, replace(config, seed=child), None)
+                          for (_, _, table, _), child in zip(items, children)],
                          _worker_count(), _run_tasks)
     return [ItemReport(item_id, label, (), 0, 0, error=str(outcome))
             if isinstance(outcome, InputError)
             else ItemReport(item_id, label, tuple(outcome), dyads_used=table.total,
-                            dyads_dropped=n_dropped)
-            for (item_id, label), (table, n_dropped), outcome in zip(labels, built, outcomes)]
+                            dyads_dropped=dropped)
+            for (item_id, label, table, dropped), outcome in zip(items, outcomes)]
 
 
 _CSV_FIELDS = ("item_id", "item_label", "measure", "measure_label", "method",
@@ -915,7 +869,9 @@ def _csv_quote(text: str) -> str:
 
 
 def load_report_json(path) -> list[ItemReport]:
-    """Re-parse a JSON report into ItemReports (inverse of emit_report)."""
+    """Re-parse a JSON report into ItemReports (inverse of emit_report).  A
+    payload that is not an object, a missing key or an unknown measure is
+    an InputError naming the file."""
     path = Path(path)
     with _open_text(path) as lines:
         text = "".join(lines)
@@ -923,15 +879,24 @@ def load_report_json(path) -> list[ItemReport]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     reports = []
-    for item in payload.get("items", []):
-        results = tuple(
-            TestResult(**{f.name: res[f.name] for f in fields(TestResult) if f.name != "measure"},
-                       measure=MeasureId(res["measure"]) if res["measure"] else None)
-            for res in item["results"])
-        reports.append(ItemReport(
-            item_id=item["item_id"], item_label=item["item_label"],
-            results=results, dyads_used=item["dyads_used"],
-            dyads_dropped=item["dyads_dropped"], error=item["error"],
-        ))
+    try:
+        for item in payload.get("items", []):
+            results = tuple(
+                TestResult(**{f.name: res[f.name] for f in fields(TestResult) if f.name != "measure"},
+                           measure=MeasureId(res["measure"]) if res["measure"] else None)
+                for res in item["results"])
+            reports.append(ItemReport(
+                item_id=item["item_id"], item_label=item["item_label"],
+                results=results, dyads_used=item["dyads_used"],
+                dyads_dropped=item["dyads_dropped"], error=item["error"],
+            ))
+    except KeyError as exc:
+        raise InputError(f"{path}: report lacks key {exc}") from None
+    except TypeError as exc:  # an item or result that is not an object
+        raise InputError(f"{path}: malformed report: {exc}") from None
+    except ValueError as exc:  # from MeasureId
+        raise InputError(f"{path}: unknown measure: {exc}") from None
     return reports

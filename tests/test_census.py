@@ -43,12 +43,6 @@ def test_record_validation():
         DyadRecord(ego_id="same", alter_id="same", x=0, y=0, p=0, q=0, r=0, s=0)
 
 
-def test_record_invert_behavior():
-    flipped = rec(1, 0, 1, 1, 0, 1).invert_behavior()
-    assert (flipped.x, flipped.y) == (1, 0)
-    assert (flipped.p, flipped.q, flipped.r, flipped.s) == (0, 0, 1, 0)
-
-
 def test_build_table_empty():
     table = build_table([], item="q1")
     assert table.total == 0
@@ -104,13 +98,6 @@ def test_table_counts_immutable():
     table = DyadTable(np.zeros(64, dtype=np.int64))
     with pytest.raises(ValueError):
         table.counts[0] = 1
-
-
-def test_table_addition():
-    rng = np.random.default_rng(11)
-    a = DyadTable(rng.integers(0, 9, size=64).astype(np.int64))
-    b = DyadTable(rng.integers(0, 9, size=64).astype(np.int64))
-    assert np.array_equal((a + b).counts, a.counts + b.counts)
 
 
 def test_single_dyad_marginal_propagation():

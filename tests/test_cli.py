@@ -308,6 +308,80 @@ def test_simulate_requires_some_output(capsys):
     assert main(["simulate", "--node-count", "30"]) == 1
 
 
+@pytest.mark.parametrize("seed, flags", [
+    (1, []), (5, []), (8, ["--invert-behavior"]), (13, ["--invert-behavior", "--two-sided"])])
+def test_simulate_evaluate_equals_evaluate_of_its_dyads(tmp_path, capsys, seed, flags):
+    """``simulate --evaluate`` tallies the simulated codes in memory; its
+    reports are those of ``evaluate`` over the dyad CSV it writes."""
+    common = ["--seed", str(seed), "--method", "both", "--trials", "3000", *flags]
+    dyads, items = tmp_path / "s.csv", tmp_path / "items.csv"
+    items.write_text("q3\n")
+    runs = {
+        "a": ["simulate", "--node-count", "60", "--mean-degree", "6", "--item-id", "q3",
+              "--out-dyads", str(dyads), "--evaluate"],
+        "b": ["evaluate", "--dyads", str(dyads), "--items", str(items)],
+    }
+    outputs = {}
+    for name, argv in runs.items():
+        out = [tmp_path / f"{name}.{ext}" for ext in ("json", "csv", "svg")]
+        assert main(argv + common + ["--out-json", str(out[0]), "--out-csv", str(out[1]),
+                                     "--chart", str(out[2])]) == 0
+        outputs[name] = [path.read_bytes() for path in out]
+    assert outputs["a"] == outputs["b"]
+    assert json.loads(outputs["a"][0])["items"][0]["dyads_used"] > 0
+
+
+def test_simulate_evaluate_writes_no_dyad_csv(tmp_path, monkeypatch, capsys):
+    """Without ``--out-dyads``, ``simulate --evaluate`` writes no dyad CSV,
+    and its reports equal those of a run that writes one."""
+    argv = ["simulate", "--node-count", "60", "--mean-degree", "6", "--seed", "4",
+            "--evaluate", "--method", "both", "--trials", "2000"]
+    with monkeypatch.context() as patch:
+        def unwritable(*args):
+            raise AssertionError("simulate wrote a dyad CSV it was not asked for")
+        patch.setattr("dyadeval.cli._write_dyad_csv", unwritable)
+        assert main(argv + ["--out-json", str(tmp_path / "a.json")]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json"]
+    assert main(argv + ["--out-dyads", str(tmp_path / "s.csv"),
+                        "--out-json", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_items_file_repeated_id_is_error(tmp_path, capsys):
+    dyads = frozen_dyads(tmp_path)
+    items = tmp_path / "items.csv"
+    items.write_text("item_id,label\nq1,A\n# note\nq1,B\n")
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--dyads", str(dyads), "--items", str(items),
+                 "--method", "exact", "--out-csv", str(out)]) == 1
+    assert f"error: {items}: line 4: item_id 'q1' repeats line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _measure_m9(payload):
+    payload["items"][0]["results"][0]["measure"] = "M9"
+    return payload
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: [], "expected a JSON object, got list"),
+    (lambda payload: {"items": [{"item_id": "a"}]}, "report lacks key 'results'"),
+    (lambda payload: {"items": [{**payload["items"][0], "results": [[]]}]}, "malformed report"),
+    (_measure_m9, "unknown measure: 'M9' is not a valid MeasureId"),
+])
+def test_chart_of_malformed_report_is_input_error(tmp_path, capsys, edit, message):
+    report = tmp_path / "r.json"
+    assert main(["evaluate", "--dyads", str(frozen_dyads(tmp_path)), "--method", "exact",
+                 "--out-json", str(report)]) == 0
+    report.write_text(json.dumps(edit(json.loads(report.read_text()))))
+    capsys.readouterr()
+    assert main(["chart", "--results", str(report), "--out", str(tmp_path / "c.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report}: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "c.svg").exists()
+
+
 def test_chart_subcommand(tmp_path, capsys):
     dyads = frozen_dyads(tmp_path)
     out_json = tmp_path / "r.json"
@@ -440,6 +514,25 @@ def test_bad_delimiter_is_input_error(tmp_path, capsys):
     assert main(["evaluate", "--dyads", str(dyads), "--items", str(items),
                  "--delimiter", ";;"]) == 1
     assert "delimiter must be one character, got ';;'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+@pytest.mark.parametrize("source", ["dyads", "nodes", "table"])
+def test_every_reader_checks_delimiter(tmp_path, capsys, source, delimiter):
+    # checked before the items file is split at it
+    items = tmp_path / "items.csv"
+    items.write_text("q1\n")
+    nodes = tmp_path / "n.csv"
+    nodes.write_text("node_id,participation,q1_before,q1_after\na,1,1,0\n")
+    edges = tmp_path / "e.txt"
+    edges.write_text("a,b\n")
+    argv = {"dyads": ["evaluate", "--dyads", str(frozen_dyads(tmp_path)), "--items", str(items)],
+            "nodes": ["evaluate", "--nodes", str(nodes), "--edges", str(edges),
+                      "--items", str(items)],
+            "table": ["table", "--table", str(uniform_table(tmp_path)), "--probabilities"]}
+    assert main(argv[source] + ["--delimiter", delimiter]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: delimiter must be one character, got {delimiter!r}\n"
 
 
 @pytest.mark.parametrize("delimiter", ["", ";;"])

@@ -11,9 +11,9 @@ from dyadeval import (DyadTable, InferenceConfig, InputError, MeasureId, Measure
                       NullModel, bootstrap_test, build_table, census, exact_test, fit,
                       inference, io, run_all)
 from dyadeval.inference import run_items
-from dyadeval.io import (EvaluationConfig, ItemReport, emit_report, evaluate_items,
-                         join_node_edges, load_report_json, parse_dyad_csv,
-                         parse_node_csv, parse_table64, read_edge_list)
+from dyadeval.io import (ItemReport, dyad_csv_items, emit_report, evaluate_items,
+                         join_node_edges, load_report_json, node_edge_items,
+                         parse_dyad_csv, parse_node_csv, parse_table64, read_edge_list)
 
 DYAD_HEADER = "ego_id,alter_id,ego_part,alter_part,ego_b0,alter_b0,ego_b1,alter_b1,item_id"
 
@@ -143,21 +143,16 @@ def reference_tables(path, items, delimiter=","):
              sum(1 for _, i in drops if i == item)) for item in names]
 
 
-def streamed_tables(path, items, monkeypatch, delimiter=","):
-    """The tables and drop counts ``evaluate_items`` builds, inference skipped."""
-    tables = []
-    monkeypatch.setattr(io, "run_items", lambda work, workers, map_tasks: (
-        tables.extend(t for t, _, _ in work) or [[]] * len(work)))
-    config = EvaluationConfig(dyads_path=str(path), method="exact", delimiter=delimiter,
-                              items=None if items is None else tuple((i, i) for i in items))
-    reports = outcome(evaluate_items, config)
-    if is_error(reports):
-        return reports
-    assert [t.item_id for t in tables] == [r.item_id for r in reports]
-    return [(r.item_id, t.counts.tolist(), r.dyads_dropped) for r, t in zip(reports, tables)]
+def streamed_tables(path, items, delimiter=","):
+    """The tables and drop counts ``dyad_csv_items`` builds."""
+    built = outcome(dyad_csv_items, path, items, delimiter)
+    if is_error(built):
+        return built
+    assert all(t.item_id == item for item, t, _ in built)
+    return [(item, t.counts.tolist(), dropped) for item, t, dropped in built]
 
 
-def test_dyad_csv_repeated_rows_tallied_as_given(tmp_path, monkeypatch):
+def test_dyad_csv_repeated_rows_tallied_as_given(tmp_path):
     # the same (ego, alter, item) row three times counts three dyads, on the
     # record path and on the streamed tally alike
     lines = frozen_dyad_csv(tmp_path).read_text().splitlines()
@@ -167,7 +162,7 @@ def test_dyad_csv_repeated_rows_tallied_as_given(tmp_path, monkeypatch):
     assert len(records) == 11 and not drops
     table = build_table(records, item="q1")
     assert table.counts[0b101101] == 3 and table.total == 11
-    assert streamed_tables(path, None, monkeypatch) == [("q1", table.counts.tolist(), 0)]
+    assert streamed_tables(path, None) == [("q1", table.counts.tolist(), 0)]
 
 
 @pytest.mark.parametrize("block_rows", [7, 65_536])
@@ -181,7 +176,7 @@ def test_block_reader_matches_row_reference(tmp_path, monkeypatch, block_rows):
         assert outcome(parse_dyad_csv, path) == outcome(parse_dyad_csv_by_rows, path)
         items = [None, ["q1", "q2", "q_dropped", "q_absent", "", "NA"]][case % 2]
         expected = reference_tables(path, items)
-        assert streamed_tables(path, items, monkeypatch) == expected
+        assert streamed_tables(path, items) == expected
         errors += is_error(expected)
     assert 10 < errors < 60  # files that raise and files that do not are both common
 
@@ -322,7 +317,7 @@ def low_field_limit():
 @pytest.mark.parametrize("delimiter", [",", ";", "\t"])
 def test_byte_path_matches_row_reference(tmp_path, monkeypatch, low_field_limit, delimiter):
     # per-item tables, drop counts and the first error of the byte path and
-    # of evaluate_items equal the row-by-row reference's, with blocks of a
+    # of dyad_csv_items equal the row-by-row reference's, with blocks of a
     # few dozen bytes so rows straddle block edges; the switch to csv comes
     # at a row boundary at or before the first row that is not plain
     switches = []
@@ -339,7 +334,7 @@ def test_byte_path_matches_row_reference(tmp_path, monkeypatch, low_field_limit,
         switches.clear()
         assert tally_outcome(path, delimiter) == expected, case
         items = [None, ["q1", "q2", "NA", "", "q_longer_than_8", "q_absent"]][case % 2]
-        assert (streamed_tables(path, items, monkeypatch, delimiter)
+        assert (streamed_tables(path, items, delimiter)
                 == reference_tables(path, items, delimiter)), case
         data = path.read_bytes()
         for layout, start, line_no in switches[:1]:
@@ -399,9 +394,18 @@ def test_oversized_field_is_named_error(tmp_path, kind):
 
 
 @pytest.mark.parametrize("delimiter", [";;", "", None])
-def test_delimiter_must_be_one_character(delimiter):
-    with pytest.raises(InputError, match="delimiter must be one character"):
-        EvaluationConfig(dyads_path="d.csv", delimiter=delimiter)
+def test_delimiter_must_be_one_character(tmp_path, delimiter):
+    # every reader and builder names a bad delimiter as an input error
+    dyads = write(tmp_path, "d.csv", DYAD_HEADER + "\nu,v,1,0,1,1,0,1,q1\n")
+    nodes = write(tmp_path, "n.csv", "node_id,participation,q1_before,q1_after\na,1,1,0\n")
+    edges = write(tmp_path, "e.txt", "a,b\n")
+    table = long_table_csv(tmp_path, "t.csv", range(64))
+    readers = [(parse_dyad_csv, dyads), (io._tally_dyad_csv, dyads), (dyad_csv_items, dyads),
+               (parse_node_csv, nodes), (read_edge_list, edges), (parse_table64, table),
+               (node_edge_items, nodes, edges)]
+    for reader, *paths in readers:
+        with pytest.raises(InputError, match="delimiter must be one character"):
+            reader(*paths, delimiter=delimiter)
 
 
 # -------------------------------------------------- node CSV + edges
@@ -691,12 +695,24 @@ def frozen_dyad_csv(tmp_path, items=("q1",)):
     return write(tmp_path, "d.csv", "\n".join(lines) + "\n")
 
 
+def labelled(built, labels=None):
+    """A builder's (item, census, dropped) as ``evaluate_items`` input."""
+    labels = labels or {}
+    return [(item, labels.get(item, item), table, dropped) for item, table, dropped in built]
+
+
+def evaluate_dyad_csv(path, items=None, invert=False, **config):
+    """``evaluate_items`` over a dyad CSV, labelled by ``items`` (id -> label)."""
+    built = labelled(dyad_csv_items(path, None if items is None else list(items)), items)
+    if invert:
+        built = [(i, label, t.invert_behavior(), d) for i, label, t, d in built]
+    return evaluate_items(built, InferenceConfig(**config))
+
+
 def test_evaluate_items_trivial_table(tmp_path):
     # nothing transitions, so every null is degenerate and every p is 1
     path = frozen_dyad_csv(tmp_path)
-    config = EvaluationConfig(input_mode="dyad_csv", dyads_path=str(path),
-                              method="both", trials=50, seed=1)
-    reports = evaluate_items(config)
+    reports = evaluate_dyad_csv(path, method="both", trials=50, seed=1)
     assert len(reports) == 1
     report = reports[0]
     assert report.item_id == "q1"
@@ -707,12 +723,10 @@ def test_evaluate_items_trivial_table(tmp_path):
 
 def test_evaluate_items_isolates_failures(tmp_path):
     path = frozen_dyad_csv(tmp_path, items=("q1",))
-    config = EvaluationConfig(
-        input_mode="dyad_csv", dyads_path=str(path),
-        items=(("q1", "label one"), ("q9", "absent item")),
-        method="exact", seed=0)
-    reports = evaluate_items(config)
+    reports = evaluate_dyad_csv(path, {"q1": "label one", "q9": "absent item"},
+                                method="exact", seed=0)
     assert len(reports) == 2
+    assert [r.item_label for r in reports] == ["label one", "absent item"]
     assert reports[0].error is None
     assert reports[1].error is not None  # empty census -> unfittable null
     assert reports[1].results == ()
@@ -720,9 +734,8 @@ def test_evaluate_items_isolates_failures(tmp_path):
 
 def test_evaluate_items_deterministic(tmp_path):
     path = frozen_dyad_csv(tmp_path)
-    config = EvaluationConfig(input_mode="dyad_csv", dyads_path=str(path),
-                              method="both", trials=200, seed=9)
-    assert evaluate_items(config) == evaluate_items(config)
+    config = dict(method="both", trials=200, seed=9)
+    assert evaluate_dyad_csv(path, **config) == evaluate_dyad_csv(path, **config)
 
 
 def _worker_pid(task):
@@ -774,9 +787,9 @@ def test_one_run_plan_agrees_bit_for_bit(tmp_path, monkeypatch):
         assert [r.measure for r in alone] == [None, None, MeasureId.M3, MeasureId.M3]
         for workers in (1, 2):
             monkeypatch.setattr(io, "_worker_count", lambda: workers)
-            [report] = evaluate_items(EvaluationConfig(
-                input_mode="table64", table_path=str(path), items=(("t", "t"),),
-                trials=trials, seed=seed, two_sided=two_sided))
+            [report] = evaluate_items(
+                [("t", "t", parse_table64(path), 0)],
+                InferenceConfig(trials=trials, seed=seed, two_sided=two_sided))
             assert list(report.results) == expected
             assert run_items([(table, custom, hand)], workers, io._run_tasks) == [alone]
 
@@ -789,9 +802,9 @@ def test_each_item_fitted_once_and_each_null_mean_taken_once(tmp_path, monkeypat
             return _original(*args)
         monkeypatch.setattr(inference, name, counted)
     monkeypatch.setattr(io, "_worker_count", lambda: 1)  # tasks inline, so counted too
-    config = EvaluationConfig(dyads_path=str(frozen_dyad_csv(tmp_path, items=("q1", "q2", "q3"))),
-                              method="both", trials=300)
-    assert all(r.error is None for r in evaluate_items(config))
+    reports = evaluate_dyad_csv(frozen_dyad_csv(tmp_path, items=("q1", "q2", "q3")),
+                                method="both", trials=300)
+    assert all(r.error is None for r in reports)
     assert calls == {"fit": 3, "_null_mean": 3 * len(MeasureId)}
 
 
@@ -801,10 +814,9 @@ def test_evaluate_items_table64_mode(tmp_path):
         bits = [(group >> shift) & 1 for shift in (3, 2, 1, 0)]
         lines.append(",".join(map(str, bits)) + ",0.25,0.25,0.25,0.25")
     path = write(tmp_path, "t.csv", "\n".join(lines) + "\n")
-    config = EvaluationConfig(input_mode="table64", table_path=str(path),
-                              table_probabilities=True, table_scale=100,
-                              method="exact", seed=0)
-    reports = evaluate_items(config)
+    table = parse_table64(path, probabilities=True, scale=100)
+    reports = evaluate_items([("table", "table", table, 0)],
+                             InferenceConfig(method="exact", seed=0))
     assert reports[0].dyads_used == 1600
     assert len(reports[0].results) == 8
 
@@ -812,11 +824,8 @@ def test_evaluate_items_table64_mode(tmp_path):
 def test_evaluate_items_invert_behavior(tmp_path):
     lines = [DYAD_HEADER, "u,v,1,0,1,1,0,1,q1", "w,z,0,0,0,0,1,1,q1"]
     path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
-    plain = evaluate_items(EvaluationConfig(input_mode="dyad_csv",
-                                            dyads_path=str(path), method="exact"))
-    flipped = evaluate_items(EvaluationConfig(input_mode="dyad_csv",
-                                              dyads_path=str(path), method="exact",
-                                              invert_behavior=True))
+    plain = evaluate_dyad_csv(path, method="exact")
+    flipped = evaluate_dyad_csv(path, invert=True, method="exact")
     # inversion swaps which measures see the two dyads
     obs_plain = [r.observed for r in plain[0].results]
     obs_flip = [r.observed for r in flipped[0].results]
@@ -827,9 +836,7 @@ def test_evaluate_items_invert_behavior(tmp_path):
 
 def test_emit_csv_row_count(tmp_path):
     path = frozen_dyad_csv(tmp_path, items=("q1", "q2"))
-    config = EvaluationConfig(input_mode="dyad_csv", dyads_path=str(path),
-                              method="both", trials=50, seed=4)
-    reports = evaluate_items(config)
+    reports = evaluate_dyad_csv(path, method="both", trials=50, seed=4)
     out = tmp_path / "results.csv"
     emit_report(reports, "csv", out, seed=4)
     lines = out.read_text().strip().splitlines()
@@ -839,9 +846,7 @@ def test_emit_csv_row_count(tmp_path):
 
 def test_emit_single_method_rows(tmp_path):
     path = frozen_dyad_csv(tmp_path)
-    config = EvaluationConfig(input_mode="dyad_csv", dyads_path=str(path),
-                              method="exact", seed=4)
-    reports = evaluate_items(config)
+    reports = evaluate_dyad_csv(path, method="exact", seed=4)
     out = tmp_path / "results.csv"
     emit_report(reports, "csv", out)
     assert len(out.read_text().strip().splitlines()) == 1 + 8
@@ -849,9 +854,7 @@ def test_emit_single_method_rows(tmp_path):
 
 def test_json_round_trip(tmp_path):
     path = frozen_dyad_csv(tmp_path)
-    config = EvaluationConfig(input_mode="dyad_csv", dyads_path=str(path),
-                              method="both", trials=75, seed=2)
-    reports = evaluate_items(config)
+    reports = evaluate_dyad_csv(path, method="both", trials=75, seed=2)
     out = tmp_path / "results.json"
     emit_report(reports, "json", out, seed=2)
     assert load_report_json(out) == reports
@@ -895,9 +898,8 @@ def test_evaluate_items_node_edges_mode(tmp_path):
                   "node_id,participation,q1_before,q1_after\n"
                   "a,1,1,1\nb,0,1,1\nc,1,0,0\nd,0,0,0\n")
     edges = write(tmp_path, "e.txt", "a,b\nb,c\nc,d\nd,a\na,zz\n")
-    config = EvaluationConfig(input_mode="node_edges", nodes_path=str(nodes),
-                              edges_path=str(edges), method="exact", seed=0)
-    reports = evaluate_items(config)
+    reports = evaluate_items(labelled(node_edge_items(nodes, edges)),
+                             InferenceConfig(method="exact", seed=0))
     assert len(reports) == 1
     report = reports[0]
     assert report.item_id == "q1"
@@ -910,10 +912,10 @@ def test_evaluate_items_node_edges_symmetrize(tmp_path):
     nodes = write(tmp_path, "n.csv",
                   "node_id,participation,q1_before,q1_after\na,1,1,0\nb,0,1,1\n")
     edges = write(tmp_path, "e.txt", "a,b\n")
-    base = dict(input_mode="node_edges", nodes_path=str(nodes),
-                edges_path=str(edges), method="exact", seed=0)
-    directed = evaluate_items(EvaluationConfig(**base))
-    both = evaluate_items(EvaluationConfig(**base, orientation="symmetrize"))
+    config = InferenceConfig(method="exact", seed=0)
+    directed = evaluate_items(labelled(node_edge_items(nodes, edges)), config)
+    both = evaluate_items(labelled(node_edge_items(nodes, edges, orientation="symmetrize")),
+                          config)
     assert directed[0].dyads_used == 1
     assert both[0].dyads_used == 2
 
@@ -927,9 +929,7 @@ def test_evaluate_items_39_item_batch(tmp_path):
             bits = rng.integers(0, 2, size=6)
             lines.append(f"e{j},a{j}," + ",".join(map(str, bits)) + f",{item}")
     path = write(tmp_path, "batch.csv", "\n".join(lines) + "\n")
-    config = EvaluationConfig(input_mode="dyad_csv", dyads_path=str(path),
-                              method="exact", seed=5)
-    reports = evaluate_items(config)
+    reports = evaluate_dyad_csv(path, method="exact", seed=5)
     assert len(reports) == 39
     assert [r.item_id for r in reports] == sorted(items)
     assert all(r.error is None and len(r.results) == 8 for r in reports)
@@ -937,19 +937,15 @@ def test_evaluate_items_39_item_batch(tmp_path):
 
 def test_emit_unwritable_destination(tmp_path):
     path = frozen_dyad_csv(tmp_path)
-    config = EvaluationConfig(input_mode="dyad_csv", dyads_path=str(path),
-                              method="exact", seed=0)
-    reports = evaluate_items(config)
+    reports = evaluate_dyad_csv(path, method="exact", seed=0)
     with pytest.raises(InputError, match="cannot write"):
         emit_report(reports, "csv", tmp_path / "missing_dir" / "out.csv")
 
 
 def test_measure_labels_in_csv(tmp_path):
     path = frozen_dyad_csv(tmp_path)
-    config = EvaluationConfig(input_mode="dyad_csv", dyads_path=str(path),
-                              method="exact", seed=0)
     out = tmp_path / "r.csv"
-    emit_report(evaluate_items(config), "csv", out)
+    emit_report(evaluate_dyad_csv(path, method="exact", seed=0), "csv", out)
     text = out.read_text()
     assert "Direct Treatment Success in a Social Context" in text
     assert MeasureId.M7.value in text
