@@ -8,14 +8,14 @@ by bootstrap simulation and by exact Poisson-Binomial convolution.
 """
 
 from ._version import __version__
-from .census import CellIndex, DyadRecord, DyadTable, all_cells, build_table
+from .census import DyadRecord, DyadTable, build_table
 from .errors import (DyadevalError, InputError, NumericalIntegrityError,
                      UndefinedRowError)
 from .inference import (DiscreteDistribution, InferenceConfig, TestResult,
                         TrialGroup, bootstrap_test, exact_test,
                         method_disagreement, pb_pmf, run_all)
 from .measures import (MEASURE_LABELS, MeasureId, MeasureSpec, MeasureValue,
-                       cells_matching, evaluate, spec_for)
+                       evaluate, spec_for)
 from .null_model import NullModel, fit, sample
 from .sim import (EdgeModel, SimNetwork, SimParams, assign_initial_states,
                   dyad_codes, generate_network, probabilities_to_counts,
@@ -23,10 +23,10 @@ from .sim import (EdgeModel, SimNetwork, SimParams, assign_initial_states,
 
 __all__ = [
     "__version__",
-    "CellIndex", "DyadRecord", "DyadTable", "all_cells", "build_table",
+    "DyadRecord", "DyadTable", "build_table",
     "DyadevalError", "InputError", "NumericalIntegrityError", "UndefinedRowError",
     "MeasureId", "MeasureSpec", "MeasureValue", "MEASURE_LABELS",
-    "cells_matching", "evaluate", "spec_for",
+    "evaluate", "spec_for",
     "NullModel", "fit", "sample",
     "DiscreteDistribution", "InferenceConfig", "TestResult", "TrialGroup",
     "bootstrap_test", "exact_test",

@@ -9,71 +9,34 @@ A dyad is an ordered ego-alter pair annotated with six bits:
     r  ego had the behavior at the post-intervention time
     s  alter had the behavior at the post-intervention time
 
-Cells are numbered 0..63 with x as the most significant bit, then
-y, p, q, r, s (``cell_codes``); a census is a ``tally`` of codes.  Dyads
-are kept directed as observed; callers that want undirected ties emit
-both orientations at ingestion time.
+Cells are numbered 0..63 with x as the most significant bit, then y, p,
+q, r, s (``cell_codes``; ``CELL_BITS`` holds each code's bits); a census
+is a ``tally`` of codes.  Dyads are kept directed as observed; callers
+that want undirected ties emit both orientations at ingestion time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError
 
 __all__ = [
-    "CellIndex",
+    "CELL_BITS",
     "DyadRecord",
     "DyadTable",
     "build_table",
-    "all_cells",
     "cell_codes",
     "tally",
 ]
 
 _BITS = ("x", "y", "p", "q", "r", "s")
 
-
-def _check_bit(name: str, value: int) -> int:
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-    return int(value)
-
-
-class CellIndex(NamedTuple):
-    """One of the 64 dyad types, identified by its six bits."""
-
-    x: int
-    y: int
-    p: int
-    q: int
-    r: int
-    s: int
-
-    @property
-    def code(self) -> int:
-        """Integer 0..63 with bit order (x, y, p, q, r, s), x most significant."""
-        x, y, p, q, r, s = self
-        return x << 5 | y << 4 | p << 3 | q << 2 | r << 1 | s
-
-    @classmethod
-    def from_code(cls, code: int) -> "CellIndex":
-        if not 0 <= code <= 63:
-            raise ValueError(f"cell code must be in 0..63, got {code}")
-        return cls(*(code >> shift & 1 for shift in range(5, -1, -1)))
-
-    def validate(self) -> "CellIndex":
-        for name, value in zip(_BITS, self):
-            _check_bit(name, value)
-        return self
-
-
-def all_cells() -> list[CellIndex]:
-    """The 64 cells in code order."""
-    return [CellIndex.from_code(c) for c in range(64)]
+# The six bits (x, y, p, q, r, s) of each cell, indexed by its code.
+CELL_BITS = tuple(tuple(code >> shift & 1 for shift in range(5, -1, -1)) for code in range(64))
 
 
 @dataclass(frozen=True)
@@ -93,11 +56,9 @@ class DyadRecord:
     def __post_init__(self) -> None:
         if self.ego_id == self.alter_id:
             raise ValueError(f"self-dyad not allowed: ego_id == alter_id == {self.ego_id!r}")
-        self.cell.validate()
-
-    @property
-    def cell(self) -> CellIndex:
-        return CellIndex(self.x, self.y, self.p, self.q, self.r, self.s)
+        for name in _BITS:
+            if getattr(self, name) not in (0, 1):
+                raise ValueError(f"{name} must be 0 or 1, got {getattr(self, name)!r}")
 
 
 def cell_codes(x, y, p, q, r, s) -> np.ndarray:
@@ -164,5 +125,5 @@ def build_table(records: Sequence[DyadRecord] | Iterable[DyadRecord],
         )
     if item is not None and items and items != {item}:
         raise InputError(f"records carry item_id {items.pop()!r}, expected {item!r}")
-    return tally(np.fromiter((rec.cell.code for rec in records), np.intp, len(records)),
-                 item if item is not None else (items.pop() if items else None))
+    bits = np.array([[r.x, r.y, r.p, r.q, r.r, r.s] for r in records], np.intp).reshape(-1, 6)
+    return tally(cell_codes(*bits.T), item if item is not None else next(iter(items), None))

@@ -12,12 +12,14 @@ no timestamps.
 
 from __future__ import annotations
 
+import html
 import math
 from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError
 from .inference import TestResult
+from .io import _write_bytes
 from .measures import MeasureId
 
 __all__ = ["emit_bubble_chart", "glyph_radius"]
@@ -76,7 +78,7 @@ def emit_bubble_chart(reports: Sequence, path, method: str | None = None,
             f'y2="{cy:.1f}" stroke="#dddddd" stroke-width="0.5"/>')
     for col, (item_id, _) in enumerate(items):
         cx = _LEFT + _CELL * (col + 0.5)
-        label = _escape(item_id if len(item_id) <= 12 else item_id[:11] + "~")
+        label = html.escape(item_id if len(item_id) <= 12 else item_id[:11] + "~", quote=False)
         parts.append(
             f'<text x="{cx:.1f}" y="{height - _BOTTOM + 16.0:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10" fill="black" '
@@ -88,12 +90,8 @@ def emit_bubble_chart(reports: Sequence, path, method: str | None = None,
                       if res.method == use_method}
         for row, measure in enumerate(measures):
             res: TestResult | None = by_measure.get(measure)
-            if res is None:
-                continue
-            cutoff = alpha if alpha is not None else res.alpha
-            if not res.p_value < cutoff:
-                continue
-            if res.direction not in ("positive", "negative"):
+            if (res is None or res.direction not in ("positive", "negative")
+                    or not res.p_value < (alpha if alpha is not None else res.alpha)):
                 continue
             cx = _LEFT + _CELL * (col + 0.5)
             cy = _TOP + _CELL * (row + 0.5)
@@ -110,11 +108,4 @@ def emit_bubble_chart(reports: Sequence, path, method: str | None = None,
             glyphs += 1
     parts.append(f'<!-- glyphs: {glyphs} -->')
     parts.append('</svg>')
-    try:
-        Path(path).write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from None
-
-
-def _escape(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
+    _write_bytes(Path(path), ("\n".join(parts) + "\n").encode("utf-8"))

@@ -25,7 +25,7 @@ from pathlib import Path
 from ._version import __version__
 from .chart import emit_bubble_chart
 from .errors import InputError, NumericalIntegrityError
-from .census import tally
+from .census import CELL_BITS, tally
 from .inference import InferenceConfig, method_disagreement
 from .io import (ItemReport, _check_delimiter, _csv_quote, _open_text, _write_bytes,
                  dyad_csv_items, emit_report, evaluate_items, load_report_json,
@@ -138,17 +138,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str) -> dict:
-    cfg_path = Path(path)
-    if not cfg_path.exists():
-        raise InputError(f"no such config file: {path}")
-    with _open_text(cfg_path) as lines:
+def _listed_lines(path: str, what: str) -> list[tuple[int, str]]:
+    """(line number, line) of each line of ``path`` that is neither blank nor
+    a # comment."""
+    if not Path(path).exists():
+        raise InputError(f"no such {what}: {path}")
+    with _open_text(Path(path)) as lines:
         text = "".join(lines)
+    return [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1)
+            if line.strip() and not line.strip().startswith("#")]
+
+
+def _load_config_file(path: str) -> dict:
     values = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in _listed_lines(path, "config file"):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
         if "=" not in stripped:
             raise InputError(f"{path}: line {line_no}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
@@ -184,16 +188,9 @@ def _set_config_defaults(parser: argparse.ArgumentParser, command: str,
 
 def _read_items_file(path: str, delimiter: str) -> dict[str, str]:
     """Item id -> label, in file order; an id may be listed once only."""
-    items_path = Path(path)
-    if not items_path.exists():
-        raise InputError(f"no such items file: {path}")
-    with _open_text(items_path) as lines:
-        text = "".join(lines)
     labels: dict[str, str] = {}
     lines_of: dict[str, int] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.strip().startswith("#"):
-            continue
+    for line_no, line in _listed_lines(path, "items file"):
         parts = line.split(delimiter, 1)
         item_id = parts[0].strip()
         if line_no == 1 and item_id.lower() == "item_id":
@@ -209,16 +206,12 @@ def _read_items_file(path: str, delimiter: str) -> dict[str, str]:
 
 
 def _emit_all(reports: list[ItemReport], args) -> int:
-    wrote = False
-    if args.out_csv:
-        emit_report(reports, "csv", args.out_csv, seed=args.seed)
-        wrote = True
-    if args.out_json:
-        emit_report(reports, "json", args.out_json, seed=args.seed)
-        wrote = True
+    for fmt, path in (("csv", args.out_csv), ("json", args.out_json)):
+        if path:
+            emit_report(reports, fmt, path, seed=args.seed)
     if args.chart:
         emit_bubble_chart(reports, args.chart, method=args.chart_method)
-        wrote = True
+    wrote = bool(args.out_csv or args.out_json or args.chart)
     # isolated per-item failures keep the run alive, but a run in which
     # nothing succeeded is an input error
     code = 0 if any(r.error is None for r in reports) else 1
@@ -303,7 +296,7 @@ def _cmd_table(args) -> int:
 
 
 # The six bit fields of a dyad CSV row, by cell code.
-_BIT_FIELDS = [",".join(f"{code:06b}") for code in range(64)]
+_BIT_FIELDS = [",".join(map(str, bits)) for bits in CELL_BITS]
 
 
 def _write_dyad_csv(network, codes, item_id: str, path) -> None:

@@ -33,13 +33,11 @@ side's trial total.  The binomial PMF itself is Loader's saddle-point form
 (C. Loader, "Fast and Accurate Computation of Binomial Probabilities",
 2000; the algorithm of R's ``dbinom``): Stirling-series errors plus
 deviance terms, so no difference of log-gamma values cancels, in numpy
-alone.  An exact task takes the windows of all blocks of all sides of all
-its measures in one batch: each window is first bounded by the Chernoff
-bound n KL(k / n || p) <= ln(1e300) + 1, so it is evaluated once, and the
-entries of all windows go through the PMF in passes of at most 8,192, so
-numpy's per-call cost is paid per pass rather than per block and the
-temporaries stay small.  An entry's value does not depend on the pass it
-falls in.
+alone.  An exact task evaluates the windows of all its measures' blocks in
+one batch, each first bounded by the Chernoff bound n KL(k / n || p) <=
+ln(1e300) + 1.  A measure whose side's windows could span over 2**19
+entries in all is an InputError when its run is planned, before any is
+allocated.
 
 The tail of the difference X - Y of the two sides never needs its PMF:
 P(X - Y >= v) = sum_y P(Y = y) P(X >= v + y) is one dot product of Y's PMF
@@ -68,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
@@ -399,6 +396,38 @@ _SET_RANK = np.zeros(16, np.intp)  # column bit mask (column c is bit c) -> rank
 _SET_RANK[[sum(1 << c for c in cols) for cols in _COLUMN_SETS]] = np.arange(15)
 
 
+def _block_masses(model: NullModel, weights: np.ndarray) -> np.ndarray:
+    """Trials of each binomial block of ``_side_blocks``, as a (2k, 60) array
+    by side and by (p, q) row and column set; 0 where there is no block."""
+    on_side = weights.reshape(-1, 1, 16, 4) == np.array([1, -1])[:, None, None]
+    columns = (on_side @ (1 << np.arange(4))).reshape(-1, 16)  # column bit mask by side, group
+    masses = model.masses.ravel()
+    side, group = np.nonzero((columns > 0) & (masses > 0))
+    mass = np.zeros((len(columns), 60), np.int64)
+    np.add.at(mass, (side, (group & 3) * 15 + _SET_RANK[columns[side, group]]), masses[group])
+    return mass
+
+
+# Most entries a side's binomial windows may span for the exact engine to
+# run: 4 MB of PMF, and at most 1.4e11 multiply-adds to convolve.
+_MAX_SIDE_WINDOW = 1 << 19
+
+
+def _check_exact_work(model: NullModel, weights: np.ndarray, measures: Sequence) -> None:
+    """Raise InputError, before any window is allocated, for the first
+    measure with a side whose windows could span over ``_MAX_SIDE_WINDOW``
+    entries.  By Pinsker's inequality n KL(k / n || p) >= 2 (k - np)^2 / n,
+    so a block of n trials keeps at most sqrt(2 n ``_WINDOW_LOG``) + 3 values."""
+    n = _block_masses(model, weights).astype(float)
+    sides = np.minimum(n + 1, np.sqrt(2 * _WINDOW_LOG * n) + 3 * (n > 0)).sum(axis=1)
+    for measure, width in zip(measures, sides.reshape(-1, 2).max(axis=1).tolist()):
+        if width > _MAX_SIDE_WINDOW:
+            raise InputError(f"{measure if isinstance(measure, MeasureId) else 'custom measure'}: "
+                             f"the exact engine would convolve binomial windows of up to "
+                             f"{width:,.0f} entries on one side, over its bound of "
+                             f"{_MAX_SIDE_WINDOW:,}; use --method bootstrap")
+
+
 def _side_blocks(model: NullModel, weights: np.ndarray) -> list[list[TrialGroup]]:
     """The binomial blocks of each side of each of the (k, 64) weight rows,
     in the order row 0's positive side, its negative side, row 1's positive
@@ -411,13 +440,7 @@ def _side_blocks(model: NullModel, weights: np.ndarray) -> list[list[TrialGroup]
     columns) order, each probability summed over its columns in ascending
     order.  A block on an undefined row raises ``UndefinedRowError``.
     """
-    on_side = weights.reshape(-1, 1, 16, 4) == np.array([1, -1])[:, None, None]
-    columns = (on_side @ (1 << np.arange(4))).reshape(-1, 16)  # column bit mask by side, group
-    masses = model.masses.ravel()
-    side, group = np.nonzero((columns > 0) & (masses > 0))
-    mass = np.zeros(len(columns) * 60, np.int64)  # by side, (p, q) row, column set
-    np.add.at(mass, side * 60 + (group & 3) * 15 + _SET_RANK[columns[side, group]],
-              masses[group])
+    mass = _block_masses(model, weights)
     keys = np.flatnonzero(mass)
     side, rows, sets = keys // 60, keys // 15 % 4, keys % 15
     undefined = rows[~model.row_defined.ravel()[rows]]
@@ -425,8 +448,8 @@ def _side_blocks(model: NullModel, weights: np.ndarray) -> list[list[TrialGroup]
         model.require_row(*divmod(int(undefined[0]), 2))
     terms = np.where(_SET_COLUMNS[sets], model.p0.reshape(4, 4)[rows], 0.0)
     probs = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
-    blocks = [TrialGroup(m, p) for m, p in zip(mass[keys].tolist(), probs.tolist())]
-    cuts = np.searchsorted(side, np.arange(len(columns) + 1)).tolist()
+    blocks = [TrialGroup(m, p) for m, p in zip(mass.flat[keys].tolist(), probs.tolist())]
+    cuts = np.searchsorted(side, np.arange(len(mass) + 1)).tolist()
     return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
@@ -437,18 +460,20 @@ def _null_mean(model: NullModel, weights: np.ndarray, observed: int) -> tuple[fl
     """The measure's null mean under the model and the sign of the observed
     deviation from it, shared by both engines.
 
-    Fitted models sum mass * signed successes / row total over the groups in
-    exact rational arithmetic and decide observed-vs-mean ties exactly;
+    Fitted models sum mass * signed successes / row total over the groups
+    as one integer numerator over the lcm of the row totals, so the mean is
+    correctly rounded and observed-vs-mean ties are decided exactly;
     hand-built models only carry floats, so there the mean is summed over
     the sides' blocks and a hair's breadth counts as a tie.
     """
     if model.row_counts is not None:
         signed = (weights.reshape(2, 2, 2, 2, 4) * model.row_counts.reshape(2, 2, 4)).sum(axis=-1)
-        mean_frac = sum((Fraction(int(model.masses[g]) * int(signed[g]),
-                                  int(model.row_totals[g[2:]]))
-                         for g in zip(*np.nonzero(signed))),
-                        Fraction(0))
-        return float(mean_frac), (observed > mean_frac) - (observed < mean_frac)
+        groups = np.nonzero(signed)
+        totals = model.row_totals[groups[2:]].tolist()
+        den = math.lcm(*totals)
+        num = sum(mass * count * (den // total) for mass, count, total in
+                  zip(model.masses[groups].tolist(), signed[groups].tolist(), totals))
+        return num / den, (observed * den > num) - (observed * den < num)
     pos, neg = _side_blocks(model, weights)
     null_mean = (sum(g.count * g.success_prob for g in pos)
                  - sum(g.count * g.success_prob for g in neg))
@@ -555,6 +580,8 @@ def _plan(table: DyadTable, config: InferenceConfig, model: NullModel | None) ->
         raise InputError("cannot test against a null model fitted from an empty table")
     weights = np.stack([(spec_for(m) if isinstance(m, MeasureId) else m).weights
                         for m in config.measures])
+    if config.method != "bootstrap":
+        _check_exact_work(model, weights, config.measures)
     observed = weights @ table.counts
     return _Plan(config, model, weights, observed,
                  [_null_mean(model, w, int(v)) for w, v in zip(weights, observed)])

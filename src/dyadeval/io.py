@@ -58,7 +58,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ._version import __version__
-from .census import CellIndex, DyadRecord, DyadTable, cell_codes, tally
+from .census import CELL_BITS, DyadRecord, DyadTable, cell_codes, tally
 from .errors import InputError
 from .inference import InferenceConfig, TestResult, run_items
 from .measures import MeasureId
@@ -95,10 +95,8 @@ _BLOCK_BYTES = 1 << 18
 # numpy; a row with a longer one goes through the row rules.
 _SPAN_BYTES = 64
 
-_CELLS = [CellIndex.from_code(code) for code in range(64)]
-
 # Exact bit tokens of the six bit columns, in column order -> cell code.
-_CELL_CODES = {tuple(str(bit) for bit in cell): cell.code for cell in _CELLS}
+_CELL_CODES = {tuple(map(str, bits)): code for code, bits in enumerate(CELL_BITS)}
 
 
 @contextmanager
@@ -210,9 +208,8 @@ def _check_row(row: list[str], line_no: int, path: Path, cols: list[int],
         item = row[cols[8]].strip()
         drops.append((line_no, item if not _is_missing(item) else None))
         return -1
-    code = 0
-    for name, value in zip(_DYAD_COLUMNS[2:8], bit_cells):
-        code = code << 1 | _parse_bit(value, line_no, name, path)
+    code = CELL_BITS.index(tuple(_parse_bit(value, line_no, name, path)
+                                 for name, value in zip(_DYAD_COLUMNS[2:8], bit_cells)))
     ego = row[cols[0]].strip()
     if ego == row[cols[1]].strip():
         raise InputError(f"{path}: line {line_no}: self-dyad not allowed: "
@@ -300,7 +297,7 @@ def parse_dyad_csv(path, delimiter: str = ",") -> tuple[list[DyadRecord], list[t
     items = _ItemIndex()
     for block in _read_dyad_blocks(Path(path), delimiter, items):
         ids = list(items.ids)
-        records.extend(DyadRecord(ego, alter, *_CELLS[code], item_id=ids[item])
+        records.extend(DyadRecord(ego, alter, *CELL_BITS[code], item_id=ids[item])
                        for ego, alter, code, item in zip(block.ego, block.alter,
                                                          block.code.tolist(),
                                                          block.item.tolist()))
@@ -620,7 +617,7 @@ def join_node_edges(nodes: NodeSurvey, edges: Sequence[tuple[str, str]],
     dyads = _resolve_edges(nodes, edges, orientation)
     codes, stats = _join_codes(nodes, dyads, item)
     ids, kept = {row: node for node, row in nodes.index.items()}, codes >= 0
-    return [DyadRecord(ids[ego], ids[alter], *_CELLS[code], item_id=item)
+    return [DyadRecord(ids[ego], ids[alter], *CELL_BITS[code], item_id=item)
             for ego, alter, code in zip(*dyads[0][:, kept].tolist(), codes[kept].tolist())], stats
 
 
@@ -697,7 +694,7 @@ def parse_table64(path, probabilities: bool = False, scale: int = 100,
                 raise InputError(f"{path}: line {line_no}: column {column!r} is "
                                  f"missing (got {len(row)} fields)")
         bits = [_parse_bit(row[idx[b]], line_no, b, path) for b in bit_columns]
-        first = sum(bit << (5 - i) for i, bit in enumerate(bits))
+        first = CELL_BITS.index(tuple(bits + [0] * (6 - len(bits))))  # a group's r = s = 0
         for code, column in enumerate(value_columns, start=first):
             if filled[code]:
                 raise InputError(f"{path}: line {line_no}: duplicate {unit} "
@@ -868,10 +865,31 @@ def _csv_quote(text: str) -> str:
     return text
 
 
+# The JSON values a report field may hold, and how to name them, by the
+# names in its annotation; a bool is not taken for a number.
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "str": ((str,), "a string"), "bool": ((bool,), "true or false"),
+               "None": ((type(None),), "null"), "MeasureId": ((str,), "a measure id"),
+               "tuple[TestResult, ...]": ((list,), "a list")}
+
+
+def _report_fields(record: dict, cls, where: str) -> dict:
+    """The fields of dataclass ``cls`` in ``record``, each of a JSON type
+    its annotation allows; any other is an InputError naming ``where``."""
+    values = {f.name: record[f.name] for f in fields(cls)}
+    for f in fields(cls):
+        allowed = [_JSON_TYPES[name] for name in f.type.split(" | ")]
+        if not any(type(values[f.name]) in types for types, _ in allowed):
+            wanted = " or ".join(text for _, text in allowed)
+            raise InputError(f"{where}: field {f.name!r} must be {wanted}, "
+                             f"got {json.dumps(values[f.name])}")
+    return values
+
+
 def load_report_json(path) -> list[ItemReport]:
     """Re-parse a JSON report into ItemReports (inverse of emit_report).  A
-    payload that is not an object, a missing key or an unknown measure is
-    an InputError naming the file."""
+    payload that is not an object, a missing key, a value of the wrong type
+    or an unknown measure is an InputError naming the file."""
     path = Path(path)
     with _open_text(path) as lines:
         text = "".join(lines)
@@ -883,16 +901,14 @@ def load_report_json(path) -> list[ItemReport]:
         raise InputError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     reports = []
     try:
-        for item in payload.get("items", []):
-            results = tuple(
-                TestResult(**{f.name: res[f.name] for f in fields(TestResult) if f.name != "measure"},
-                           measure=MeasureId(res["measure"]) if res["measure"] else None)
-                for res in item["results"])
-            reports.append(ItemReport(
-                item_id=item["item_id"], item_label=item["item_label"],
-                results=results, dyads_used=item["dyads_used"],
-                dyads_dropped=item["dyads_dropped"], error=item["error"],
-            ))
+        for i, item in enumerate(payload.get("items", [])):
+            results = []
+            for j, res in enumerate(item["results"]):
+                result = _report_fields(res, TestResult, f"{path}: items[{i}].results[{j}]")
+                result["measure"] = MeasureId(result["measure"]) if result["measure"] else None
+                results.append(TestResult(**result))
+            report = _report_fields(item, ItemReport, f"{path}: items[{i}]")
+            reports.append(ItemReport(**{**report, "results": tuple(results)}))
     except KeyError as exc:
         raise InputError(f"{path}: report lacks key {exc}") from None
     except TypeError as exc:  # an item or result that is not an object

@@ -22,13 +22,12 @@ the intervention is expected to cause.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .census import CellIndex, DyadTable
+from .census import _BITS, CELL_BITS, DyadTable
 
 __all__ = ["MeasureId", "MeasureSpec", "MeasureValue", "spec_for", "evaluate", "MEASURE_LABELS"]
 
@@ -76,24 +75,17 @@ _FIXED_COORDS: dict[MeasureId, tuple[dict[str, int], dict[str, int]]] = {
 }
 
 
-def cells_matching(**fixed: int) -> frozenset[CellIndex]:
-    """All cells whose named coordinates equal the given bits."""
-    names = ("x", "y", "p", "q", "r", "s")
-    unknown = set(fixed) - set(names)
-    if unknown:
-        raise ValueError(f"unknown coordinates: {sorted(unknown)}")
-    free = [n for n in names if n not in fixed]
-    cells = set()
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        coords = dict(fixed)
-        coords.update(zip(free, bits))
-        cells.add(CellIndex(**coords).validate())
-    return frozenset(cells)
+def _cell_code(cell) -> int:
+    bits = tuple(cell)
+    if bits not in CELL_BITS:
+        raise ValueError(f"a cell is six bits (x, y, p, q, r, s) of 0 or 1, got {cell!r}")
+    return CELL_BITS.index(bits)
 
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """A difference-of-sums statistic over census cells.
+    """A difference-of-sums statistic over census cells, each cell given as
+    its six bits (x, y, p, q, r, s).
 
     ``positive_cells`` and ``negative_cells`` must be disjoint and must
     occupy disjoint (x, y) participation quadrants; the latter guarantees
@@ -102,38 +94,28 @@ class MeasureSpec:
     hashed or shown).
     """
 
-    positive_cells: frozenset[CellIndex]
-    negative_cells: frozenset[CellIndex]
+    positive_cells: frozenset[tuple[int, ...]]
+    negative_cells: frozenset[tuple[int, ...]]
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pos = frozenset(CellIndex(*c).validate() for c in self.positive_cells)
-        neg = frozenset(CellIndex(*c).validate() for c in self.negative_cells)
-        object.__setattr__(self, "positive_cells", pos)
-        object.__setattr__(self, "negative_cells", neg)
-        if pos & neg:
-            raise ValueError("positive and negative cell-sets overlap")
-        pos_quadrants = {(c.x, c.y) for c in pos}
-        neg_quadrants = {(c.x, c.y) for c in neg}
-        shared = pos_quadrants & neg_quadrants
-        if shared:
-            raise ValueError(
-                f"positive and negative cell-sets share participation quadrants {sorted(shared)}; "
-                "the two sums would not be independent under the null model"
-            )
+        pos = [_cell_code(c) for c in self.positive_cells]
+        neg = [_cell_code(c) for c in self.negative_cells]
+        object.__setattr__(self, "positive_cells", frozenset(CELL_BITS[c] for c in pos))
+        object.__setattr__(self, "negative_cells", frozenset(CELL_BITS[c] for c in neg))
         weights = np.zeros(64, dtype=np.int8)
-        weights[[c.code for c in pos]] = 1
-        weights[[c.code for c in neg]] = -1
+        weights[pos] = 1
+        if weights[neg].any():
+            raise ValueError("positive and negative cell-sets overlap")
+        weights[neg] = -1
+        quadrants = weights.reshape(4, 16)  # by (x, y)
+        shared = np.flatnonzero((quadrants > 0).any(axis=1) & (quadrants < 0).any(axis=1))
+        if shared.size:
+            raise ValueError(f"positive and negative cell-sets share participation quadrants "
+                             f"{[divmod(int(q), 2) for q in shared]}; the two sums would "
+                             "not be independent under the null model")
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
-
-    def transform_invert_behavior(self) -> "MeasureSpec":
-        """The same contrast with all behavior bits of every cell flipped."""
-        flip = lambda c: CellIndex(c.x, c.y, 1 - c.p, 1 - c.q, 1 - c.r, 1 - c.s)
-        return MeasureSpec(
-            frozenset(flip(c) for c in self.positive_cells),
-            frozenset(flip(c) for c in self.negative_cells),
-        )
 
 
 @dataclass(frozen=True)
@@ -149,8 +131,10 @@ class MeasureValue:
             raise ValueError("value must equal positive_sum - negative_sum")
 
 
-_SPECS = {m: MeasureSpec(cells_matching(**pos), cells_matching(**neg))
-          for m, (pos, neg) in _FIXED_COORDS.items()}
+_SPECS = {m: MeasureSpec(*(frozenset(bits for bits in CELL_BITS
+                                      if fixed.items() <= dict(zip(_BITS, bits)).items())
+                            for fixed in sides))
+          for m, sides in _FIXED_COORDS.items()}
 
 
 def spec_for(measure: MeasureId) -> MeasureSpec:

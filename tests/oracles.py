@@ -36,6 +36,10 @@ def cell_code(x, y, p, q, r, s) -> int:
     return x * 32 + y * 16 + p * 8 + q * 4 + r * 2 + s
 
 
+def record_code(rec) -> int:
+    return cell_code(rec.x, rec.y, rec.p, rec.q, rec.r, rec.s)
+
+
 BITS = (0, 1)
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dyadeval import (CellIndex, DyadRecord, DyadTable, InputError, all_cells,
-                      build_table, fit)
+from dyadeval import DyadRecord, DyadTable, InputError, build_table, fit
+from dyadeval.census import CELL_BITS, cell_codes
 
 from oracles import cell_code, marginals_by_loops
 
@@ -13,32 +13,37 @@ def rec(x, y, p, q, r, s, ego="a", alter="b", item="it"):
 
 
 def test_classify_worked_example():
-    assert rec(1, 0, 1, 1, 0, 1).cell == CellIndex(1, 0, 1, 1, 0, 1)
-    assert rec(1, 0, 1, 1, 0, 1).cell.code == cell_code(1, 0, 1, 1, 0, 1)
+    assert cell_codes(1, 0, 1, 1, 0, 1) == cell_code(1, 0, 1, 1, 0, 1)
+    assert CELL_BITS[cell_code(1, 0, 1, 1, 0, 1)] == (1, 0, 1, 1, 0, 1)
 
 
 def test_classify_corner_cells():
-    assert rec(0, 0, 0, 0, 0, 0).cell.code == 0
-    assert rec(1, 1, 1, 1, 1, 1).cell.code == 63
+    assert cell_codes(0, 0, 0, 0, 0, 0) == 0 and CELL_BITS[0] == (0,) * 6
+    assert cell_codes(1, 1, 1, 1, 1, 1) == 63 and CELL_BITS[63] == (1,) * 6
 
 
 def test_cell_code_bijection():
-    seen = set()
-    for cell in all_cells():
-        assert CellIndex.from_code(cell.code) == cell
-        seen.add(cell.code)
-    assert seen == set(range(64))
+    assert len(CELL_BITS) == 64 and len(set(CELL_BITS)) == 64
+    for code, bits in enumerate(CELL_BITS):
+        assert bits == tuple(code >> shift & 1 for shift in range(5, -1, -1))
+        assert cell_codes(*bits) == code == cell_code(*bits)
+    columns = np.array(CELL_BITS).T
+    assert cell_codes(*columns).tolist() == list(range(64))
 
 
 def test_classify_round_trip_all_cells():
-    for cell in all_cells():
-        record = rec(*cell)
-        assert record.cell == cell
+    records = [rec(*bits) for bits in CELL_BITS]
+    assert [(r.x, r.y, r.p, r.q, r.r, r.s) for r in records] == list(CELL_BITS)
+    assert build_table(records).counts.tolist() == [1] * 64
 
 
 def test_record_validation():
-    with pytest.raises(ValueError):
-        rec(2, 0, 0, 0, 0, 0)
+    for at in range(6):
+        for bad in (2, -1, 0.5, None):
+            bits = [0] * 6
+            bits[at] = bad
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                rec(*bits)
     with pytest.raises(ValueError):
         DyadRecord(ego_id="same", alter_id="same", x=0, y=0, p=0, q=0, r=0, s=0)
 
@@ -66,7 +71,7 @@ def test_build_table_rejects_mixed_items():
 def test_build_table_matches_hand_tally():
     rng = np.random.default_rng(7)
     codes = rng.integers(0, 64, size=100)
-    records = [rec(*CellIndex.from_code(int(c))) for c in codes]
+    records = [rec(*CELL_BITS[c]) for c in codes]
     table = build_table(records, item="it")
     tally = [0] * 64
     for c in codes:
@@ -77,7 +82,7 @@ def test_build_table_matches_hand_tally():
 def test_build_table_order_independent():
     rng = np.random.default_rng(3)
     codes = rng.integers(0, 64, size=60)
-    records = [rec(*CellIndex.from_code(int(c))) for c in codes]
+    records = [rec(*CELL_BITS[c]) for c in codes]
     shuffled = list(records)
     rng.shuffle(shuffled)
     assert np.array_equal(build_table(records).counts, build_table(shuffled).counts)
@@ -152,13 +157,11 @@ def test_marginal_identities():
 
 
 def test_invert_behavior_permutes_cells():
-    for cell in all_cells():
+    for code, (x, y, p, q, r, s) in enumerate(CELL_BITS):
         counts = np.zeros(64, dtype=np.int64)
-        counts[cell.code] = 1
+        counts[code] = 1
         flipped = DyadTable(counts).invert_behavior()
-        expected = CellIndex(cell.x, cell.y, 1 - cell.p, 1 - cell.q,
-                             1 - cell.r, 1 - cell.s)
-        assert flipped.counts[expected.code] == 1
+        assert flipped.counts[cell_code(x, y, 1 - p, 1 - q, 1 - r, 1 - s)] == 1
         assert flipped.total == 1
 
 

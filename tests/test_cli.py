@@ -358,6 +358,16 @@ def test_items_file_repeated_id_is_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _with(where, key, value):
+    """An edit setting ``key`` of the first item (``where="item"``) or of its
+    first result to ``value``."""
+    def edit(payload):
+        item = payload["items"][0]
+        (item if where == "item" else item["results"][0])[key] = value
+        return payload
+    return edit
+
+
 def _measure_m9(payload):
     payload["items"][0]["results"][0]["measure"] = "M9"
     return payload
@@ -368,6 +378,18 @@ def _measure_m9(payload):
     (lambda payload: {"items": [{"item_id": "a"}]}, "report lacks key 'results'"),
     (lambda payload: {"items": [{**payload["items"][0], "results": [[]]}]}, "malformed report"),
     (_measure_m9, "unknown measure: 'M9' is not a valid MeasureId"),
+    (_with("result", "p_value", "abc"), "items[0].results[0]: field 'p_value' must be a number, got \"abc\""),
+    (_with("result", "p_value", None), "items[0].results[0]: field 'p_value' must be a number, got null"),
+    (_with("result", "observed", 1.5), "items[0].results[0]: field 'observed' must be an integer, got 1.5"),
+    (_with("result", "null_mean", True), "items[0].results[0]: field 'null_mean' must be a number, got true"),
+    (_with("result", "significant", 0), "items[0].results[0]: field 'significant' must be true or false, got 0"),
+    (_with("result", "trials", "5"), "items[0].results[0]: field 'trials' must be an integer or null, got \"5\""),
+    (_with("result", "measure", 1), "items[0].results[0]: field 'measure' must be a measure id or null, got 1"),
+    (_with("result", "direction", None), "items[0].results[0]: field 'direction' must be a string, got null"),
+    (_with("item", "dyads_used", "12"), "items[0]: field 'dyads_used' must be an integer, got \"12\""),
+    (_with("item", "item_label", None), "items[0]: field 'item_label' must be a string, got null"),
+    (_with("item", "error", 5), "items[0]: field 'error' must be a string or null, got 5"),
+    (_with("item", "results", {}), "items[0]: field 'results' must be a list, got {}"),
 ])
 def test_chart_of_malformed_report_is_input_error(tmp_path, capsys, edit, message):
     report = tmp_path / "r.json"
@@ -380,6 +402,28 @@ def test_chart_of_malformed_report_is_input_error(tmp_path, capsys, edit, messag
     assert err.startswith(f"error: {report}: {message}")
     assert "Traceback" not in err
     assert not (tmp_path / "c.svg").exists()
+
+
+def test_exact_on_huge_table_is_input_error_at_once(tmp_path):
+    # 64 cells of 2**53 dyads: one binomial window alone would take ~160 GB
+    table = tmp_path / "t64.csv"
+    table.write_text("x,y,p,q,r,s,value\n" + "".join(
+        f"{','.join(map(str, bits))},{2**53}\n" for bits in np.ndindex(*(2,) * 6)))
+    run = run_python(
+        "import resource, sys, time\nfrom dyadeval.cli import main\n"
+        "start = time.perf_counter()\ncode = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - start, "
+        "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n",
+        "table", "--table", str(table), "--method", "exact",
+        "--out-csv", str(tmp_path / "r.csv"))
+    out, err = run.stdout.decode(), run.stderr.decode()
+    assert run.returncode == 1, err
+    assert "Traceback" not in err
+    assert re.search(r"ERROR M1: the exact engine would convolve binomial windows of up to "
+                     r"[\d,]+ entries on one side, .*use --method bootstrap", out)
+    seconds, max_rss_kb = err.split()[-2:]
+    assert float(seconds) < 1.0 and int(max_rss_kb) < 200_000
 
 
 def test_chart_subcommand(tmp_path, capsys):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import NodeRow, join_node_edges_by_rows, parse_dyad_csv_by_rows
+from oracles import NodeRow, join_node_edges_by_rows, parse_dyad_csv_by_rows, record_code
 
 from dyadeval import (DyadTable, InferenceConfig, InputError, MeasureId, MeasureSpec,
                       NullModel, bootstrap_test, build_table, census, exact_test, fit,
@@ -211,7 +211,7 @@ def reference_tally(path, delimiter):
     records, drops = parsed
     counts = {}
     for rec in records:
-        counts.setdefault(rec.item_id, [0] * 64)[rec.cell.code] += 1
+        counts.setdefault(rec.item_id, [0] * 64)[record_code(rec)] += 1
     return counts, dict(Counter(item for _, item in drops))
 
 
@@ -583,7 +583,7 @@ def test_join_matches_record_oracle(tmp_path):
             codes, stats = io._join_codes(survey, dyads, item)
             assert stats == expected_stats, (case, item)
             kept = codes[codes >= 0]
-            assert kept.tolist() == [rec.cell.code for rec in expected], (case, item)
+            assert kept.tolist() == [record_code(rec) for rec in expected], (case, item)
             assert np.array_equal(census.tally(kept, item).counts,
                                   build_table(expected, item=item).counts)
             assert join_node_edges(survey, edges, item, orientation) == (expected, stats)

@@ -1,11 +1,17 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from dyadeval import (CellIndex, DyadTable, MEASURE_LABELS, MeasureId,
-                      MeasureSpec, MeasureValue, all_cells, cells_matching,
-                      evaluate, simulate_dyad_table, spec_for)
+from dyadeval import (DyadTable, MEASURE_LABELS, MeasureId, MeasureSpec,
+                      MeasureValue, evaluate, simulate_dyad_table, spec_for)
+from dyadeval.census import CELL_BITS
 
-from oracles import measure_cells_by_formula, measure_values_by_formula
+from oracles import cell_code, measure_cells_by_formula, measure_values_by_formula
+
+# The cell each cell's code moves to when its behavior bits are flipped, as
+# in DyadTable.invert_behavior.
+FLIP = np.arange(64) ^ 0b1111
 
 
 def unit_table(code):
@@ -16,8 +22,7 @@ def unit_table(code):
 
 def test_m1_positive_cells():
     spec = spec_for(MeasureId.M1)
-    expected = {CellIndex(1, y, 1, q, 0, s) for y in (0, 1) for q in (0, 1)
-                for s in (0, 1)}
+    expected = {(1, y, 1, q, 0, s) for y, q, s in product((0, 1), repeat=3)}
     assert spec.positive_cells == frozenset(expected)
     assert len(spec.positive_cells) == 8 and len(spec.negative_cells) == 8
 
@@ -32,16 +37,16 @@ def test_all_specs_match_formula_cells():
     for measure in MeasureId:
         spec = spec_for(measure)
         pos, neg = measure_cells_by_formula(measure.value)
-        assert {tuple(c) for c in spec.positive_cells} == pos
-        assert {tuple(c) for c in spec.negative_cells} == neg
+        assert spec.positive_cells == pos
+        assert spec.negative_cells == neg
 
 
 def test_specs_disjoint():
     for measure in MeasureId:
         spec = spec_for(measure)
         assert not (spec.positive_cells & spec.negative_cells)
-        pos_quadrants = {(c.x, c.y) for c in spec.positive_cells}
-        neg_quadrants = {(c.x, c.y) for c in spec.negative_cells}
+        pos_quadrants = {c[:2] for c in spec.positive_cells}
+        neg_quadrants = {c[:2] for c in spec.negative_cells}
         assert not (pos_quadrants & neg_quadrants)
 
 
@@ -63,8 +68,8 @@ def test_evaluate_hand_case():
     # 5 dyads at (1,0,1,0,0,0): in M1's positive set (x=1, p=1, r=0).
     # 3 dyads at (0,1,1,1,0,1): in M1's negative set (x=0, p=1, r=0).
     counts = np.zeros(64, dtype=np.int64)
-    counts[CellIndex(1, 0, 1, 0, 0, 0).code] = 5
-    counts[CellIndex(0, 1, 1, 1, 0, 1).code] = 3
+    counts[cell_code(1, 0, 1, 0, 0, 0)] = 5
+    counts[cell_code(0, 1, 1, 1, 0, 1)] = 3
     value = evaluate(DyadTable(counts), MeasureId.M1)
     assert (value.positive_sum, value.negative_sum, value.value) == (5, 3, 2)
 
@@ -97,46 +102,56 @@ def test_evaluate_distributes_over_addition():
 
 
 def test_polarity_conjugation_on_all_unit_tables():
-    # evaluating the inverted table equals evaluating the bit-flipped spec
+    # evaluating the inverted table equals evaluating the permuted row
     for measure in MeasureId:
         spec = spec_for(measure)
-        flipped_spec = spec.transform_invert_behavior()
+        flipped = spec.weights[FLIP]
         for code in range(64):
             table = unit_table(code)
-            assert (evaluate(table.invert_behavior(), spec)
-                    == evaluate(table, flipped_spec))
+            value = evaluate(table.invert_behavior(), spec)
+            assert value.positive_sum == int((flipped > 0) @ table.counts)
+            assert value.negative_sum == int((flipped < 0) @ table.counts)
+
+
+def flip_cells(cells):
+    return frozenset((x, y, 1 - p, 1 - q, 1 - r, 1 - s) for x, y, p, q, r, s in cells)
 
 
 def test_invert_behavior_is_involution_on_specs():
-    # random specs: disjoint cell sets on disjoint participation quadrants
+    # random specs: disjoint cell sets on disjoint participation quadrants;
+    # the spec of the flipped cells has the permuted row, and flipping twice
+    # gives the spec back
     rng = np.random.default_rng(626)
-    cells = list(all_cells())
+    specs = [spec_for(m) for m in MeasureId]
     for _ in range(1000):
         quadrants = rng.permutation(4)
         cut = int(rng.integers(0, 5))
         side = {int(q): 0 if i < cut else 1 for i, q in enumerate(quadrants)}
-        picked = [c for c in cells if rng.random() < 0.3]
-        spec = MeasureSpec(
-            frozenset(c for c in picked if side[2 * c.x + c.y] == 0),
-            frozenset(c for c in picked if side[2 * c.x + c.y] == 1))
-        assert spec.transform_invert_behavior().transform_invert_behavior() == spec
-    for measure in MeasureId:
-        spec = spec_for(measure)
-        assert spec.transform_invert_behavior().transform_invert_behavior() == spec
+        picked = [c for c in CELL_BITS if rng.random() < 0.3]
+        specs.append(MeasureSpec(
+            frozenset(c for c in picked if side[2 * c[0] + c[1]] == 0),
+            frozenset(c for c in picked if side[2 * c[0] + c[1]] == 1)))
+    for spec in specs:
+        flipped = MeasureSpec(flip_cells(spec.positive_cells), flip_cells(spec.negative_cells))
+        assert np.array_equal(flipped.weights, spec.weights[FLIP])
+        assert np.array_equal(spec.weights[FLIP][FLIP], spec.weights)
+        assert MeasureSpec(flip_cells(flipped.positive_cells),
+                           flip_cells(flipped.negative_cells)) == spec
 
 
 def test_custom_spec_validation():
     with pytest.raises(ValueError, match="overlap"):
-        MeasureSpec(cells_matching(x=1, p=1), cells_matching(x=1, p=1, r=0))
-    with pytest.raises(ValueError, match="quadrant"):
-        MeasureSpec(cells_matching(x=1, r=0), cells_matching(x=1, r=1))
+        MeasureSpec({(1, 0, 1, 0, 0, 0), (1, 0, 1, 0, 1, 0)}, {(1, 0, 1, 0, 0, 0)})
+    with pytest.raises(ValueError, match=r"quadrants \[\(1, 0\)\]"):
+        MeasureSpec({(1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0)}, {(1, 0, 0, 0, 1, 0)})
 
 
 def test_custom_spec_evaluates():
-    spec = MeasureSpec(cells_matching(x=1, y=1, r=0), cells_matching(x=0, y=0, r=0))
+    spec = MeasureSpec({(1, 1, p, q, 0, s) for p, q, s in product((0, 1), repeat=3)},
+                       {(0, 0, p, q, 0, s) for p, q, s in product((0, 1), repeat=3)})
     counts = np.zeros(64, dtype=np.int64)
-    counts[CellIndex(1, 1, 0, 0, 0, 0).code] = 4
-    counts[CellIndex(0, 0, 0, 0, 0, 1).code] = 9  # r=0, s=1: in negative set
+    counts[cell_code(1, 1, 0, 0, 0, 0)] = 4
+    counts[cell_code(0, 0, 0, 0, 0, 1)] = 9  # r=0, s=1: in negative set
     assert evaluate(DyadTable(counts), spec).value == 4 - 9
 
 
@@ -146,8 +161,8 @@ def test_weight_row_matches_cell_sets():
         pos, neg = measure_cells_by_formula(measure.name)
         assert spec_for(measure) is spec  # built once
         assert spec.weights.dtype == np.int8 and not spec.weights.flags.writeable
-        assert {tuple(CellIndex.from_code(c)) for c in np.flatnonzero(spec.weights == 1)} == pos
-        assert {tuple(CellIndex.from_code(c)) for c in np.flatnonzero(spec.weights == -1)} == neg
+        assert {CELL_BITS[c] for c in np.flatnonzero(spec.weights == 1)} == pos
+        assert {CELL_BITS[c] for c in np.flatnonzero(spec.weights == -1)} == neg
         # the derived row stays out of equality, hashing and repr
         again = MeasureSpec(spec.positive_cells, spec.negative_cells)
         assert again == spec and hash(again) == hash(spec)
@@ -161,6 +176,33 @@ def test_measure_value_invariant():
         MeasureValue(value=1, positive_sum=1, negative_sum=1)
 
 
-def test_cells_matching_rejects_unknown():
-    with pytest.raises(ValueError):
-        cells_matching(z=1)
+def test_spec_rejects_malformed_cells():
+    for bad in [(1, 0, 1, 0, 0), (1, 0, 2, 0, 0, 0), (1, 0, 1, 0, 0, 0, 0), (1, 0, -1, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="six bits"):
+            MeasureSpec({bad}, set())
+        with pytest.raises(ValueError, match="six bits"):
+            MeasureSpec(set(), {bad})
+
+
+def test_builtin_rows_match_indices_construction():
+    # each row built independently: cells whose fixed coordinates match,
+    # over the (x, y, p, q, r, s) grid of np.indices in C order
+    fixed = {
+        "M1": ({"x": 1, "p": 1, "r": 0}, {"x": 0, "p": 1, "r": 0}),
+        "M2": ({"x": 1, "p": 0, "r": 0}, {"x": 0, "p": 0, "r": 0}),
+        "M3": ({"x": 1, "q": 1, "s": 0}, {"x": 0, "q": 1, "s": 0}),
+        "M4": ({"x": 1, "q": 0, "s": 0}, {"x": 0, "q": 0, "s": 0}),
+        "M5": ({"x": 1, "y": 1, "p": 1, "r": 0}, {"x": 1, "y": 0, "p": 1, "r": 0}),
+        "M6": ({"x": 1, "y": 1, "p": 0, "r": 0}, {"x": 1, "y": 0, "p": 0, "r": 0}),
+        "M7": ({"x": 1, "y": 0, "q": 1, "s": 0}, {"x": 0, "y": 0, "q": 1, "s": 0}),
+        "M8": ({"x": 1, "y": 0, "q": 0, "s": 0}, {"x": 0, "y": 0, "q": 0, "s": 0}),
+    }
+    grid = dict(zip("xypqrs", np.indices((2,) * 6).reshape(6, 64)))
+
+    def mask(coords):
+        return np.logical_and.reduce([grid[k] == v for k, v in coords.items()])
+
+    for measure in MeasureId:
+        pos, neg = fixed[measure.value]
+        expected = mask(pos).astype(np.int8) - mask(neg).astype(np.int8)
+        assert np.array_equal(spec_for(measure).weights, expected)

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import cell_code, to_dyad_records
+from oracles import cell_code, record_code, to_dyad_records
 
 from dyadeval import (EdgeModel, InputError, SimNetwork, SimParams,
                       assign_initial_states, build_table, dyad_codes, generate_network,
@@ -174,7 +174,7 @@ def test_to_dyad_records_zero_state_edge():
                               behavior1=np.zeros(2, dtype=np.int8))
     records = to_dyad_records(net)
     assert len(records) == 1
-    assert records[0].cell.code == 0
+    assert record_code(records[0]) == 0
     assert dyad_codes(net).tolist() == [0]
 
 
