@@ -323,34 +323,32 @@ def _binom_windows(blocks: Sequence[TrialGroup]) -> list[tuple[int, np.ndarray]]
     """Binomial(count, success_prob) PMF of each block (count >= 1) on the
     window of values where it is >= 1e-300, as (first value, PMF) pairs.
 
-    The first windows come from the Chernoff bound (``_first_windows``), and
-    all of them are evaluated together, in passes of at most
-    ``_PASS_ENTRIES`` entries.  The PMF is unimodal and each window straddles
-    the mode, so an edge entry still at or above the floor would mean the
-    window is too narrow there: that edge moves out by the window's width
-    and the windows are evaluated again.  Sub-floor entries at either edge
-    are then cut, since ``DiscreteDistribution`` would zero them anyway.
+    The windows come from the Chernoff bound (``_first_windows``), and all
+    of them are evaluated together, in passes of at most ``_PASS_ENTRIES``
+    entries.  The PMF is unimodal and each window straddles the mode, so an
+    edge entry inside [0, n] still at or above the floor would mean the
+    bound cut off mass: a ``NumericalIntegrityError``.  Sub-floor entries
+    at either edge are cut, since ``DiscreteDistribution`` would zero them
+    anyway.
     """
     if not blocks:
         return []
     n = np.array([g.count for g in blocks], dtype=np.int64)
     p = np.array([g.success_prob for g in blocks])
     lo, hi = _first_windows(n, p)
-    while True:
-        size = hi - lo + 1
-        end = np.cumsum(size)
-        start = end - size
-        pmf = np.empty(int(end[-1]))
-        for first in range(0, len(pmf), _PASS_ENTRIES):
-            at = np.arange(first, min(first + _PASS_ENTRIES, len(pmf)))
-            b = np.searchsorted(end, at, side="right")
-            pmf[at] = _binom_pmf(lo[b] + (at - start[b]), n[b], p[b])
-        grow_lo = (lo > 0) & (pmf[start] >= _PMF_FLOOR)
-        grow_hi = (hi < n) & (pmf[end - 1] >= _PMF_FLOOR)
-        if not (grow_lo | grow_hi).any():
-            break
-        lo = np.where(grow_lo, np.maximum(0, lo - size), lo)
-        hi = np.where(grow_hi, np.minimum(n, hi + size), hi)
+    size = hi - lo + 1
+    end = np.cumsum(size)
+    start = end - size
+    pmf = np.empty(int(end[-1]))
+    for first in range(0, len(pmf), _PASS_ENTRIES):
+        at = np.arange(first, min(first + _PASS_ENTRIES, len(pmf)))
+        b = np.searchsorted(end, at, side="right")
+        pmf[at] = _binom_pmf(lo[b] + (at - start[b]), n[b], p[b])
+    short = ((lo > 0) & (pmf[start] >= _PMF_FLOOR)) | ((hi < n) & (pmf[end - 1] >= _PMF_FLOOR))
+    if short.any():
+        i = int(np.argmax(short))
+        raise NumericalIntegrityError(f"binomial window [{lo[i]}, {hi[i]}] of Binomial({n[i]}, "
+                                      f"{float(p[i])!r}) cuts off entries at or above 1e-300")
     at = np.arange(len(pmf))
     kept = pmf >= _PMF_FLOOR  # each window keeps at least its mode
     first = np.minimum.reduceat(np.where(kept, at, len(pmf)), start)

@@ -9,10 +9,12 @@ dyad CSV      header ego_id, alter_id, ego_part, alter_part, ego_b0,
               Repeated (ego, alter, item) rows are tallied as given, once
               per row: detecting them would need a key set as large as the
               file, and the file is streamed in blocks.  ``dyad_csv_items``
-              reads it as bytes and tallies each plain block (ASCII, no
-              quote, CR or NUL, no over-long line) in numpy; from the first
-              block that is not plain on, csv reads the rest, as it reads
-              the whole file for ``parse_dyad_csv``.
+              reads it as bytes and tallies each plain block (ASCII, LF or
+              CRLF line ends, no quote, NUL or lone CR, no over-long line)
+              in numpy; from the first block that is not plain on, csv
+              reads the rest, as it reads the whole file for
+              ``parse_dyad_csv``.  Rows csv reads and rows numpy does not
+              keep go through one row rule, ``_check_row``.
 
 node CSV      header node_id, participation, then <item>_before and
               <item>_after column pairs; empty/NA cells mark that item
@@ -28,10 +30,11 @@ edge list     two identifier columns; lines starting with '#' and blank
               round(prob * scale).
 
 Missing data policy is listwise deletion per dyad per item, always with a
-drop count in the report.  Files are read as UTF-8; an undecodable byte or
-a field over csv's size limit is an InputError naming the file and line,
-raised when that line is reached, so a bad row before it is reported
-first.  A row is numbered by the physical line it starts on.
+drop count in the report.  Files are read as UTF-8, after a byte-order
+mark if there is one; an undecodable byte or a field over csv's size limit
+is an InputError naming the file and line, raised when that line is
+reached, so a bad row before it is reported first.  A row is numbered by
+the physical line it starts on.
 
 Every input reaches the census as 64-cell codes, with no object per dyad
 but in the records views ``parse_dyad_csv`` and ``join_node_edges``.  Each
@@ -47,13 +50,14 @@ from __future__ import annotations
 import csv
 import json
 import os
+from codecs import BOM_UTF8
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from io import TextIOWrapper
-from itertools import compress, islice, repeat, starmap
+from itertools import chain, islice, repeat, starmap
 from operator import eq, itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,7 +89,7 @@ _MISSING_TOKENS = {"", "na", "nan", "none", "null", "."}
 _DYAD_COLUMNS = ("ego_id", "alter_id", "ego_part", "alter_part",
                  "ego_b0", "alter_b0", "ego_b1", "alter_b1", "item_id")
 
-# Rows of a dyad CSV held in memory at once on its csv path.
+# Rows of a dyad CSV tallied at once on its csv path.
 _BLOCK_ROWS = 65_536
 
 # Bytes of a dyad CSV tallied at once on its byte path.
@@ -98,18 +102,22 @@ _SPAN_BYTES = 64
 # Exact bit tokens of the six bit columns, in column order -> cell code.
 _CELL_CODES = {tuple(map(str, bits)): code for code, bits in enumerate(CELL_BITS)}
 
+# A dyad CSV's index of each of ``_DYAD_COLUMNS``, width, and bit-cell getter.
+_Layout = tuple[list[int], int, itemgetter]
+
 
 @contextmanager
 def _open_text(path: Path, start: int = 0) -> Iterator[Iterator[str]]:
-    """The lines of ``path`` from byte ``start`` on, decoded as UTF-8 with
-    newlines left to csv.  A line holding an undecodable byte is an
-    InputError naming the path and its line, raised when that line is
+    """The lines of ``path`` from byte ``start`` on, past a byte-order mark at
+    byte 0, decoded as UTF-8 with newlines left to csv.  An undecodable byte
+    is an InputError naming the path and its line, raised when that line is
     reached, so that the lines before it are read first."""
     if not path.exists():
         raise InputError(f"no such file: {path}")
     with path.open("rb") as raw:
         raw.seek(start)
-        handle = TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline="")
+        handle = TextIOWrapper(raw, encoding="utf-8-sig" if start == 0 else "utf-8",
+                               errors="surrogateescape", newline="")
         try:
             yield map(_utf8, handle)
         except UnicodeEncodeError:
@@ -156,6 +164,17 @@ def _open_csv(path: Path, delimiter: str, start: int = 0, line_no: int = 1
             raise InputError(f"{path}: line {line_no - 1 + reader.line_num}: {exc}") from None
 
 
+def _lined(reader, line_no: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """(the line it starts on, row) for each row of ``reader``, whose first
+    line is line ``line_no``: zip takes the line count before each row."""
+    return zip(iter(lambda: line_no + reader.line_num, None), reader)
+
+
+def _numbered(reader) -> Iterator[tuple[int, list[str]]]:
+    """(the line it starts on, row) for each row of ``reader`` that is not blank."""
+    return ((line_no, row) for line_no, row in _lined(reader) if any(map(str.strip, row)))
+
+
 def _is_missing(token: str) -> bool:
     return token.strip().lower() in _MISSING_TOKENS
 
@@ -183,27 +202,23 @@ class _ItemIndex(dict):
         return index
 
 
-class _DyadBlock(NamedTuple):
-    """The kept rows of one block of a dyad CSV, in file order."""
-
-    code: np.ndarray                      # cell code
-    item: np.ndarray                      # index into the reader's item ids
-    ego: list[str]                        # stripped ids
-    alter: list[str]
-    drops: list[tuple[int, str | None]]   # (line, stripped item or None)
-
-
-def _check_row(row: list[str], line_no: int, path: Path, cols: list[int],
-               width: int, drops: list[tuple[int, str | None]]) -> int:
+def _check_row(row: list[str], line_no: int, path: Path, layout: _Layout,
+               drops: list[tuple[int, str | None]]) -> int:
     """The dyad-CSV row rules, for one row: its cell code, or -1 for a blank
     row or a row dropped for a missing bit (appended to ``drops``).  A bad
-    row raises InputError."""
-    if not row or all(not cell.strip() for cell in row):
+    row raises InputError.  A row whose six bits are exact "0"/"1" tokens
+    and whose stripped ids differ is kept through one dict lookup."""
+    cols, width, bits = layout
+    if len(row) >= width:
+        code = _CELL_CODES.get(bits(row), -1)
+        if code >= 0 and row[cols[0]].strip() != row[cols[1]].strip():
+            return code
+    if not any(map(str.strip, row)):
         return -1
     if len(row) < width:
         raise InputError(f"{path}: line {line_no}: expected "
                          f"{width} fields, got {len(row)}")
-    bit_cells = [row[c] for c in cols[2:8]]
+    bit_cells = bits(row)
     if any(_is_missing(v) for v in bit_cells):
         item = row[cols[8]].strip()
         drops.append((line_no, item if not _is_missing(item) else None))
@@ -217,91 +232,71 @@ def _check_row(row: list[str], line_no: int, path: Path, cols: list[int],
     return code
 
 
-def _dyad_layout(header: list[str] | None, path: Path) -> tuple[list[int], int]:
-    """The index of each of ``_DYAD_COLUMNS`` in a dyad CSV's header row,
-    and the header's width."""
+def _dyad_layout(header: list[str] | None, path: Path) -> _Layout:
+    """The layout of a dyad CSV with header row ``header``."""
     if header is None:
         raise InputError(f"{path}: empty file, expected a header row")
     header = [h.strip() for h in header]
     missing_cols = [c for c in _DYAD_COLUMNS if c not in header]
     if missing_cols:
         raise InputError(f"{path}: header lacks columns {missing_cols}")
-    return [header.index(name) for name in _DYAD_COLUMNS], len(header)
+    cols = [header.index(name) for name in _DYAD_COLUMNS]
+    return cols, len(header), itemgetter(*cols[2:8])
+
+
+def _checked_rows(rows: Iterator[tuple[int, list[str]]], path: Path, layout: _Layout,
+                  items: _ItemIndex
+                  ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str | None]]]:
+    """(cell code, item index) of the kept rows of ``rows``, (line, row)
+    pairs each run through ``_check_row`` in order, and their drops."""
+    item_col = layout[0][8]
+    codes: list[int] = []
+    indices: list[int] = []
+    drops: list[tuple[int, str | None]] = []
+    for line_no, row in rows:
+        code = _check_row(row, line_no, path, layout, drops)
+        if code >= 0:
+            codes.append(code)
+            indices.append(items[row[item_col]])
+    return np.array(codes, np.intp), np.array(indices, np.intp), drops
 
 
 def _read_dyad_blocks(path: Path, delimiter: str, items: _ItemIndex,
-                      layout: tuple[list[int], int] | None = None,
-                      start: int = 0, line_no: int = 1) -> Iterator[_DyadBlock]:
-    """Stream a dyad CSV through csv in blocks of ``_BLOCK_ROWS`` rows, from
-    byte ``start`` on, which begins line ``line_no``.  The header is read
-    there unless its ``layout`` is given.
-
-    A row whose six bits are exact "0"/"1" tokens and whose stripped ids
-    differ is kept through one dict lookup; every other row goes through
-    ``_check_row`` in file order, numbered by the physical line it starts
-    on, so the first bad row raises the error the row rules give it.  Item
-    ids are registered in ``items`` as met, also for rows that are then
-    dropped.
-    """
+                      layout: _Layout | None = None, start: int = 0, line_no: int = 1
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, str | None]]]]:
+    """(cell code, item index) of the kept rows of a dyad CSV, and their
+    drops, in blocks of ``_BLOCK_ROWS`` rows, read through csv from byte
+    ``start`` on, which begins line ``line_no``; the header is read there
+    unless its ``layout`` is given.  Each row goes through ``_check_row`` in
+    file order, numbered by the physical line it starts on, so the first
+    bad row raises its error before a read error further on."""
     with _open_csv(path, delimiter, start, line_no) as reader:
-        cols, width = layout or _dyad_layout(next(reader, None), path)
-        bits_of = itemgetter(*cols[2:8])
-        ego_of, alter_of, item_of = (itemgetter(c) for c in (cols[0], cols[1], cols[8]))
-        filler = [""] * width  # stands in for a short row, which fails the lookup
-        while True:
-            rows: list[list[str]] = []
-            ends: list[int] = []  # reader.line_num after each row: its last line
-            before = reader.line_num
-            error: Exception | None = None
-            try:
-                for row in islice(reader, _BLOCK_ROWS):
-                    rows.append(row)
-                    ends.append(reader.line_num)
-            except (csv.Error, UnicodeEncodeError) as exc:
-                error = exc  # raised once the rows read before it are checked
-            n = len(rows)
-            short = np.fromiter(map(len, rows), np.intp, n) < width
-            full = rows
-            if short.any():
-                full = [filler if s else row for s, row in zip(short.tolist(), rows)]
-            code = np.fromiter(map(_CELL_CODES.get, map(bits_of, full), repeat(-1)),
-                               np.intp, n)
-            ego = list(map(str.strip, map(ego_of, full)))
-            alter = list(map(str.strip, map(alter_of, full)))
-            item = np.fromiter(map(items.__getitem__, map(item_of, full)), np.intp, n)
-            drops: list[tuple[int, str | None]] = []
-            check = (code < 0) | np.fromiter(map(eq, ego, alter), bool, n)
-            for i in np.flatnonzero(check).tolist():
-                first_line = line_no + (ends[i - 1] if i else before)
-                code[i] = _check_row(rows[i], first_line, path, cols, width, drops)
-            kept = code >= 0
-            keep = kept.tolist()
-            yield _DyadBlock(code[kept], item[kept], list(compress(ego, keep)),
-                             list(compress(alter, keep)), drops)
-            if error is not None:
-                raise error
-            if n < _BLOCK_ROWS:
-                return
+        layout = layout or _dyad_layout(next(reader, None), path)
+        rows = _lined(reader, line_no)
+        for first in rows:
+            yield _checked_rows(chain([first], islice(rows, _BLOCK_ROWS - 1)),
+                                path, layout, items)
 
 
 def parse_dyad_csv(path, delimiter: str = ",") -> tuple[list[DyadRecord], list[tuple[int, str | None]]]:
     """Read a dyad CSV.
 
     Returns (records, drops) where drops lists (line number, item id or
-    None) for rows excluded because of missing bits.  The file is read
-    through csv by the block reader ``dyad_csv_items`` falls back on, so
-    the row rules are the same; the result holds one record per kept row.
+    None) for rows excluded because of missing bits.  Each row goes through
+    csv and ``_check_row``, as on the csv path of ``dyad_csv_items``, so the
+    row rules are the same; the result holds one record per kept row.
     """
+    path = Path(path)
     records: list[DyadRecord] = []
     drops: list[tuple[int, str | None]] = []
-    items = _ItemIndex()
-    for block in _read_dyad_blocks(Path(path), delimiter, items):
-        ids = list(items.ids)
-        records.extend(DyadRecord(ego, alter, *CELL_BITS[code], item_id=ids[item])
-                       for ego, alter, code, item in zip(block.ego, block.alter,
-                                                         block.code.tolist(),
-                                                         block.item.tolist()))
-        drops.extend(block.drops)
+    with _open_csv(path, delimiter) as reader:
+        layout = _dyad_layout(next(reader, None), path)
+        cols = layout[0]
+        for line_no, row in _lined(reader):
+            code = _check_row(row, line_no, path, layout, drops)
+            if code >= 0:
+                ego, alter, item = (row[c].strip() for c in (cols[0], cols[1], cols[8]))
+                records.append(DyadRecord(ego, alter, *CELL_BITS[code], item_id=item))
     return records, drops
 
 
@@ -310,7 +305,7 @@ def _byte_blocks(handle, limit: int) -> Iterator[tuple[int, int, bytes]]:
     of ``_BLOCK_BYTES`` is cut after its last newline and the rest carried
     into the next.  A carry over ``limit`` bytes with no newline is given
     whole, so a carry never holds more than ``limit`` bytes and one read."""
-    start, line_no, carry = 0, 1, b""
+    start, line_no, carry = handle.tell(), 1, b""
     while True:
         chunk = handle.read(_BLOCK_BYTES)
         data = carry + chunk
@@ -327,10 +322,11 @@ def _byte_blocks(handle, limit: int) -> Iterator[tuple[int, int, bytes]]:
 
 
 def _plain_lines(block: bytes, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """``block`` with a final newline as bytes, and the position of each
-    newline, if csv reads every line of it as the line split at the
-    delimiter: ASCII with no quote, CR or NUL, and no line longer than
-    ``limit``, csv's field size limit.  None if not."""
+    """``block`` with CRLF made LF and a final newline, as bytes, and the
+    position of each newline, if csv reads every line of it as the line
+    split at the delimiter: ASCII with no quote, NUL or lone CR, and no line
+    longer than ``limit``, csv's field size limit.  None if not."""
+    block = block.replace(b"\r\n", b"\n") if b"\r" in block else block
     if not block.isascii() or b'"' in block or b"\r" in block or b"\0" in block:
         return None
     buf = np.frombuffer(block if block.endswith(b"\n") else block + b"\n", np.uint8)
@@ -341,7 +337,7 @@ def _plain_lines(block: bytes, limit: int) -> tuple[np.ndarray, np.ndarray] | No
 
 
 def _plain_rows(buf: np.ndarray, ends: np.ndarray, line_no: int, path: Path,
-                delimiter: str, layout: tuple[list[int], int], items: _ItemIndex
+                delimiter: str, layout: _Layout, items: _ItemIndex
                 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str | None]]]:
     """(cell code, item index) of the kept rows of a plain block, whose row
     i ends at newline ``ends[i]`` and starts on line ``line_no + i``, and
@@ -354,7 +350,7 @@ def _plain_rows(buf: np.ndarray, ends: np.ndarray, line_no: int, path: Path,
     row is split at the delimiter, which is what csv makes of a plain line,
     and goes through ``_check_row`` in file order.
     """
-    cols, width = layout
+    cols, width, _ = layout
     delim = ord(delimiter)
     starts = np.r_[0, ends[:-1] + 1]
     delims = np.flatnonzero(buf == delim)
@@ -386,19 +382,10 @@ def _plain_rows(buf: np.ndarray, ends: np.ndarray, line_no: int, path: Path,
     tokens = tokens.view(f"S{span}").tolist()
     item = np.array([items[token.decode()] for token in tokens], np.intp)[item]
 
-    slow = np.ones(ends.size, bool)
-    slow[rows] = False
-    codes: list[int] = []
-    indices: list[int] = []
-    drops: list[tuple[int, str | None]] = []
-    for i in np.flatnonzero(slow).tolist():
-        row = buf[starts[i]:ends[i]].tobytes().decode().split(delimiter)
-        cell = _check_row(row, line_no + i, path, cols, width, drops)
-        if cell >= 0:
-            codes.append(cell)
-            indices.append(items[row[cols[8]]])
-    return (np.concatenate([code, np.array(codes, np.intp)]),
-            np.concatenate([item, np.array(indices, np.intp)]), drops)
+    slow_code, slow_item, drops = _checked_rows(
+        ((line_no + i, buf[starts[i]:ends[i]].tobytes().decode().split(delimiter))
+         for i in np.delete(np.arange(ends.size), rows).tolist()), path, layout, items)
+    return np.concatenate([code, slow_code]), np.concatenate([item, slow_item]), drops
 
 
 def _tallied_blocks(path: Path, delimiter: str, items: _ItemIndex
@@ -406,9 +393,10 @@ def _tallied_blocks(path: Path, delimiter: str, items: _ItemIndex
     """(cell code, item index) of the kept rows of a dyad CSV, and its
     drops, block by block.
 
-    The file is read as bytes in blocks of ``_BLOCK_BYTES``, each cut at its
-    last newline, and each plain block (see ``_plain_lines``) is tallied by
-    ``_plain_rows``, the header taken from the first block through csv.
+    The file is read as bytes past any byte-order mark, in blocks of
+    ``_BLOCK_BYTES`` cut at their last newline, and each plain block (see
+    ``_plain_lines``) is tallied by ``_plain_rows``, the header taken from
+    the first block through csv.
     From the first block that is not plain, or from the start with a
     delimiter that is not plain ASCII, the rest goes through csv
     (``_read_dyad_blocks``): the bytes before it hold no quote, so that
@@ -421,6 +409,8 @@ def _tallied_blocks(path: Path, delimiter: str, items: _ItemIndex
     layout, start, line_no = None, 0, 1
     if delimiter.isascii() and delimiter not in '"\r\n\0':
         with path.open("rb") as handle:
+            if handle.read(len(BOM_UTF8)) != BOM_UTF8:
+                handle.seek(0)
             for start, line_no, block in _byte_blocks(handle, limit):
                 plain = _plain_lines(block, limit)
                 if plain is None:
@@ -435,8 +425,7 @@ def _tallied_blocks(path: Path, delimiter: str, items: _ItemIndex
             else:
                 if layout is not None:  # all plain; csv names an empty file
                     return
-    for block in _read_dyad_blocks(path, delimiter, items, layout, start, line_no):
-        yield block.code, block.item, block.drops
+    yield from _read_dyad_blocks(path, delimiter, items, layout, start, line_no)
 
 
 def _tally_dyad_csv(path, delimiter: str
@@ -482,15 +471,6 @@ class NodeSurvey:
     index: dict[str, int]
     participation: np.ndarray    # (nodes + 1,)
     bits: dict[str, np.ndarray]  # item -> (nodes + 1, 2)
-
-
-def _numbered(reader) -> Iterator[tuple[int, list[str]]]:
-    """(the line it starts on, row) for each row of ``reader`` that is not blank."""
-    end = reader.line_num
-    for row in reader:
-        line_no, end = end + 1, reader.line_num
-        if any(cell.strip() for cell in row):
-            yield line_no, row
 
 
 def parse_node_csv(path, items: Sequence[str] | None = None,
@@ -873,23 +853,39 @@ _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"
                "tuple[TestResult, ...]": ((list,), "a list")}
 
 
+# The values a report field may hold beyond its JSON type, but null, and their name.
+_DOMAINS = {
+    "direction": (lambda v: v in ("positive", "negative", "none"), "positive, negative or none"),
+    "method": (lambda v: v in ("bootstrap", "exact"), "bootstrap or exact"),
+    **dict.fromkeys(("p_value", "p_value_addone"), (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")),
+    "alpha": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "trials": (lambda v: v >= 1, "at least 1"),
+    **dict.fromkeys(("dyads_used", "dyads_dropped"), (lambda v: v >= 0, "at least 0"))}
+
+
 def _report_fields(record: dict, cls, where: str) -> dict:
     """The fields of dataclass ``cls`` in ``record``, each of a JSON type
-    its annotation allows; any other is an InputError naming ``where``."""
+    its annotation allows and in its domain (``_DOMAINS``); any other is an
+    InputError naming ``where``."""
     values = {f.name: record[f.name] for f in fields(cls)}
     for f in fields(cls):
+        value = values[f.name]
         allowed = [_JSON_TYPES[name] for name in f.type.split(" | ")]
-        if not any(type(values[f.name]) in types for types, _ in allowed):
+        if not any(type(value) in types for types, _ in allowed):
             wanted = " or ".join(text for _, text in allowed)
-            raise InputError(f"{where}: field {f.name!r} must be {wanted}, "
-                             f"got {json.dumps(values[f.name])}")
+        elif value is not None and f.name in _DOMAINS and not _DOMAINS[f.name][0](value):
+            wanted = _DOMAINS[f.name][1]
+        else:
+            continue
+        raise InputError(f"{where}: field {f.name!r} must be {wanted}, got {json.dumps(value)}")
     return values
 
 
 def load_report_json(path) -> list[ItemReport]:
     """Re-parse a JSON report into ItemReports (inverse of emit_report).  A
     payload that is not an object, a missing key, a value of the wrong type
-    or an unknown measure is an InputError naming the file."""
+    or out of its field's domain, or an unknown measure is an InputError
+    naming the file."""
     path = Path(path)
     with _open_text(path) as lines:
         text = "".join(lines)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from oracles import to_dyad_records, write_dyad_csv_by_records
 
-from dyadeval import DyadRecord, EdgeModel, InferenceConfig, SimParams, io, run_all, simulate
+from dyadeval import (DyadRecord, EdgeModel, InferenceConfig, SimParams, inference, io,
+                      run_all, simulate)
 from dyadeval.cli import main
 from dyadeval.inference import _binom_pmf
 
@@ -93,6 +94,18 @@ def test_table_integrity_failure_exit_code(tmp_path, monkeypatch, capsys):
                  "--method", "exact", "--out-csv", str(tmp_path / "r.csv")])
     assert code == 2
     assert "numerical integrity failure" in capsys.readouterr().err
+
+
+def test_too_narrow_binomial_window_exit_code(tmp_path, monkeypatch, capsys):
+    first_windows = inference._first_windows
+    monkeypatch.setattr(inference, "_first_windows",
+                        lambda n, p: tuple(w + 1 for w in first_windows(n, p)))
+    code = main(["table", "--table", str(uniform_table(tmp_path)), "--probabilities",
+                 "--method", "exact", "--out-csv", str(tmp_path / "r.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical integrity failure" in err and "cuts off" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def random_dyads(tmp_path, items=("q1", "q2", "q3"), per_item=300, seed=0):
@@ -390,6 +403,19 @@ def _measure_m9(payload):
     (_with("item", "item_label", None), "items[0]: field 'item_label' must be a string, got null"),
     (_with("item", "error", 5), "items[0]: field 'error' must be a string or null, got 5"),
     (_with("item", "results", {}), "items[0]: field 'results' must be a list, got {}"),
+    (_with("result", "direction", "sideways"),
+     "items[0].results[0]: field 'direction' must be positive, negative or none, got \"sideways\""),
+    (_with("result", "method", "coinflip"),
+     "items[0].results[0]: field 'method' must be bootstrap or exact, got \"coinflip\""),
+    (_with("result", "p_value", -5.0), "items[0].results[0]: field 'p_value' must be in [0, 1], got -5.0"),
+    (_with("result", "p_value", 1.5), "items[0].results[0]: field 'p_value' must be in [0, 1], got 1.5"),
+    (_with("result", "p_value_addone", 2),
+     "items[0].results[0]: field 'p_value_addone' must be in [0, 1], got 2"),
+    (_with("result", "alpha", 0), "items[0].results[0]: field 'alpha' must be in (0, 1), got 0"),
+    (_with("result", "alpha", 1.0), "items[0].results[0]: field 'alpha' must be in (0, 1), got 1.0"),
+    (_with("result", "trials", 0), "items[0].results[0]: field 'trials' must be at least 1, got 0"),
+    (_with("item", "dyads_used", -1), "items[0]: field 'dyads_used' must be at least 0, got -1"),
+    (_with("item", "dyads_dropped", -3), "items[0]: field 'dyads_dropped' must be at least 0, got -3"),
 ])
 def test_chart_of_malformed_report_is_input_error(tmp_path, capsys, edit, message):
     report = tmp_path / "r.json"

@@ -159,6 +159,23 @@ def test_binom_windows_match_growth_oracle(monkeypatch, pass_entries):
     assert straddled > 10
 
 
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_too_narrow_window_is_integrity_error(monkeypatch, side):
+    # a first window that cuts off an entry at or above 1e-300 fails loudly
+    # instead of dropping mass
+    first_windows = inference._first_windows
+
+    def narrowed(n, p):  # the second block's window only
+        lo, hi = first_windows(n, p)
+        cut = np.where(n == 1000, 5, 0)
+        return (lo + cut, hi) if side == "lo" else (lo, hi - cut)
+
+    monkeypatch.setattr(inference, "_first_windows", narrowed)
+    with pytest.raises(NumericalIntegrityError, match=r"binomial window \[\d+, \d+\] of "
+                                                      r"Binomial\(1000, 0\.3\) cuts off"):
+        _binom_windows([TrialGroup(40, 0.5), TrialGroup(1000, 0.3)])
+
+
 def test_exact_tails_match_growth_oracle_bit_for_bit():
     # run_all's exact tails equal tails built from the per-block windows of
     # the oracle, convolved side by side in the engine's order

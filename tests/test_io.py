@@ -8,7 +8,7 @@ import pytest
 from oracles import NodeRow, join_node_edges_by_rows, parse_dyad_csv_by_rows, record_code
 
 from dyadeval import (DyadTable, InferenceConfig, InputError, MeasureId, MeasureSpec,
-                      NullModel, bootstrap_test, build_table, census, exact_test, fit,
+                      NullModel, bootstrap_test, build_table, census, cli, exact_test, fit,
                       inference, io, run_all)
 from dyadeval.inference import run_items
 from dyadeval.io import (ItemReport, dyad_csv_items, emit_report, evaluate_items,
@@ -229,21 +229,46 @@ def test_row_lines_count_physical_lines_after_multiline_field(tmp_path):
 
 
 def test_plain_file_checks_only_its_missing_bit_rows(tmp_path, monkeypatch):
-    # on a plain file the byte path keeps every clean row in numpy: the row
-    # rules see just the 1% of rows with a missing bit, and csv never runs
+    # on a plain file, with LF and with CRLF line ends, the byte path keeps
+    # every clean row in numpy: the row rules see just the 1% of rows with a
+    # missing bit, and csv never runs
     na = set(range(37, 20_000, 100))
     lines = [DYAD_HEADER] + [f"e{i},a{i},{i & 1},0,{'NA' if i in na else 1},{i >> 1 & 1},0,1,"
                              f"q{i % 7}" for i in range(20_000)]
-    path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
     checked = []
     check_row = io._check_row
     monkeypatch.setattr(io, "_check_row", lambda row, line_no, *rest: (
         checked.append(line_no) or check_row(row, line_no, *rest)))
     monkeypatch.setattr(io, "_read_dyad_blocks", None)
-    counts, dropped = io._tally_dyad_csv(path, ",")
-    assert checked == [i + 2 for i in sorted(na)]
-    assert dropped == Counter(f"q{i % 7}" for i in na)
-    assert sum(int(c.sum()) for c in counts.values()) == 20_000 - len(na)
+    for eol in ("\n", "\r\n"):
+        path = tmp_path / "d.csv"
+        path.write_bytes((eol.join(lines) + eol).encode())
+        checked.clear()
+        counts, dropped = io._tally_dyad_csv(path, ",")
+        assert checked == [i + 2 for i in sorted(na)], eol
+        assert dropped == Counter(f"q{i % 7}" for i in na)
+        assert sum(int(c.sum()) for c in counts.values()) == 20_000 - len(na)
+
+
+def test_csv_path_checks_each_row_once(tmp_path, monkeypatch):
+    # a quoted id sends the whole file to csv, where every row, blank ones
+    # too, goes through the row rules exactly once, and nothing else keeps
+    # or drops a row
+    lines = [DYAD_HEADER] + [f'"e{i}",a{i % 13},{i & 1},0,{"NA" if i % 50 == 7 else 1},'
+                             f"{i >> 1 & 1},0,1,q{i % 7}" + ("\n" if i % 97 == 0 else "")
+                             for i in range(3_000)]
+    path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+    checked = Counter()
+    check_row = io._check_row
+    monkeypatch.setattr(io, "_check_row", lambda row, line_no, *rest: (
+        checked.update([line_no]) or check_row(row, line_no, *rest)))
+    monkeypatch.setattr(io, "_BLOCK_ROWS", 1_000)
+    rows = list(range(2, len(path.read_text().splitlines()) + 1))
+    for reader in (streamed_tables, lambda path, items: parse_dyad_csv(path)):
+        checked.clear()
+        reader(path, None)
+        assert sorted(checked) == rows and set(checked.values()) == {1}
+    assert streamed_tables(path, None) == reference_tables(path, None)
 
 
 _FUZZ_EGOS, _FUZZ_ALTERS = ["u", "n00619", "", "w "], ["v", "n01903", "x", " y"]
@@ -253,19 +278,20 @@ _FUZZ_ITEMS = ["q1", "q2", "", "NA", " q1", "q_longer_than_8", "q" * 70]
 _FUZZ_LIMIT = 300
 # The first field of a row that turns its block away from the byte path:
 # a quoted id holding the delimiter or a newline, a non-ASCII id, an
-# undecodable byte, a field over csv's (lowered) size limit; or CRLF line
-# ends from that row on.
+# undecodable byte, a field over csv's (lowered) size limit; or a lone CR
+# ending the file's last line.  CRLF line ends are no turn: they are plain.
 _FUZZ_TURNS = {"quote": lambda d: f'"u{d}x"'.encode(), "quoted_newline": lambda d: b'"u\nx"',
                "non_ascii": lambda d: "\u00e9".encode(), "undecodable": lambda d: b"\xff",
-               "oversized": lambda d: b"w" * (_FUZZ_LIMIT + 1), "crlf": None}
+               "oversized": lambda d: b"w" * (_FUZZ_LIMIT + 1), "lone_cr": None}
 
 
 def fuzz_dyad_csv(rng, path, delimiter):
     """A seeded dyad CSV of 0-60 rows: permuted and extra columns, clean and
     missing bits, blank, short and long rows, empty and long item ids,
-    self-dyads and, in half the files, bad bits; in two thirds of the files
-    one row from which on the file is not plain.  Returns the byte offset
-    of that row's line, or None."""
+    self-dyads and, in half the files, bad bits; in a third of the files
+    CRLF line ends from one line on; in two thirds of the files one row
+    from which on the file is not plain.  Returns the byte offset of that
+    row's line, or None."""
     names = list(io._DYAD_COLUMNS) + [f"extra{i}" for i in range(rng.integers(0, 3))]
     header = [names[i] for i in rng.permutation(len(names))]
     bad_rate = [0.0, 0.02][rng.integers(2)]
@@ -291,18 +317,26 @@ def fuzz_dyad_csv(rng, path, delimiter):
         elif kind < 0.08:
             row.append("more")
         lines.append(delimiter.join(row).encode())
-    turn_at = None
+    turn = at = turn_at = None
     if len(lines) > 1 and rng.random() < 2 / 3:
         at = int(rng.integers(1, len(lines)))
         turn = list(_FUZZ_TURNS)[rng.integers(len(_FUZZ_TURNS))]
+    end = b"\n" * int(rng.integers(2))  # after the last line
+    if rng.random() < 1 / 3:
+        crlf = int(rng.integers(len(lines)))
+        lines[crlf:] = [line + b"\r" for line in lines[crlf:]]
+        end = b"\n"
+    if turn == "lone_cr":
+        at = len(lines) - 1
+        lines[at] = lines[at].removesuffix(b"\r") + b"\r"
+        end = b""
+    elif turn is not None:
         cut = lines[at].find(delimiter.encode())
         rest = lines[at][cut:] if cut >= 0 else b""  # the row past its first field
-        if turn == "crlf":
-            lines[at:] = [line + b"\r" for line in lines[at:]]
-        else:
-            lines[at] = _FUZZ_TURNS[turn](delimiter) + rest
+        lines[at] = _FUZZ_TURNS[turn](delimiter) + rest
+    if turn is not None:
         turn_at = len(b"\n".join(lines[:at])) + 1
-    path.write_bytes(b"\n".join(lines) + b"\n" * int(rng.integers(2)))
+    path.write_bytes(b"\n".join(lines) + end)
     return turn_at
 
 
@@ -406,6 +440,68 @@ def test_delimiter_must_be_one_character(tmp_path, delimiter):
     for reader, *paths in readers:
         with pytest.raises(InputError, match="delimiter must be one character"):
             reader(*paths, delimiter=delimiter)
+
+
+def _report_text(tmp_path):
+    """A JSON report, as ``emit_report`` writes it, of one tested item and
+    one error item."""
+    table = DyadTable(np.arange(64, dtype=np.int64) % 5 + 1, item_id="q1")
+    reports = evaluate_items([("q1", "A", table, 2)], InferenceConfig(method="exact"))
+    path = tmp_path / "r.json"
+    emit_report(reports + [ItemReport("q2", "B", (), 0, 0, error="no dyads")], "json", path)
+    return path.read_text()
+
+
+def _node_survey(path):
+    survey, found = parse_node_csv(path)
+    return (survey.index, survey.participation.tolist(),
+            {item: bits.tolist() for item, bits in survey.bits.items()}, found)
+
+
+_BOM_READERS = {
+    "dyad": (parse_dyad_csv, DYAD_HEADER + "\nu,v,1,0,1,1,0,1,q1\nw,z,0,0,NA,1,0,1,q2\n"),
+    "dyad_items": (lambda path: streamed_tables(path, None),
+                   DYAD_HEADER + "\nu,v,1,0,1,1,0,1,q1\nw,z,0,0,NA,1,0,1,q2\n"),
+    "node": (_node_survey, "node_id,participation,q1_before,q1_after\na,1,1,0\nb,0,NA,1\n"),
+    "edge": (read_edge_list, "a,b\nb,a\n"),
+    "table64": (lambda path: parse_table64(path).counts.tolist(),
+                lambda tmp_path: long_table_csv(tmp_path, "t.csv", range(64)).read_text()),
+    "items": (lambda path: cli._read_items_file(path, ","), "item_id,label\nq1,A\nq2,B\n"),
+    "config": (cli._load_config_file, "method = exact\nseed = 11\n"),
+    "report": (load_report_json, _report_text),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BOM_READERS))
+def test_byte_order_mark_is_skipped(tmp_path, kind):
+    # a UTF-8 byte-order mark, as spreadsheet programs write one, changes
+    # no reader's result
+    reader, text = _BOM_READERS[kind]
+    if callable(text):
+        text = text(tmp_path)
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert reader(marked) == reader(plain)
+
+
+def test_byte_order_mark_keeps_every_edge_and_the_byte_path(tmp_path, monkeypatch):
+    nodes = write(tmp_path, "n.csv", "node_id,participation,q1_before,q1_after\n"
+                                     "a,1,1,0\nb,0,0,1\n")
+    edges = tmp_path / "e.txt"
+    edges.write_text("a,b\nb,a\n", encoding="utf-8-sig")
+    [(item, table, dropped)] = node_edge_items(nodes, edges)
+    assert (item, table.total, dropped) == ("q1", 2, 0)
+    # a marked CRLF dyad CSV is tallied on the byte path, as the plain file is
+    lines = [DYAD_HEADER] + [f"e{i},a{i},{i & 1},0,1,{i >> 1 & 1},0,1,q{i % 3}"
+                             for i in range(500)]
+    plain = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+    expected = tally_outcome(plain)
+    monkeypatch.setattr(io, "_read_dyad_blocks", None)
+    assert tally_outcome(marked) == expected
 
 
 # -------------------------------------------------- node CSV + edges
