@@ -9,8 +9,7 @@ by bootstrap simulation and by exact Poisson-Binomial convolution.
 
 from ._version import __version__
 from .census import DyadRecord, DyadTable, build_table
-from .errors import (DyadevalError, InputError, NumericalIntegrityError,
-                     UndefinedRowError)
+from .errors import DyadevalError, InputError, NumericalIntegrityError
 from .inference import (DiscreteDistribution, InferenceConfig, TestResult,
                         TrialGroup, bootstrap_test, exact_test,
                         method_disagreement, pb_pmf, run_all)
@@ -24,7 +23,7 @@ from .sim import (EdgeModel, SimNetwork, SimParams, assign_initial_states,
 __all__ = [
     "__version__",
     "DyadRecord", "DyadTable", "build_table",
-    "DyadevalError", "InputError", "NumericalIntegrityError", "UndefinedRowError",
+    "DyadevalError", "InputError", "NumericalIntegrityError",
     "MeasureId", "MeasureSpec", "MeasureValue", "MEASURE_LABELS",
     "evaluate", "spec_for",
     "NullModel", "fit", "sample",

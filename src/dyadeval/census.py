@@ -75,7 +75,6 @@ class DyadTable:
     """The 64-cell dyad census: non-negative integer counts indexed by cell code."""
 
     counts: np.ndarray
-    item_id: str | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.counts)
@@ -100,12 +99,12 @@ class DyadTable:
 
     def invert_behavior(self) -> "DyadTable":
         """Census of the same dyads with behavior bits recoded (p,q,r,s -> 1 - bit)."""
-        return DyadTable(self.counts[np.arange(64) ^ 0b1111], item_id=self.item_id)
+        return DyadTable(self.counts[np.arange(64) ^ 0b1111])
 
 
-def tally(codes: np.ndarray, item: str | None = None) -> DyadTable:
+def tally(codes: np.ndarray) -> DyadTable:
     """The census of dyads given by their cell codes."""
-    return DyadTable(np.bincount(codes, minlength=64), item_id=item)
+    return DyadTable(np.bincount(codes, minlength=64))
 
 
 def build_table(records: Sequence[DyadRecord] | Iterable[DyadRecord],
@@ -126,4 +125,4 @@ def build_table(records: Sequence[DyadRecord] | Iterable[DyadRecord],
     if item is not None and items and items != {item}:
         raise InputError(f"records carry item_id {items.pop()!r}, expected {item!r}")
     bits = np.array([[r.x, r.y, r.p, r.q, r.r, r.s] for r in records], np.intp).reshape(-1, 6)
-    return tally(cell_codes(*bits.T), item if item is not None else next(iter(items), None))
+    return tally(cell_codes(*bits.T))

@@ -20,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from ._version import __version__
@@ -314,23 +315,16 @@ def _cmd_simulate(args) -> int:
     if args.item_id != args.item_id.strip():  # the dyad CSV reader strips item ids
         raise InputError(f"--item-id must not start or end with whitespace, "
                          f"got {args.item_id!r}")
+    edges = None
     if args.edge_kind == "edge_list":
         if not args.edges_file:
             raise InputError("edge_kind=edge_list requires --edges-file")
         edges = tuple(read_edge_list(args.edges_file, args.delimiter))
-        model = EdgeModel(kind="edge_list", edges=edges,
-                          both_orientations=args.both_orientations)
-    elif args.edge_kind == "small_world":
-        model = EdgeModel(kind="small_world", k=args.ws_k, rewire_prob=args.ws_beta,
-                          both_orientations=args.both_orientations)
-    else:
-        model = EdgeModel(kind="degree_sequence", mean_degree=args.mean_degree,
-                          both_orientations=args.both_orientations)
-    params = SimParams(
-        participation_prob=args.participation_prob, p_effect=args.p_effect,
-        p_against=args.p_against, p_change=args.p_change, p_stay=args.p_stay,
-        p_social=args.p_social, baseline_prevalence=args.baseline_prevalence,
-        peer_weight=args.peer_weight, seed=args.seed)
+    # generate_network reads only the fields of the model's own kind
+    model = EdgeModel(kind=args.edge_kind, mean_degree=args.mean_degree, k=args.ws_k,
+                      rewire_prob=args.ws_beta, edges=edges,
+                      both_orientations=args.both_orientations)
+    params = SimParams(**{f.name: getattr(args, f.name) for f in fields(SimParams)})
     network = simulate(params, node_count=args.node_count, edge_model=model)
     codes = dyad_codes(network)
     print(f"simulated {network.node_count} nodes, {codes.size} dyads")
@@ -339,7 +333,7 @@ def _cmd_simulate(args) -> int:
         print(f"wrote {args.out_dyads}")
     if not args.evaluate:
         return 0
-    return _evaluate([(args.item_id, args.item_id, tally(codes, args.item_id), 0)], args)
+    return _evaluate([(args.item_id, args.item_id, tally(codes), 0)], args)
 
 
 def _cmd_chart(args) -> int:

@@ -13,9 +13,5 @@ class InputError(DyadevalError):
     """Malformed or inconsistent user input (files, flags, tables)."""
 
 
-class UndefinedRowError(InputError):
-    """A transition-matrix row with no observed pre-state mass was required."""
-
-
 class NumericalIntegrityError(DyadevalError):
     """A probability mass function failed its normalization check."""

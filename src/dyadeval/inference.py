@@ -436,14 +436,11 @@ def _side_blocks(model: NullModel, weights: np.ndarray) -> list[list[TrialGroup]
     outcome columns, so groups sharing both add up to one binomial of their
     summed mass (exact in distribution).  A side's blocks come in (p, q,
     columns) order, each probability summed over its columns in ascending
-    order.  A block on an undefined row raises ``UndefinedRowError``.
+    order.
     """
     mass = _block_masses(model, weights)
     keys = np.flatnonzero(mass)
     side, rows, sets = keys // 60, keys // 15 % 4, keys % 15
-    undefined = rows[~model.row_defined.ravel()[rows]]
-    if undefined.size:
-        model.require_row(*divmod(int(undefined[0]), 2))
     terms = np.where(_SET_COLUMNS[sets], model.p0.reshape(4, 4)[rows], 0.0)
     probs = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
     blocks = [TrialGroup(m, p) for m, p in zip(mass.flat[keys].tolist(), probs.tolist())]
@@ -451,33 +448,21 @@ def _side_blocks(model: NullModel, weights: np.ndarray) -> list[list[TrialGroup]
     return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-_MEAN_TIE_TOL = 1e-9
-
-
 def _null_mean(model: NullModel, weights: np.ndarray, observed: int) -> tuple[float, int]:
     """The measure's null mean under the model and the sign of the observed
     deviation from it, shared by both engines.
 
-    Fitted models sum mass * signed successes / row total over the groups
-    as one integer numerator over the lcm of the row totals, so the mean is
-    correctly rounded and observed-vs-mean ties are decided exactly;
-    hand-built models only carry floats, so there the mean is summed over
-    the sides' blocks and a hair's breadth counts as a tie.
+    The mean sums mass * signed transitions / row total over the groups as
+    one integer numerator over the lcm of the row totals, so it is correctly
+    rounded and observed-vs-mean ties are decided exactly.
     """
-    if model.row_counts is not None:
-        signed = (weights.reshape(2, 2, 2, 2, 4) * model.row_counts.reshape(2, 2, 4)).sum(axis=-1)
-        groups = np.nonzero(signed)
-        totals = model.row_totals[groups[2:]].tolist()
-        den = math.lcm(*totals)
-        num = sum(mass * count * (den // total) for mass, count, total in
-                  zip(model.masses[groups].tolist(), signed[groups].tolist(), totals))
-        return num / den, (observed * den > num) - (observed * den < num)
-    pos, neg = _side_blocks(model, weights)
-    null_mean = (sum(g.count * g.success_prob for g in pos)
-                 - sum(g.count * g.success_prob for g in neg))
-    if abs(observed - null_mean) <= _MEAN_TIE_TOL * max(1.0, abs(null_mean)):
-        return null_mean, 0
-    return null_mean, 1 if observed > null_mean else -1
+    signed = (weights.reshape(2, 2, 2, 2, 4) * model.row_counts.reshape(2, 2, 4)).sum(axis=-1)
+    groups = np.nonzero(signed)
+    totals = model.row_totals[groups[2:]].tolist()
+    den = math.lcm(*totals)
+    num = sum(mass * count * (den // total) for mass, count, total in
+              zip(model.masses[groups].tolist(), signed[groups].tolist(), totals))
+    return num / den, (observed * den > num) - (observed * den < num)
 
 
 def exact_test(table: DyadTable, measure: MeasureId | MeasureSpec,

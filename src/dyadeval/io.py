@@ -458,7 +458,7 @@ def dyad_csv_items(path, items: Sequence[str] | None = None, delimiter: str = ",
     memory is O(block + items) whatever the row count.  The row rules are
     those of ``parse_dyad_csv`` (same drops, same first error)."""
     counts, dropped = _tally_dyad_csv(path, delimiter)
-    return [(item, DyadTable(counts.get(item, np.zeros(64, dtype=np.int64)), item_id=item),
+    return [(item, DyadTable(counts.get(item, np.zeros(64, dtype=np.int64))),
              dropped.get(item, 0)) for item in (sorted(counts) if items is None else items)]
 
 
@@ -613,7 +613,7 @@ def node_edge_items(nodes, edges, items: Sequence[str] | None = None,
     built = []
     for item in (sorted(found) if items is None else items):
         codes, stats = _join_codes(survey, dyads, item)
-        built.append((item, tally(codes[codes >= 0], item), stats.dropped))
+        built.append((item, tally(codes[codes >= 0]), stats.dropped))
     return built
 
 

@@ -25,99 +25,55 @@ from it one after another.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .census import DyadTable
-from .errors import UndefinedRowError
 
 __all__ = ["NullModel", "fit", "sample"]
-
-_ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class NullModel:
-    """Transition matrix plus the 16 group masses it will be applied to.
+    """The pooled transition matrix of a census, plus the 16 group masses it
+    will be applied to, all derived once from that census's tallies as
+    read-only arrays.
 
-    ``p0[p, q, r, s]`` is the probability that a dyad in pre-state (p, q)
-    lands in post-state (r, s).  Rows with no observed pre-state mass are
-    undefined: ``row_defined[p, q]`` is False and the row holds zeros.
     ``masses[x, y, p, q]`` is the number of dyads of participation type
-    (x, y) in pre-state (p, q).
-
-    Fitted models also carry the integer tallies behind the matrix
-    (``row_counts[p, q, r, s]`` transitions over ``row_totals[p, q]`` dyads),
-    which lets the exact engine resolve ties between an observed value and
-    the null mean in exact rational arithmetic.  Hand-built models may omit
-    them.
+    (x, y) in pre-state (p, q).  ``row_counts[p, q, r, s]`` counts the
+    transitions from pre-state (p, q) to post-state (r, s), over
+    ``row_totals[p, q]`` dyads, and ``p0[p, q, r, s]`` is their ratio, the
+    probability that a dyad in pre-state (p, q) lands in post-state (r, s).
+    Rows with no observed pre-state mass are undefined: ``row_defined[p, q]``
+    is False and the row holds zeros.  The masses and the tallies are
+    marginals of one census, so no group with mass sits on an undefined row.
     """
 
-    p0: np.ndarray
-    masses: np.ndarray
-    row_defined: np.ndarray
-    row_counts: np.ndarray | None = None
-    row_totals: np.ndarray | None = None
+    table: InitVar[DyadTable]
+    masses: np.ndarray = field(init=False)
+    row_counts: np.ndarray = field(init=False)
+    row_totals: np.ndarray = field(init=False)
+    row_defined: np.ndarray = field(init=False)
+    p0: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        p0 = np.asarray(self.p0, dtype=float)
-        masses = np.asarray(self.masses)
-        row_defined = np.asarray(self.row_defined, dtype=bool)
-        if p0.shape != (2, 2, 2, 2):
-            raise ValueError(f"p0 must have shape (2,2,2,2), got {p0.shape}")
-        if masses.shape != (2, 2, 2, 2):
-            raise ValueError(f"masses must have shape (2,2,2,2), got {masses.shape}")
-        if row_defined.shape != (2, 2):
-            raise ValueError(f"row_defined must have shape (2,2), got {row_defined.shape}")
-        if np.any(masses < 0):
-            raise ValueError("masses must be non-negative")
-        if np.any((p0 < 0) | (p0 > 1)):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        for p in (0, 1):
-            for q in (0, 1):
-                row_sum = p0[p, q].sum()
-                if row_defined[p, q]:
-                    if abs(row_sum - 1.0) > _ROW_SUM_TOL:
-                        raise ValueError(
-                            f"defined row (p={p}, q={q}) sums to {row_sum!r}, not 1"
-                        )
-                elif row_sum != 0.0:
-                    raise ValueError(f"undefined row (p={p}, q={q}) must carry no mass")
-        masses = masses.astype(np.int64)
-        for arr in (p0, masses, row_defined):
+    def __post_init__(self, table: DyadTable) -> None:
+        c = table.by_bits()
+        row_counts = c.sum(axis=(0, 1))
+        row_totals = c.sum(axis=(0, 1, 4, 5))
+        row_defined = row_totals > 0
+        p0 = np.zeros((2, 2, 2, 2))
+        p0[row_defined] = row_counts[row_defined] / row_totals[row_defined][:, None, None]
+        for name, arr in (("masses", c.sum(axis=(4, 5))), ("row_counts", row_counts),
+                          ("row_totals", row_totals), ("row_defined", row_defined),
+                          ("p0", p0)):
             arr.flags.writeable = False
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "row_defined", row_defined)
-        if (self.row_counts is None) != (self.row_totals is None):
-            raise ValueError("row_counts and row_totals must be given together")
-        if self.row_counts is not None:
-            counts = np.asarray(self.row_counts).astype(np.int64)
-            totals = np.asarray(self.row_totals).astype(np.int64)
-            if counts.shape != (2, 2, 2, 2) or totals.shape != (2, 2):
-                raise ValueError("row_counts must be (2,2,2,2) and row_totals (2,2)")
-            if np.any(counts < 0) or np.any(totals < 0):
-                raise ValueError("integer tallies must be non-negative")
-            if np.any(counts.sum(axis=(2, 3)) != totals):
-                raise ValueError("row_counts must sum to row_totals per row")
-            counts.flags.writeable = False
-            totals.flags.writeable = False
-            object.__setattr__(self, "row_counts", counts)
-            object.__setattr__(self, "row_totals", totals)
+            object.__setattr__(self, name, arr)
 
     @property
     def total(self) -> int:
         return int(self.masses.sum())
-
-    def require_row(self, p: int, q: int) -> np.ndarray:
-        if not self.row_defined[p, q]:
-            raise UndefinedRowError(
-                f"transition row (p={p}, q={q}) is undefined: no dyads observed "
-                "in that pre-state"
-            )
-        return self.p0[p, q]
 
 
 def fit(table: DyadTable) -> NullModel:
@@ -128,14 +84,7 @@ def fit(table: DyadTable) -> NullModel:
     total 0 has all rows undefined and is rejected by the inference entry
     points.
     """
-    c = table.by_bits()
-    row_counts = c.sum(axis=(0, 1))
-    row_totals = c.sum(axis=(0, 1, 4, 5))
-    row_defined = row_totals > 0
-    p0 = np.zeros((2, 2, 2, 2))
-    p0[row_defined] = row_counts[row_defined] / row_totals[row_defined][:, None, None]
-    return NullModel(p0=p0, masses=c.sum(axis=(4, 5)), row_defined=row_defined,
-                     row_counts=row_counts, row_totals=row_totals)
+    return NullModel(table)
 
 
 def _sample_group_outcomes(model: NullModel, trials: int, rng: np.random.Generator
@@ -147,16 +96,13 @@ def _sample_group_outcomes(model: NullModel, trials: int, rng: np.random.Generat
     draw over all trials.  All positive-mass groups are drawn in
     lexicographic (x, y, p, q) order from one stream, so the sequence of null
     censuses depends only on the seed, never on how the draws are used
-    afterwards; groups without mass stay 0.  Raises ``UndefinedRowError`` if
-    any group with positive mass sits on an undefined transition row
-    (possible only for hand-built models).
+    afterwards; groups without mass stay 0.
     """
     outcomes = np.zeros((trials, 16, 4), dtype=np.int64)
     for g, group in enumerate(np.ndindex(2, 2, 2, 2)):
         mass = int(model.masses[group])
         if mass:
-            row = model.require_row(*group[2:])
-            outcomes[:, g] = rng.multinomial(mass, row.ravel(), size=trials)
+            outcomes[:, g] = rng.multinomial(mass, model.p0[group[2:]].ravel(), size=trials)
     return outcomes.reshape(trials, 64)
 
 
@@ -179,8 +125,7 @@ def sample(model: NullModel, seed) -> DyadTable:
 
     The census is the one-trial draw from the stream of ``seed`` (an int, a
     ``SeedSequence`` or a ``Generator``, which the draw advances), so a seed
-    always gives the same census.  Raises ``UndefinedRowError`` as the
-    sampler does.
+    always gives the same census.
     """
     return DyadTable(_sample_group_outcomes(model, 1, np.random.default_rng(seed))[0])
 

@@ -369,7 +369,6 @@ def simulate(params: SimParams = SimParams(), node_count: int = 444,
 
 
 def simulate_dyad_table(params: SimParams = SimParams(), node_count: int = 444,
-                        edge_model: EdgeModel = EdgeModel(),
-                        item_id: str = "sim") -> DyadTable:
+                        edge_model: EdgeModel = EdgeModel()) -> DyadTable:
     """Simulate and tally straight into a census."""
-    return tally(dyad_codes(simulate(params, node_count, edge_model)), item_id)
+    return tally(dyad_codes(simulate(params, node_count, edge_model)))

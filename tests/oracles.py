@@ -9,7 +9,7 @@ window around it.  The dyad CSV, node+edge join and simulator references
 build the package's ``DyadRecord`` (and ``JoinStats``) and raise its
 ``InputError``, so that records, counters and error messages compare
 directly; the side-block reference builds the package's ``TrialGroup``
-and raises through its ``NullModel.require_row``.
+from the fitted model's ``p0``.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def side_blocks_by_columns(model, weights, sign) -> list[TrialGroup]:
     for x, y, p, q in np.argwhere(side.any(axis=-1) & (model.masses > 0)):
         key = (int(p), int(q), tuple(np.flatnonzero(side[x, y, p, q]).tolist()))
         masses[key] = masses.get(key, 0) + int(model.masses[x, y, p, q])
-    return [TrialGroup(mass, float(sum(model.require_row(p, q).ravel()[c] for c in cols)))
+    return [TrialGroup(mass, float(sum(model.p0[p, q].ravel()[c] for c in cols)))
             for (p, q, cols), mass in sorted(masses.items())]
 
 

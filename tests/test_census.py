@@ -169,7 +169,6 @@ def test_invert_behavior_is_involution_on_tables():
     rng = np.random.default_rng(616)
     for _ in range(1000):
         counts = rng.integers(0, int(rng.integers(1, 60)), size=64).astype(np.int64)
-        table = DyadTable(counts, item_id=f"q{int(rng.integers(10))}")
+        table = DyadTable(counts)
         twice = table.invert_behavior().invert_behavior()
         assert np.array_equal(twice.counts, table.counts)
-        assert twice.item_id == table.item_id

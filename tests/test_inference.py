@@ -1,5 +1,4 @@
 import itertools
-import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,7 @@ from dyadeval import (DiscreteDistribution, DyadTable, InferenceConfig,
                       InputError, MeasureId, NumericalIntegrityError,
                       TrialGroup, bootstrap_test, evaluate, exact_test, fit,
                       method_disagreement, pb_pmf, run_all, simulate_dyad_table)
-from dyadeval import MeasureSpec, NullModel, SimParams, sample
+from dyadeval import MeasureSpec, SimParams, sample
 from dyadeval import inference
 from dyadeval.inference import (_CHUNK_TRIALS, _PASS_ENTRIES, _STIRLERR, _binom_pmf,
                                 _binom_windows, _difference_tails, _side_blocks,
@@ -211,21 +210,16 @@ def test_side_blocks_match_per_side_oracle():
     for seed in range(50):
         model = fit(simulate_dyad_table(SimParams(seed=seed), node_count=40 + 10 * seed))
         assert _side_blocks(model, weights) == expected(model), seed
+    undefined = 0
     for case in range(30):
-        # hand-built models without tallies: random rows, some of them
-        # undefined, and sparse random masses
-        defined = rng.random((2, 2)) < 0.8
-        p0 = rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2) * defined[..., None, None]
-        masses = rng.integers(0, 50, (2, 2, 2, 2)) * (rng.random((2, 2, 2, 2)) < 0.6)
-        model = NullModel(p0=p0, masses=masses, row_defined=defined)
-        assert model.row_counts is None
-        try:
-            want = expected(model)
-        except InputError as exc:
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                _side_blocks(model, weights)
-        else:
-            assert _side_blocks(model, weights) == want, case
+        # sparse random tables, some of whose pre-state rows are empty, so
+        # that their models have undefined rows
+        counts = rng.integers(0, 50, (2, 2, 2, 2, 2, 2)) * (rng.random((2,) * 6) < 0.6)
+        counts *= (rng.random((2, 2)) < 0.8)[:, :, None, None]
+        model = fit(DyadTable(counts.ravel()))
+        undefined += not model.row_defined.all()
+        assert _side_blocks(model, weights) == expected(model), case
+    assert undefined >= 10
 
 
 def test_exact_task_work_is_bounded(monkeypatch):
@@ -555,20 +549,13 @@ def test_exact_test_with_explicit_model():
         exact_test(base, MeasureId.M2).null_mean, abs=1e-12)
 
 
-def test_exact_test_handbuilt_model_without_tallies():
-    # a model carrying only float probabilities still resolves the
-    # observed == mean tie (via tolerance) instead of picking a side
-    p0 = np.zeros((2, 2, 2, 2))
-    for p in (0, 1):
-        for q in (0, 1):
-            p0[p, q, p, q] = 1.0
-    masses = np.zeros((2, 2, 2, 2), dtype=np.int64)
-    masses[0, 0, 0, 0] = 6
-    model = NullModel(p0=p0, masses=masses,
-                      row_defined=np.ones((2, 2), dtype=bool))
-    assert model.row_counts is None
+def test_exact_test_tie_with_explicit_model():
+    # an explicit model whose M2 mean equals the observed value: the
+    # observed == mean tie gives no direction and p = 1
     table = table_from({(0, 0, 0, 0, 0, 0): 6})
+    model = fit(table)
     res = exact_test(table, MeasureId.M2, model=model)
+    assert res.observed == res.null_mean == -6
     assert res.direction == "none"
     assert res.p_value == 1.0
 
@@ -667,17 +654,13 @@ def test_bootstrap_direction_follows_model_mean_not_sampled_mean():
     assert boot.p_value == at_least / 100_000
 
 
-def test_bootstrap_tie_rule_from_handbuilt_model():
-    # float-only model whose M2 mean equals the observed 0: the samples
+def test_bootstrap_tie_rule_from_fitted_model():
+    # a fitted model whose M2 mean equals the observed 0: the samples
     # scatter around it, but the bootstrap shares the exact engine's tie rule
-    p0 = np.zeros((2, 2, 2, 2))
-    p0[0, 0, 0, 0] = p0[0, 0, 1, 1] = 0.5
-    p0[0, 1, 0, 1] = p0[1, 0, 1, 0] = p0[1, 1, 1, 1] = 1.0
-    masses = np.zeros((2, 2, 2, 2), dtype=np.int64)
-    masses[1, 0, 0, 0] = masses[0, 0, 0, 0] = 4
-    model = NullModel(p0=p0, masses=masses, row_defined=np.ones((2, 2), dtype=bool))
     table = table_from({(1, 0, 0, 0, 0, 0): 2, (1, 0, 0, 0, 1, 1): 2,
                         (0, 0, 0, 0, 0, 0): 2, (0, 0, 0, 0, 1, 1): 2})
+    model = fit(table)
+    assert model.p0[0, 0].ravel().tolist() == [0.5, 0.0, 0.0, 0.5]
     boot = bootstrap_test(table, MeasureId.M2, trials=50, seed=0, model=model)
     exact = exact_test(table, MeasureId.M2, model=model)
     assert boot.observed == exact.observed == 0

@@ -8,7 +8,7 @@ import pytest
 from oracles import NodeRow, join_node_edges_by_rows, parse_dyad_csv_by_rows, record_code
 
 from dyadeval import (DyadTable, InferenceConfig, InputError, MeasureId, MeasureSpec,
-                      NullModel, bootstrap_test, build_table, census, cli, exact_test, fit,
+                      bootstrap_test, build_table, census, cli, exact_test, fit,
                       inference, io, run_all)
 from dyadeval.inference import run_items
 from dyadeval.io import (ItemReport, dyad_csv_items, emit_report, evaluate_items,
@@ -148,7 +148,6 @@ def streamed_tables(path, items, delimiter=","):
     built = outcome(dyad_csv_items, path, items, delimiter)
     if is_error(built):
         return built
-    assert all(t.item_id == item for item, t, _ in built)
     return [(item, t.counts.tolist(), dropped) for item, t, dropped in built]
 
 
@@ -377,7 +376,8 @@ def test_byte_path_matches_row_reference(tmp_path, monkeypatch, low_field_limit,
             assert line_no == data.count(b"\n", 0, start) + 1, case
             switched += start > 0
         errors += is_error(expected)
-    assert 20 < errors < 110 and switched > 20, (errors, switched)
+    # files that raise and files that do not are both common
+    assert errors >= 20 and 150 - errors >= 20 and switched > 20, (errors, switched)
 
 
 def test_dyad_tally_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
@@ -445,7 +445,7 @@ def test_delimiter_must_be_one_character(tmp_path, delimiter):
 def _report_text(tmp_path):
     """A JSON report, as ``emit_report`` writes it, of one tested item and
     one error item."""
-    table = DyadTable(np.arange(64, dtype=np.int64) % 5 + 1, item_id="q1")
+    table = DyadTable(np.arange(64, dtype=np.int64) % 5 + 1)
     reports = evaluate_items([("q1", "A", table, 2)], InferenceConfig(method="exact"))
     path = tmp_path / "r.json"
     emit_report(reports + [ItemReport("q2", "B", (), 0, 0, error="no dyads")], "json", path)
@@ -680,7 +680,7 @@ def test_join_matches_record_oracle(tmp_path):
             assert stats == expected_stats, (case, item)
             kept = codes[codes >= 0]
             assert kept.tolist() == [record_code(rec) for rec in expected], (case, item)
-            assert np.array_equal(census.tally(kept, item).counts,
+            assert np.array_equal(census.tally(kept).counts,
                                   build_table(expected, item=item).counts)
             assert join_node_edges(survey, edges, item, orientation) == (expected, stats)
 
@@ -857,7 +857,7 @@ def long_table_csv(tmp_path, name, counts):
 def test_one_run_plan_agrees_bit_for_bit(tmp_path, monkeypatch):
     # bootstrap_test, exact_test, run_all, run_items and a one-item
     # evaluate_items share one run plan: built-in measures, a custom spec and
-    # a hand-built model, at one and two workers, with chunks of 257 trials so
+    # an explicit model, at one and two workers, with chunks of 257 trials so
     # that every bootstrap spreads over several tasks
     monkeypatch.setattr("dyadeval.inference._CHUNK_TRIALS", 257)
     spec = MeasureSpec({(1, 1, p, q, 1, s) for p in (0, 1) for q in (0, 1) for s in (0, 1)},
@@ -874,12 +874,11 @@ def test_one_run_plan_agrees_bit_for_bit(tmp_path, monkeypatch):
             bootstrap_test(table, m, trials, child, two_sided=two_sided),
             exact_test(table, m, two_sided=two_sided))]
         fitted = fit(table)
-        hand = NullModel(p0=fitted.p0, masses=fitted.masses, row_defined=fitted.row_defined)
         custom = InferenceConfig(trials=trials, seed=child, two_sided=two_sided,
                                  measures=(spec, MeasureId.M3))
         alone = [r for m in custom.measures for r in (
-            bootstrap_test(table, m, trials, child, two_sided=two_sided, model=hand),
-            exact_test(table, m, two_sided=two_sided, model=hand))]
+            bootstrap_test(table, m, trials, child, two_sided=two_sided, model=fitted),
+            exact_test(table, m, two_sided=two_sided, model=fitted))]
         assert [r.measure for r in alone] == [None, None, MeasureId.M3, MeasureId.M3]
         for workers in (1, 2):
             monkeypatch.setattr(io, "_worker_count", lambda: workers)
@@ -887,7 +886,7 @@ def test_one_run_plan_agrees_bit_for_bit(tmp_path, monkeypatch):
                 [("t", "t", parse_table64(path), 0)],
                 InferenceConfig(trials=trials, seed=seed, two_sided=two_sided))
             assert list(report.results) == expected
-            assert run_items([(table, custom, hand)], workers, io._run_tasks) == [alone]
+            assert run_items([(table, custom, fitted)], workers, io._run_tasks) == [alone]
 
 
 def test_each_item_fitted_once_and_each_null_mean_taken_once(tmp_path, monkeypatch):

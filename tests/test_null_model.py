@@ -3,8 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dyadeval import (DyadTable, NullModel, SimParams, UndefinedRowError, fit,
-                      sample, simulate_dyad_table)
+from dyadeval import DyadTable, NullModel, SimParams, fit, sample, simulate_dyad_table
 
 from oracles import cell_code
 
@@ -71,8 +70,7 @@ def test_fit_empty_table_all_rows_undefined():
     model = fit(DyadTable(np.zeros(64, dtype=np.int64)))
     assert not model.row_defined.any()
     assert model.total == 0
-    with pytest.raises(UndefinedRowError, match=r"p=0, q=0"):
-        model.require_row(0, 0)
+    assert not model.p0.any()
 
 
 def test_fit_masses_match_marginals():
@@ -80,14 +78,17 @@ def test_fit_masses_match_marginals():
     assert np.array_equal(fit(table).masses, table.by_bits().sum(axis=(4, 5)))
 
 
-def test_model_validation_rejects_bad_rows():
-    p0 = np.zeros((2, 2, 2, 2))
-    p0[0, 0] = [[0.5, 0.4], [0.0, 0.0]]  # sums to 0.9
-    defined = np.zeros((2, 2), dtype=bool)
-    defined[0, 0] = True
-    with pytest.raises(ValueError, match="sums to"):
-        NullModel(p0=p0, masses=np.zeros((2, 2, 2, 2), dtype=np.int64),
-                  row_defined=defined)
+def test_model_is_read_only_tallies_of_its_census():
+    # the model is built from a census alone, and every derived array is
+    # read-only
+    table = simulate_dyad_table()
+    model = NullModel(table)
+    for name in ("masses", "row_counts", "row_totals", "row_defined", "p0"):
+        arr = getattr(model, name)
+        assert np.array_equal(arr, getattr(fit(table), name)), name
+        assert not arr.flags.writeable, name
+    with pytest.raises(TypeError):
+        NullModel(p0=model.p0, masses=model.masses, row_defined=model.row_defined)
 
 
 def test_sample_identity_matrix_reproduces_structure():
@@ -169,29 +170,16 @@ def test_sample_expectation_matches_mass_times_p0():
     assert abs(mean_counts[cell_code(1, 1, 0, 1, 0, 0)] - expected) <= 4 * se
 
 
-def test_sample_errors_on_mass_with_undefined_row():
-    masses = np.zeros((2, 2, 2, 2), dtype=np.int64)
-    masses[0, 0, 1, 0] = 4  # mass on row (p=1, q=0), which is undefined
-    p0 = np.zeros((2, 2, 2, 2))
-    p0[0, 0] = [[1.0, 0.0], [0.0, 0.0]]
-    defined = np.zeros((2, 2), dtype=bool)
-    defined[0, 0] = True
-    model = NullModel(p0=p0, masses=masses, row_defined=defined)
-    with pytest.raises(UndefinedRowError, match=r"p=1, q=0"):
-        sample(model, 0)
-
-
 def test_group_event_probability():
     # the probability of a set of (r, s) outcomes is the fitted row summed
     # over that set
     cells = {(0, 0, 1, 0, 0, 0): 2, (0, 0, 1, 0, 0, 1): 3, (0, 0, 1, 0, 1, 1): 5}
     model = fit(table_from(cells))
-    row = model.require_row(1, 0)
+    row = model.p0[1, 0]
     assert row.sum() == pytest.approx(1.0, abs=1e-15)
     # M1's ego-side outcome pattern fixes r=0, leaving (0,0) and (0,1)
     assert row[0, 0] + row[0, 1] == pytest.approx(2 / 10 + 3 / 10, abs=1e-15)
-    with pytest.raises(UndefinedRowError):
-        model.require_row(0, 1)
+    assert not model.row_defined[0, 1]
 
 
 def test_pooling_collapses_participation():

@@ -215,10 +215,9 @@ def test_simulated_table_matches_record_oracle(seed):
     params = SimParams(participation_prob=float(rng.uniform()), p_effect=float(rng.uniform()),
                        p_social=float(rng.uniform()), seed=seed)
     node_count = int(rng.integers(20, 120))
-    table = simulate_dyad_table(params, node_count, model, item_id=f"s{seed}")
+    table = simulate_dyad_table(params, node_count, model)
     expected = build_table(to_dyad_records(simulate(params, node_count, model),
-                                           item_id=f"s{seed}"))
-    assert table.item_id == expected.item_id == f"s{seed}"
+                                           item_id=f"s{seed}"), item=f"s{seed}")
     assert np.array_equal(table.counts, expected.counts)
 
 
