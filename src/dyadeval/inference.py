@@ -44,6 +44,20 @@ P(X - Y >= v) = sum_y P(Y = y) P(X >= v + y) is one dot product of Y's PMF
 with X's suffix sums, and P(X - Y <= v) one with X's prefix sums, O(W)
 where the difference PMF would cost another O(W^2) convolution.
 
+That direct path serves a measure whose sides' convolutions take at most
+2e6 multiply-adds (every measure of a census of up to ~8k dyads in even
+cell shares).  Above that crossover the measure's tail is taken by
+exponential tilting (Keich, J. Comput. Biol. 2005; Wilson and Keich, CSDA
+2016): the null is tilted by theta so that its mean is the observed value,
+each block staying a binomial; the tilted blocks, evaluated on +-15 tilted
+sd, give the tilted PMF of X - Y from one FFT product, and the tail is its
+sum over the tail weighted by exp(-theta (d - v)), times exp(log M(theta) -
+theta v).  FFT round-off is then relative to the PMF near v, the answer's
+own scale, and the work is O(W log W) in windows less than half as wide.
+A measure's path, theta, windows and FFT length follow from its own blocks
+and observed value alone, so a tail does not depend on which measures
+share its run.
+
 Tail convention: one-sided inclusive tail in the direction of the observed
 deviation from the null mean, which both engines take from the model (not
 from the bootstrap's samples), P(M* >= obs) when obs > mean and
@@ -293,9 +307,10 @@ _PASS_ENTRIES = 8_192
 _WINDOW_LOG = -math.log(_PMF_FLOOR) + 1.0
 
 
-def _first_windows(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _first_windows(n: np.ndarray, p: np.ndarray, bound: float = _WINDOW_LOG
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """First window [lo, hi] of each Binomial(n, p): the values k with
-    n KL(k / n || p) <= ``_WINDOW_LOG`` and the next value out on each side,
+    n KL(k / n || p) <= ``bound`` and the next value out on each side,
     within [0, n], bisected for all blocks at once.  For p in {0, 1} the
     point mass and the value next to it."""
     lo = np.where(p < 1.0, 0, n - 1)
@@ -311,12 +326,28 @@ def _first_windows(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
             mid = 0.5 * (inside[wide] + outside[wide])
             rest = nn[wide] - mid
             within = (mid * (np.log(mid) - log_mean[wide])
-                      + rest * (np.log(rest) - log_nq[wide])) <= _WINDOW_LOG
+                      + rest * (np.log(rest) - log_nq[wide])) <= bound
             inside[wide[within]] = mid[within]
             outside[wide[~within]] = mid[~within]
         below, above = np.split(outside, 2)
         lo[live], hi[live] = np.floor(below), np.ceil(above)
     return np.maximum(lo, 0), np.minimum(hi, n)
+
+
+def _binom_entries(n: np.ndarray, p: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Binomial(n, p) PMF of each block on [lo, hi], the windows one after
+    another in one array, evaluated in passes of at most ``_PASS_ENTRIES``
+    entries; with each window's start and end offset in it."""
+    size = hi - lo + 1
+    end = np.cumsum(size)
+    start = end - size
+    pmf = np.empty(int(end[-1]))
+    for first in range(0, len(pmf), _PASS_ENTRIES):
+        at = np.arange(first, min(first + _PASS_ENTRIES, len(pmf)))
+        b = np.searchsorted(end, at, side="right")
+        pmf[at] = _binom_pmf(lo[b] + (at - start[b]), n[b], p[b])
+    return pmf, start, end
 
 
 def _binom_windows(blocks: Sequence[TrialGroup]) -> list[tuple[int, np.ndarray]]:
@@ -336,14 +367,7 @@ def _binom_windows(blocks: Sequence[TrialGroup]) -> list[tuple[int, np.ndarray]]
     n = np.array([g.count for g in blocks], dtype=np.int64)
     p = np.array([g.success_prob for g in blocks])
     lo, hi = _first_windows(n, p)
-    size = hi - lo + 1
-    end = np.cumsum(size)
-    start = end - size
-    pmf = np.empty(int(end[-1]))
-    for first in range(0, len(pmf), _PASS_ENTRIES):
-        at = np.arange(first, min(first + _PASS_ENTRIES, len(pmf)))
-        b = np.searchsorted(end, at, side="right")
-        pmf[at] = _binom_pmf(lo[b] + (at - start[b]), n[b], p[b])
+    pmf, start, end = _binom_entries(n, p, lo, hi)
     short = ((lo > 0) & (pmf[start] >= _PMF_FLOOR)) | ((hi < n) & (pmf[end - 1] >= _PMF_FLOOR))
     if short.any():
         i = int(np.argmax(short))
@@ -378,12 +402,136 @@ def pb_pmf(groups: Sequence[TrialGroup] | Iterable[TrialGroup]) -> DiscreteDistr
     return _convolved(_binom_windows([g for g in groups if g.count > 0]))
 
 
-def _difference_tails(pos: DiscreteDistribution, neg: DiscreteDistribution):
-    """Inclusive tails v -> P(X - Y >= v) and v -> P(X - Y <= v) for
-    independent X ~ pos, Y ~ neg: sum_y P(Y = y) P(X >= v + y) and its
-    mirror, one dot product each."""
-    return (lambda v: float(neg.pmf @ pos.tail_ge(v + neg.support())),
-            lambda v: float(neg.pmf @ pos.tail_le(v + neg.support())))
+def _direct_tail(pos: DiscreteDistribution, neg: DiscreteDistribution, v: int,
+                 deviation: int) -> float:
+    """Inclusive tail of X - Y at v for independent X ~ pos, Y ~ neg, in the
+    direction of the deviation (1 for none): sum_y P(Y = y) P(X >= v + y)
+    or its mirror, one dot product."""
+    if deviation == 0:
+        return 1.0
+    tail = pos.tail_ge if deviation > 0 else pos.tail_le
+    return float(neg.pmf @ tail(v + neg.support()))
+
+
+# Tilted windows keep the values with n KL(k / n || p) <= 15^2 / 2, +-15 sd
+# in the normal limit; by the Chernoff bound the mass left out is at most
+# 2 exp(-112.5) < 1e-48 of a block.
+_TILT_LOG = 15.0 ** 2 / 2
+
+
+# Multiply-adds of a measure's direct convolutions above which its tail is
+# taken by tilting: about where the two paths cost the same per measure
+# (~1 ms each, on one thread of a 2-vCPU Xeon).
+_TILT_CROSSOVER = 2_000_000
+
+
+def _tilts(pos: Sequence[TrialGroup], neg: Sequence[TrialGroup]) -> bool:
+    """Whether a measure's tail takes the tilted path: when the direct
+    engine's sequential convolutions of its two sides would take over
+    ``_TILT_CROSSOVER`` multiply-adds, each block's window taken as its
+    normal-limit width min(n + 1, 2 sqrt(2 ``_WINDOW_LOG`` n p q))."""
+    work = 0.0
+    for side in (pos, neg):
+        widths = [min(g.count + 1.0, 2.0 * math.sqrt(2.0 * _WINDOW_LOG * g.count * g.success_prob
+                                                     * (1.0 - g.success_prob))) for g in side]
+        work += (sum(widths) ** 2 - sum(w * w for w in widths)) / 2
+    return work > _TILT_CROSSOVER
+
+
+def _expit(z: float) -> float:
+    """1 / (1 + exp(-z)) without overflow."""
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def _tilt(blocks: Sequence[tuple[int, float, int]], v: float) -> float:
+    """theta with E_theta[D] = v for D = sum of sign * Binomial(n, expit(logit
+    + sign theta)) over the (n, logit, sign) blocks: Newton steps in Python
+    floats, kept inside the bracket of the root found so far and bisecting it
+    (or doubling the step while it is open) when a step leaves it.  Stops
+    once the tilted mean is within 1e-6 sd of v; any theta gives the same
+    tail, a closer one only a better-centred tilted PMF."""
+    theta, below, above = 0.0, -math.inf, math.inf
+    for _ in range(200):
+        mean = var = 0.0
+        for n, logit, sign in blocks:
+            z = logit + sign * theta
+            p, q = _expit(z), _expit(-z)
+            mean += sign * n * p
+            var += n * p * q
+        gap = mean - v
+        if abs(gap) <= 1e-6 * math.sqrt(var):
+            break
+        if gap < 0:
+            below = theta
+        else:
+            above = theta
+        step = theta - gap / var if var > 0.0 else math.nan
+        if not below < step < above:
+            step = (0.5 * (below + above) if math.isfinite(below + above)
+                    else theta - math.copysign(max(1.0, 2.0 * abs(theta)), gap))
+        theta = step
+    return theta
+
+
+def _tilted_tail(pos: Sequence[TrialGroup], neg: Sequence[TrialGroup], v: int,
+                 deviation: int) -> float:
+    """The tail of D = X - Y at v, as ``_direct_tail``, by exponential tilting.
+
+    Under the measure tilted by theta, P_theta(d) = exp(theta d) P(d) / M(theta),
+    each block of X stays a binomial of success probability expit(logit p +
+    theta) and each of Y one of expit(logit p - theta).  theta is solved so
+    that the tilted mean is v (``_tilt``), and then
+
+        P(D >= v) = exp(log M(theta) - theta v) sum_{d >= v} exp(-theta (d - v)) P_theta(d),
+
+    the <= tail likewise over d <= v, with log M(theta) - theta v = theta
+    (E_theta[D] - v) - sum n KL(p_theta || p), Loader's deviances.  Each
+    tilted block is evaluated on its ``_TILT_LOG`` window (as the count of
+    its rarer outcome) and P_theta from one rfft product, whose round-off is
+    relative to P_theta near v, which is the answer's scale.  A difference
+    mass farther than 1e-9 from 1 is a NumericalIntegrityError; a tail below
+    1e-300 is 0.  A v on or beyond the edge of D's support, where theta is
+    infinite, takes the direct engine, as does no deviation (tail 1).
+    """
+    blocks = [(g.count, g.success_prob, sign) for sign, side in ((1, pos), (-1, neg))
+              for g in side if g.count > 0]
+    live = [(n, p, sign) for n, p, sign in blocks if 0.0 < p < 1.0]
+    shift = sum(sign * n for n, p, sign in blocks if p == 1.0)
+    if deviation == 0 or not (shift - sum(n for n, _, sign in live if sign < 0) < v
+                              < shift + sum(n for n, _, sign in live if sign > 0)):
+        return _direct_tail(pb_pmf(pos), pb_pmf(neg), v, deviation)
+    n, p, sign = (np.array(column) for column in zip(*live))
+    logit = np.log(p) - np.log1p(-p)
+    theta = _tilt(list(zip(n.tolist(), logit.tolist(), sign.tolist())), v - shift)
+    z = (logit + sign * theta).tolist()
+    p_t, q_t = np.array([_expit(x) for x in z]), np.array([_expit(-x) for x in z])
+    log_scale = theta * (float(sign @ (n * p_t)) + shift - v) - float(
+        np.sum(_bd0(n * p_t, n * p) + _bd0(n * q_t, n * (1.0 - p))))
+    # each block as the count k of its rarer outcome, then as a PMF over
+    # increasing values of sign * successes from the least of them
+    flip = p_t > 0.5
+    rarer = np.where(flip, q_t, p_t)
+    lo, hi = _first_windows(n, rarer, _TILT_LOG)
+    pmf, start, end = _binom_entries(n, rarer, lo, hi)
+    mirrored = flip != (sign < 0)
+    least = np.where(flip, np.where(sign > 0, n - hi, lo - n), np.where(sign > 0, lo, -hi))
+    size = int(np.sum(hi - lo)) + 1
+    length = 1 << (size - 1).bit_length()
+    spectrum = 1.0
+    for a, b, m in zip(start.tolist(), end.tolist(), mirrored.tolist()):
+        spectrum = spectrum * np.fft.rfft(pmf[a:b][::-1] if m else pmf[a:b], length)
+    tilted = np.maximum(np.fft.irfft(spectrum, length)[:size], 0.0)
+    total = float(tilted.sum())
+    if abs(total - 1.0) > _PMF_SUM_TOL:
+        raise NumericalIntegrityError(f"tilted difference pmf sums to {total!r}, deviating "
+                                      f"from 1 by more than {_PMF_SUM_TOL}")
+    at = v - shift - int(least.sum())  # index of v
+    d = np.arange(max(at, 0), size) if deviation > 0 else np.arange(min(at + 1, size))
+    tail = math.exp(log_scale) * float(np.exp(-theta * (d - at)) @ tilted[d])
+    return tail if tail >= _PMF_FLOOR else 0.0
 
 
 # The 15 non-empty sets of (r, s) outcome columns, in the order of their
@@ -415,7 +563,10 @@ def _check_exact_work(model: NullModel, weights: np.ndarray, measures: Sequence)
     """Raise InputError, before any window is allocated, for the first
     measure with a side whose windows could span over ``_MAX_SIDE_WINDOW``
     entries.  By Pinsker's inequality n KL(k / n || p) >= 2 (k - np)^2 / n,
-    so a block of n trials keeps at most sqrt(2 n ``_WINDOW_LOG``) + 3 values."""
+    so a block of n trials keeps at most sqrt(2 n ``_WINDOW_LOG``) + 3 values.
+    The one bound guards both paths, unchanged: a tilted window, cut at
+    ``_TILT_LOG`` < ``_WINDOW_LOG``, is never wider than that, and a
+    measure's FFT spans under twice its tilted windows."""
     n = _block_masses(model, weights).astype(float)
     sides = np.minimum(n + 1, np.sqrt(2 * _WINDOW_LOG * n) + 3 * (n > 0)).sum(axis=1)
     for measure, width in zip(measures, sides.reshape(-1, 2).max(axis=1).tolist()):
@@ -573,20 +724,22 @@ def _plan(table: DyadTable, config: InferenceConfig, model: NullModel | None) ->
 def _run_task(task: tuple[_Plan, range | None]):
     """One task of a run: an item's bootstrap tail counts over a range of
     chunks, or with None its exact tail per measure, taken in the direction
-    of the deviation (1 for none)."""
+    of the deviation (1 for none): tilted for a measure past the crossover
+    (``_tilts``), else direct, the windows of all direct measures' blocks
+    in one batch."""
     plan, chunks = task
     if chunks is not None:
         return _tail_counts(plan.model, plan.weights, plan.observed, plan.config.seed,
                             plan.config.trials, chunks)
     sides = _side_blocks(plan.model, plan.weights)
-    windows = iter(_binom_windows([g for blocks in sides for g in blocks]))
-    tails = []
-    for v, (_, deviation), pos, neg in zip(plan.observed.tolist(), plan.means,
-                                           sides[::2], sides[1::2]):
-        tail_ge, tail_le = _difference_tails(_convolved(islice(windows, len(pos))),
-                                             _convolved(islice(windows, len(neg))))
-        tails.append(tail_ge(v) if deviation > 0 else tail_le(v) if deviation < 0 else 1.0)
-    return tails
+    measures = [(v, deviation, pos, neg, _tilts(pos, neg)) for v, (_, deviation), pos, neg
+                in zip(plan.observed.tolist(), plan.means, sides[::2], sides[1::2])]
+    windows = iter(_binom_windows([g for *_, pos, neg, tilted in measures if not tilted
+                                   for g in pos + neg]))
+    return [_tilted_tail(pos, neg, v, deviation) if tilted else
+            _direct_tail(_convolved(islice(windows, len(pos))),
+                         _convolved(islice(windows, len(neg))), v, deviation)
+            for v, deviation, pos, neg, tilted in measures]
 
 
 _DIRECTIONS = {1: DIRECTION_POSITIVE, -1: DIRECTION_NEGATIVE, 0: DIRECTION_NONE}

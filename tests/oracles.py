@@ -526,3 +526,21 @@ def write_dyad_csv_by_records(records, path) -> None:
     lines += [f"{r.ego_id},{r.alter_id},{r.x},{r.y},{r.p},{r.q},{r.r},{r.s},{r.item_id}"
               for r in records]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def difference_pmf_by_fractions(pos, neg) -> tuple[int, list[int], int]:
+    """The PMF of X - Y for X and Y sums of independent Binomial(count,
+    success_prob) blocks, exactly in the probabilities' float values:
+    (least value, Python-integer numerators, their one denominator), built
+    by double-loop convolutions, Y's PMF reversed."""
+    pmf, scale = [1], 1
+    for g, sign in [(g, 1) for g in pos] + [(g, -1) for g in neg]:
+        num, den = Fraction(g.success_prob).as_integer_ratio()
+        block = [math.comb(g.count, k) * num ** k * (den - num) ** (g.count - k)
+                 for k in range(g.count + 1)]
+        out = [0] * (len(pmf) + len(block) - 1)
+        for i, a in enumerate(pmf):
+            for j, b in enumerate(block[::sign]):
+                out[i + j] += a * b
+        pmf, scale = out, scale * den ** g.count
+    return -sum(g.count for g in neg), pmf, scale

@@ -1,5 +1,8 @@
 import itertools
+import math
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,15 +13,16 @@ from dyadeval import (DiscreteDistribution, DyadTable, InferenceConfig,
                       TrialGroup, bootstrap_test, evaluate, exact_test, fit,
                       method_disagreement, pb_pmf, run_all, simulate_dyad_table)
 from dyadeval import MeasureSpec, SimParams, sample
-from dyadeval import inference
+from dyadeval import inference, io
 from dyadeval.inference import (_CHUNK_TRIALS, _PASS_ENTRIES, _STIRLERR, _binom_pmf,
-                                _binom_windows, _difference_tails, _side_blocks,
-                                _stirlerr)
+                                _binom_windows, _direct_tail, _side_blocks, _stirlerr,
+                                _tilted_tail, run_items)
 from dyadeval.null_model import _sample_group_outcomes
 from dyadeval.measures import spec_for
 
 from oracles import (binom_window_by_growth, cell_code, difference_distribution,
-                     difference_pmf_by_double_loop, distribution_mean,
+                     difference_pmf_by_double_loop, difference_pmf_by_fractions,
+                     distribution_mean,
                      enumeration_cost, exact_test_by_full_convolution,
                      measure_cells_by_formula, measure_values_by_formula,
                      null_distribution_by_enumeration,
@@ -191,10 +195,9 @@ def test_exact_tails_match_growth_oracle_bit_for_bit():
                     support_min += lo
                     pmf = np.convolve(pmf, block)
                 sides.append(DiscreteDistribution(support_min, pmf))
-            tail_ge, tail_le = _difference_tails(*sides)
-            tail = {"positive": tail_ge, "negative": tail_le,
-                    "none": lambda v: 1.0}[res.direction](res.observed)
-            assert res.p_value == tail, (seed, res.measure)
+            deviation = {"positive": 1, "negative": -1, "none": 0}[res.direction]
+            assert res.p_value == _direct_tail(*sides, res.observed, deviation), (
+                seed, res.measure)
 
 
 def test_side_blocks_match_per_side_oracle():
@@ -311,8 +314,8 @@ def test_difference_point_masses():
     support_min, pmf = difference_distribution(x, y)
     assert support_min == 2
     assert pmf.tolist() == [1.0]
-    tail_ge, tail_le = _difference_tails(x, y)
-    assert (tail_ge(2), tail_ge(3), tail_le(2), tail_le(1)) == (1.0, 0.0, 1.0, 0.0)
+    assert ([_direct_tail(x, y, v, 1) for v in (2, 3)]
+            + [_direct_tail(x, y, v, -1) for v in (2, 1)]) == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_difference_fair_bernoullis():
@@ -320,9 +323,10 @@ def test_difference_fair_bernoullis():
     support_min, pmf = difference_distribution(x, x)
     assert support_min == -1
     assert pmf.tolist() == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
-    tail_ge, tail_le = _difference_tails(x, x)
-    assert [tail_ge(v) for v in (-1, 0, 1, 2)] == pytest.approx([1.0, 0.75, 0.25, 0.0])
-    assert [tail_le(v) for v in (-2, -1, 0, 1)] == pytest.approx([0.0, 0.25, 0.75, 1.0])
+    assert [_direct_tail(x, x, v, 1) for v in (-1, 0, 1, 2)] == pytest.approx(
+        [1.0, 0.75, 0.25, 0.0])
+    assert [_direct_tail(x, x, v, -1) for v in (-2, -1, 0, 1)] == pytest.approx(
+        [0.0, 0.25, 0.75, 1.0])
 
 
 def test_difference_matches_double_loop():
@@ -340,11 +344,10 @@ def test_difference_matches_double_loop():
         oracle, z_min = difference_pmf_by_double_loop(fx, x_min, fy, y_min)
         assert support_min == z_min
         assert max(abs(a - b) for a, b in zip(pmf, oracle)) <= 1e-12
-        tail_ge, tail_le = _difference_tails(x, y)
         for v in range(z_min - 2, z_min + len(oracle) + 2):
             at = v - z_min
-            assert abs(tail_ge(v) - sum(oracle[max(at, 0):])) <= 1e-12
-            assert abs(tail_le(v) - sum(oracle[:max(at + 1, 0)])) <= 1e-12
+            assert abs(_direct_tail(x, y, v, 1) - sum(oracle[max(at, 0):])) <= 1e-12
+            assert abs(_direct_tail(x, y, v, -1) - sum(oracle[:max(at + 1, 0)])) <= 1e-12
 
 
 def test_difference_expectation_identity():
@@ -558,6 +561,152 @@ def test_exact_test_tie_with_explicit_model():
     assert res.observed == res.null_mean == -6
     assert res.direction == "none"
     assert res.p_value == 1.0
+
+
+# ---------------------------------------------------- tilted tails
+
+def near_null_table(rng, dyads, noise):
+    """A census drawn around a null model: participation-and-pre-state group
+    shares times one transition row per pre-state (p, q), each cell's share
+    then scaled by exp(noise * N(0, 1)), so that measures deviate from their
+    null means by anything from a fraction of a sd to tens of sd."""
+    groups = rng.dirichlet(np.full(16, 20.0)).reshape(2, 2, 2, 2, 1)
+    rows = rng.dirichlet(np.full(4, 20.0), size=4).reshape(1, 1, 2, 2, 4)
+    share = (groups * rows).ravel() * np.exp(noise * rng.standard_normal(64))
+    return DyadTable(rng.multinomial(dyads, share / share.sum()).astype(np.int64))
+
+
+def measure_sides(table):
+    """(observed, sign of the deviation, positive blocks, negative blocks)
+    of each of the eight measures."""
+    plan = inference._plan(table, InferenceConfig(method="exact"), None)
+    sides = _side_blocks(plan.model, plan.weights)
+    return [(v, deviation, pos, neg) for v, (_, deviation), pos, neg
+            in zip(plan.observed.tolist(), plan.means, sides[::2], sides[1::2])]
+
+
+def direct(pos, neg, v, deviation):
+    return _direct_tail(pb_pmf(pos), pb_pmf(neg), v, deviation)
+
+
+def test_tilted_tail_matches_direct_on_random_tables():
+    # 150 censuses of 300 to 60k dyads (log-uniform); tails below ~1e-290
+    # are at the direct engine's 1e-300 floor, hence the absolute term
+    rng = np.random.default_rng(1313)
+    compared = 0
+    for _ in range(150):
+        dyads = int(np.exp(rng.uniform(np.log(300), np.log(60_000))))
+        for v, deviation, pos, neg in measure_sides(near_null_table(rng, dyads,
+                                                                    rng.uniform(0.0, 0.05))):
+            want = direct(pos, neg, v, deviation)
+            assert abs(_tilted_tail(pos, neg, v, deviation) - want) <= 1e-9 * want + 1e-290
+            compared += 1e-290 < want < 1.0
+    assert compared > 600
+
+
+def forced_deviations(scale):
+    """Sides as large as those of a census of 160k x ``scale`` dyads (16M
+    at scale 100), one small block so that the direct engine convolves
+    once, and the values 3, 12 and 30 sd above and below the mean."""
+    pos = [TrialGroup(80_000 * scale, 0.3), TrialGroup(20_000, 0.62)]
+    neg = [TrialGroup(80_000 * scale, 0.35)]
+    blocks = [(g, 1) for g in pos] + [(g, -1) for g in neg]
+    mean = sum(sign * g.count * g.success_prob for g, sign in blocks)
+    sd = math.sqrt(sum(g.count * g.success_prob * (1 - g.success_prob) for g, _ in blocks))
+    return pos, neg, [(round(mean + sign * k * sd), sign) for k in (3, 12, 30) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("scale", [1, 10, 100])
+def test_tilted_tail_at_forced_deviations(scale):
+    pos, neg, values = forced_deviations(scale)
+    sides = pb_pmf(pos), pb_pmf(neg)
+    for v, deviation in values:
+        want = _direct_tail(*sides, v, deviation)
+        assert 1e-250 < want < 0.01
+        assert abs(_tilted_tail(pos, neg, v, deviation) - want) <= 1e-9 * want, (v, deviation)
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_tilted_tail_does_not_depend_on_theta(monkeypatch, factor):
+    # the tail is exp(log M(theta) - theta v) times a tilted sum for any
+    # theta; the solved one only centres the tilted PMF on v
+    pos, neg, values = forced_deviations(10)
+    cases = [(pos, neg, v, deviation) for v, deviation in values]
+    cases += [(pos, neg, v, deviation) for v, deviation, pos, neg
+              in measure_sides(near_null_table(np.random.default_rng(77), 200_000, 0.01))
+              if deviation]
+    expected = [_tilted_tail(*case) for case in cases]
+    tilt = inference._tilt
+    monkeypatch.setattr(inference, "_tilt", lambda blocks, v: factor * tilt(blocks, v))
+    for case, want in zip(cases, expected):
+        assert abs(_tilted_tail(*case) - want) <= 1e-11 * want
+
+
+def test_both_engines_match_exact_rational_tails():
+    # small sides whose tails run from ~0.5 down past 1e-250, against the
+    # tail in exact rational arithmetic; probabilities in 1/1024ths keep
+    # its integers short
+    rng = np.random.default_rng(2121)
+    smallest, compared = 1.0, 0
+    for _ in range(4):
+        pos = [TrialGroup(int(rng.integers(60, 160)), int(rng.integers(20, 300)) / 1024)
+               for _ in range(2)]
+        neg = [TrialGroup(int(rng.integers(60, 160)), int(rng.integers(20, 1004)) / 1024)]
+        least, pmf, scale = difference_pmf_by_fractions(pos, neg)
+        mean = sum(g.count * g.success_prob for g in pos) - neg[0].count * neg[0].success_prob
+        top = least + len(pmf) - 1
+        values = ([(int(v), 1) for v in np.linspace(mean + 1, top - 1, 12).round()]
+                  + [(int(v), -1) for v in np.linspace(least + 1, mean - 1, 6).round()])
+        for v, deviation in values:
+            at = v - least
+            exact = Fraction(sum(pmf[at:] if deviation > 0 else pmf[:at + 1]), scale)
+            if exact < Fraction(1, 10 ** 250):
+                continue
+            for tail in (direct(pos, neg, v, deviation), _tilted_tail(pos, neg, v, deviation)):
+                assert abs(Fraction(tail) - exact) <= Fraction(1, 10 ** 10) * exact, (pos, neg, v)
+            smallest, compared = min(smallest, float(exact)), compared + 1
+    assert smallest < 1e-200 and compared > 40
+
+
+def test_tilted_mass_drift_is_integrity_error(monkeypatch):
+    pos, neg, values = forced_deviations(1)
+    v, deviation = values[0]
+    full_pmf = _binom_pmf
+    monkeypatch.setattr(inference, "_binom_pmf", lambda *args: (1 + 3e-11) * full_pmf(*args))
+    _tilted_tail(pos, neg, v, deviation)  # three blocks drift the mass by ~1e-10
+    monkeypatch.setattr(inference, "_binom_pmf", lambda *args: (1 + 1e-9) * full_pmf(*args))
+    with pytest.raises(NumericalIntegrityError, match="tilted difference pmf sums to"):
+        _tilted_tail(pos, neg, v, deviation)
+
+
+def test_tilted_integrity_failure_inline_and_in_forked_worker(monkeypatch):
+    tables = [DyadTable(np.random.default_rng(seed).multinomial(200_000, np.full(64, 1 / 64)))
+              for seed in (1, 2)]
+    full_pmf = _binom_pmf
+    monkeypatch.setattr(inference, "_binom_pmf", lambda *args: 0.5 * full_pmf(*args))
+    with pytest.raises(NumericalIntegrityError, match="tilted"):
+        exact_test(tables[0], MeasureId.M1)
+    monkeypatch.setattr(io, "_worker_count", lambda: 2)  # forked workers inherit the patch
+    with pytest.raises(NumericalIntegrityError, match="tilted"):
+        run_items([(t, InferenceConfig(method="exact"), None) for t in tables], 2, io._run_tasks)
+
+
+def test_tilted_tail_edges_give_the_direct_answer():
+    # a value on or past the edge of the difference's support (theta
+    # infinite), no deviation, point-mass blocks and a tail below 1e-300,
+    # with every numpy warning an error
+    pos = [TrialGroup(300, 0.4), TrialGroup(50, 1.0), TrialGroup(70, 0.0)]
+    neg = [TrialGroup(250, 0.5), TrialGroup(40, 1.0), TrialGroup(0, 0.3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v, deviation in [(310, 1), (311, 1), (-240, -1), (-241, -1), (35, 0), (-300, 0)]:
+            assert _tilted_tail(pos, neg, v, deviation) == direct(pos, neg, v, deviation)
+        for v, deviation in [(309, 1), (80, 1), (-10, -1), (-239, -1)]:
+            want = direct(pos, neg, v, deviation)
+            assert abs(_tilted_tail(pos, neg, v, deviation) - want) <= 1e-12 * want
+        assert _tilted_tail([TrialGroup(5, 1.0)], [TrialGroup(3, 0.0)], 5, 1) == 1.0
+        far = [TrialGroup(2000, 0.3)], [TrialGroup(10, 0.5)], 1990, 1
+        assert _tilted_tail(*far) == direct(*far) == 0.0
 
 
 # -------------------------------------------------- bootstrap_test
