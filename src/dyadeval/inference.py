@@ -21,42 +21,35 @@ in disjoint participation quadrants and are therefore independent, so the
 measure's null distribution is the exact convolution of the positive side
 with the negated negative side.
 
-The Poisson-Binomial PMF is computed by sequential direct convolution of
-binomial blocks.  A group's success probability depends only on its (p, q)
-row and its (r, s) outcome set, so groups sharing both are merged into one
-binomial of their summed mass, which is exact in distribution; a side of
-one of the eight measures then has at most four blocks.  Each block's PMF
-is evaluated only on the window where it is >= 1e-300 (entries below that
-are zero in ``DiscreteDistribution`` anyway).  This is exact up to float
-rounding and O(W^2) with W ~ 75 sd per block, instead of O(N^2) in the
-side's trial total.  The binomial PMF itself is Loader's saddle-point form
-(C. Loader, "Fast and Accurate Computation of Binomial Probabilities",
-2000; the algorithm of R's ``dbinom``): Stirling-series errors plus
-deviance terms, so no difference of log-gamma values cancels, in numpy
-alone.  An exact task evaluates the windows of all its measures' blocks in
-one batch, each first bounded by the Chernoff bound n KL(k / n || p) <=
-ln(1e300) + 1.  A measure whose side's windows could span over 2**19
-entries in all is an InputError when its run is planned, before any is
-allocated.
+Groups sharing their (p, q) row and (r, s) outcome set share their
+success probability, so they merge into one binomial of their summed mass
+(exact in distribution); a side of one of the eight measures then has at
+most four blocks.  The binomial PMF is Loader's saddle-point form (C.
+Loader, "Fast and Accurate Computation of Binomial Probabilities", 2000;
+the algorithm of R's ``dbinom``): Stirling-series errors plus deviance
+terms, so no difference of log-gamma values cancels, in numpy alone.
 
-The tail of the difference X - Y of the two sides never needs its PMF:
-P(X - Y >= v) = sum_y P(Y = y) P(X >= v + y) is one dot product of Y's PMF
-with X's suffix sums, and P(X - Y <= v) one with X's prefix sums, O(W)
-where the difference PMF would cost another O(W^2) convolution.
+Every measure's tail takes one path (``_exact_tails``).  At the null mean
+the tail is 1 and nothing is evaluated; on or past the edge of the
+difference's support it is the product of each block's PMF at its extreme,
+or 0.  Every other tail is taken by exponential tilting (Keich, J. Comput.
+Biol. 2005; Wilson and Keich, CSDA 2016): the null is tilted by theta so
+that its mean is the observed value, each block staying a binomial; the
+tilted blocks, evaluated on +-15 tilted sd, give the tilted PMF of X - Y
+from one FFT product, and the tail is its sum over the tail weighted by
+exp(-theta (d - v)), times exp(log M(theta) - theta v).  FFT round-off is
+then relative to the PMF near v, the answer's own scale, and the work is
+O(W log W) in the windows' width W.  An exact task evaluates the tilted
+windows of all its measures' blocks in one batch, in passes of at most
+8,192 entries, each first bounded by the Chernoff bound n KL(k / n || p) <=
+15^2 / 2.  A tail follows from its measure's own blocks and observed value
+alone, whatever measures share its run.  A measure whose side's windows
+could span over 2**19 entries in all is an InputError when its run is
+planned, before any is allocated.
 
-That direct path serves a measure whose sides' convolutions take at most
-2e6 multiply-adds (every measure of a census of up to ~8k dyads in even
-cell shares).  Above that crossover the measure's tail is taken by
-exponential tilting (Keich, J. Comput. Biol. 2005; Wilson and Keich, CSDA
-2016): the null is tilted by theta so that its mean is the observed value,
-each block staying a binomial; the tilted blocks, evaluated on +-15 tilted
-sd, give the tilted PMF of X - Y from one FFT product, and the tail is its
-sum over the tail weighted by exp(-theta (d - v)), times exp(log M(theta) -
-theta v).  FFT round-off is then relative to the PMF near v, the answer's
-own scale, and the work is O(W log W) in windows less than half as wide.
-A measure's path, theta, windows and FFT length follow from its own blocks
-and observed value alone, so a tail does not depend on which measures
-share its run.
+``pb_pmf``, the PMF of one sum of binomials, is the module's one direct
+convolution: each block evaluated on the window where it is >= 1e-300
+(n KL <= ln(1e300) + 1), convolved in sequence, O(W^2) in ~75-sd windows.
 
 Tail convention: one-sided inclusive tail in the direction of the observed
 deviation from the null mean, which both engines take from the model (not
@@ -80,7 +73,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -156,18 +148,6 @@ class DiscreteDistribution:
     def support_max(self) -> int:
         return self.support_min + len(self.pmf) - 1
 
-    def support(self) -> np.ndarray:
-        return self.support_min + np.arange(len(self.pmf))
-
-    def tail_ge(self, value):
-        """Inclusive upper tail P(X >= value), elementwise for an array."""
-        suffix = np.append(np.cumsum(self.pmf[::-1])[::-1], 0.0)
-        return suffix[np.clip(np.asarray(value) - self.support_min, 0, len(self.pmf))]
-
-    def tail_le(self, value):
-        """Inclusive lower tail P(X <= value), elementwise for an array."""
-        prefix = np.concatenate(([0.0], np.cumsum(self.pmf)))
-        return prefix[np.clip(np.asarray(value) - self.support_min + 1, 0, len(self.pmf))]
 
 
 @dataclass(frozen=True)
@@ -381,61 +361,24 @@ def _binom_windows(blocks: Sequence[TrialGroup]) -> list[tuple[int, np.ndarray]]
             zip(lo.tolist(), start.tolist(), first.tolist(), last.tolist())]
 
 
-def _convolved(windows: Iterable[tuple[int, np.ndarray]]) -> DiscreteDistribution:
-    """The distribution of a sum of independent blocks given by their
-    (first value, PMF) windows: their sequential direct convolution; no
-    windows is a point mass at 0."""
-    support_min = 0
-    pmf = np.array([1.0])
-    for lo, block in windows:
-        support_min += lo
-        pmf = np.convolve(pmf, block)
-    return DiscreteDistribution(support_min, pmf)
-
-
 def pb_pmf(groups: Sequence[TrialGroup] | Iterable[TrialGroup]) -> DiscreteDistribution:
     """Exact PMF of the number of successes over all trials of all groups.
 
-    Sequential convolution of the groups' binomial PMFs, each restricted to
-    the window where it is >= 1e-300; an empty input is a point mass at 0.
+    Sequential direct convolution of the groups' binomial PMFs, each
+    restricted to the window where it is >= 1e-300; an empty input is a
+    point mass at 0.
     """
-    return _convolved(_binom_windows([g for g in groups if g.count > 0]))
-
-
-def _direct_tail(pos: DiscreteDistribution, neg: DiscreteDistribution, v: int,
-                 deviation: int) -> float:
-    """Inclusive tail of X - Y at v for independent X ~ pos, Y ~ neg, in the
-    direction of the deviation (1 for none): sum_y P(Y = y) P(X >= v + y)
-    or its mirror, one dot product."""
-    if deviation == 0:
-        return 1.0
-    tail = pos.tail_ge if deviation > 0 else pos.tail_le
-    return float(neg.pmf @ tail(v + neg.support()))
+    support_min, pmf = 0, np.array([1.0])
+    for lo, block in _binom_windows([g for g in groups if g.count > 0]):
+        support_min += lo
+        pmf = np.convolve(pmf, block)
+    return DiscreteDistribution(support_min, pmf)
 
 
 # Tilted windows keep the values with n KL(k / n || p) <= 15^2 / 2, +-15 sd
 # in the normal limit; by the Chernoff bound the mass left out is at most
 # 2 exp(-112.5) < 1e-48 of a block.
 _TILT_LOG = 15.0 ** 2 / 2
-
-
-# Multiply-adds of a measure's direct convolutions above which its tail is
-# taken by tilting: about where the two paths cost the same per measure
-# (~1 ms each, on one thread of a 2-vCPU Xeon).
-_TILT_CROSSOVER = 2_000_000
-
-
-def _tilts(pos: Sequence[TrialGroup], neg: Sequence[TrialGroup]) -> bool:
-    """Whether a measure's tail takes the tilted path: when the direct
-    engine's sequential convolutions of its two sides would take over
-    ``_TILT_CROSSOVER`` multiply-adds, each block's window taken as its
-    normal-limit width min(n + 1, 2 sqrt(2 ``_WINDOW_LOG`` n p q))."""
-    work = 0.0
-    for side in (pos, neg):
-        widths = [min(g.count + 1.0, 2.0 * math.sqrt(2.0 * _WINDOW_LOG * g.count * g.success_prob
-                                                     * (1.0 - g.success_prob))) for g in side]
-        work += (sum(widths) ** 2 - sum(w * w for w in widths)) / 2
-    return work > _TILT_CROSSOVER
 
 
 def _expit(z: float) -> float:
@@ -476,62 +419,96 @@ def _tilt(blocks: Sequence[tuple[int, float, int]], v: float) -> float:
     return theta
 
 
-def _tilted_tail(pos: Sequence[TrialGroup], neg: Sequence[TrialGroup], v: int,
-                 deviation: int) -> float:
-    """The tail of D = X - Y at v, as ``_direct_tail``, by exponential tilting.
+def _edge_tail(live: Sequence[tuple[int, float, int]], gap: int, deviation: int
+               ) -> float | None:
+    """The tail of the sum of sign * Binomial(n, p) over the live (n, p,
+    sign) blocks at ``gap``, in the direction of the deviation, where it has
+    a closed form; else None."""
+    if deviation == 0:
+        return 1.0
+    ahead = sum(n for n, _, sign in live if sign == deviation)
+    reach = deviation * gap  # where the tail starts, counted in its direction
+    if reach <= ahead - sum(n for n, *_ in live):  # the whole support in the tail
+        return 1.0
+    if reach != ahead:  # inside the support (theta is finite), or past its edge
+        return None if reach < ahead else 0.0
+    # on the support's edge: each block at its extreme, Y's side times X's
+    n, p, sign = (np.array(column) for column in zip(*live))
+    at = _binom_pmf(np.where(sign == deviation, n, 0), n, p)
+    tail = math.prod(at[sign < 0].tolist()) * math.prod(at[sign > 0].tolist())
+    return tail if tail >= _PMF_FLOOR else 0.0
 
-    Under the measure tilted by theta, P_theta(d) = exp(theta d) P(d) / M(theta),
-    each block of X stays a binomial of success probability expit(logit p +
-    theta) and each of Y one of expit(logit p - theta).  theta is solved so
-    that the tilted mean is v (``_tilt``), and then
+
+def _exact_tails(measures: Sequence[tuple[int, int, Sequence[TrialGroup], Sequence[TrialGroup]]]
+                 ) -> list[float]:
+    """The inclusive tail of D = X - Y at v in the direction of the
+    deviation, for each (v, deviation, X's blocks, Y's blocks) measure: in
+    closed form where there is one (``_edge_tail``), else by tilting.
+
+    Under the measure tilted by theta, P_theta(d) = exp(theta d) P(d) /
+    M(theta), each block of X stays a binomial of success probability
+    expit(logit p + theta) and each of Y one of expit(logit p - theta).
+    theta is solved so that the tilted mean is v (``_tilt``), and then
 
         P(D >= v) = exp(log M(theta) - theta v) sum_{d >= v} exp(-theta (d - v)) P_theta(d),
 
     the <= tail likewise over d <= v, with log M(theta) - theta v = theta
-    (E_theta[D] - v) - sum n KL(p_theta || p), Loader's deviances.  Each
-    tilted block is evaluated on its ``_TILT_LOG`` window (as the count of
-    its rarer outcome) and P_theta from one rfft product, whose round-off is
-    relative to P_theta near v, which is the answer's scale.  A difference
-    mass farther than 1e-9 from 1 is a NumericalIntegrityError; a tail below
-    1e-300 is 0.  A v on or beyond the edge of D's support, where theta is
-    infinite, takes the direct engine, as does no deviation (tail 1).
+    (E_theta[D] - v) - sum n KL(p_theta || p), Loader's deviances.  The
+    tilted blocks of all measures are evaluated in one batch, each on its
+    ``_TILT_LOG`` window as the count of its rarer outcome, and each
+    measure's P_theta comes from its own rfft product.  A difference mass
+    farther than 1e-9 from 1 is a NumericalIntegrityError; a tail below
+    1e-300 is 0.  Every entry, theta, window and FFT length follows from the
+    measure's own blocks, so a tail does not depend on its batch-mates.
     """
-    blocks = [(g.count, g.success_prob, sign) for sign, side in ((1, pos), (-1, neg))
-              for g in side if g.count > 0]
-    live = [(n, p, sign) for n, p, sign in blocks if 0.0 < p < 1.0]
-    shift = sum(sign * n for n, p, sign in blocks if p == 1.0)
-    if deviation == 0 or not (shift - sum(n for n, _, sign in live if sign < 0) < v
-                              < shift + sum(n for n, _, sign in live if sign > 0)):
-        return _direct_tail(pb_pmf(pos), pb_pmf(neg), v, deviation)
-    n, p, sign = (np.array(column) for column in zip(*live))
+    tails: list = []
+    tilted = []  # (measure, v, shift, deviation, its blocks' range) per tilted measure
+    blocks = []  # (n, p, sign) of every tilted measure's live blocks
+    for v, deviation, pos, neg in measures:
+        signed = [(g.count, g.success_prob, sign) for sign, side in ((1, pos), (-1, neg))
+                  for g in side if g.count > 0]
+        live = [(n, p, sign) for n, p, sign in signed if 0.0 < p < 1.0]
+        shift = sum(sign * n for n, p, sign in signed if p == 1.0)
+        tails.append(_edge_tail(live, v - shift, deviation))
+        if tails[-1] is None:
+            tilted.append((len(tails) - 1, v, shift, deviation, len(blocks), len(blocks) + len(live)))
+            blocks += live
+    if not tilted:
+        return tails
+    n, p, sign = (np.array(column) for column in zip(*blocks))
     logit = np.log(p) - np.log1p(-p)
-    theta = _tilt(list(zip(n.tolist(), logit.tolist(), sign.tolist())), v - shift)
-    z = (logit + sign * theta).tolist()
+    rows = list(zip(n.tolist(), logit.tolist(), sign.tolist()))
+    thetas = [_tilt(rows[a:b], v - shift) for _, v, shift, _, a, b in tilted]
+    z = (logit + sign * np.repeat(thetas, [b - a for *_, a, b in tilted])).tolist()
     p_t, q_t = np.array([_expit(x) for x in z]), np.array([_expit(-x) for x in z])
-    log_scale = theta * (float(sign @ (n * p_t)) + shift - v) - float(
-        np.sum(_bd0(n * p_t, n * p) + _bd0(n * q_t, n * (1.0 - p))))
+    deviance = _bd0(n * p_t, n * p) + _bd0(n * q_t, n * (1.0 - p))
     # each block as the count k of its rarer outcome, then as a PMF over
     # increasing values of sign * successes from the least of them
     flip = p_t > 0.5
     rarer = np.where(flip, q_t, p_t)
     lo, hi = _first_windows(n, rarer, _TILT_LOG)
     pmf, start, end = _binom_entries(n, rarer, lo, hi)
-    mirrored = flip != (sign < 0)
+    mirrored = (flip != (sign < 0)).tolist()
     least = np.where(flip, np.where(sign > 0, n - hi, lo - n), np.where(sign > 0, lo, -hi))
-    size = int(np.sum(hi - lo)) + 1
-    length = 1 << (size - 1).bit_length()
-    spectrum = 1.0
-    for a, b, m in zip(start.tolist(), end.tolist(), mirrored.tolist()):
-        spectrum = spectrum * np.fft.rfft(pmf[a:b][::-1] if m else pmf[a:b], length)
-    tilted = np.maximum(np.fft.irfft(spectrum, length)[:size], 0.0)
-    total = float(tilted.sum())
-    if abs(total - 1.0) > _PMF_SUM_TOL:
-        raise NumericalIntegrityError(f"tilted difference pmf sums to {total!r}, deviating "
-                                      f"from 1 by more than {_PMF_SUM_TOL}")
-    at = v - shift - int(least.sum())  # index of v
-    d = np.arange(max(at, 0), size) if deviation > 0 else np.arange(min(at + 1, size))
-    tail = math.exp(log_scale) * float(np.exp(-theta * (d - at)) @ tilted[d])
-    return tail if tail >= _PMF_FLOOR else 0.0
+    for (i, v, shift, deviation, a, b), theta in zip(tilted, thetas):
+        log_scale = theta * (float(sign[a:b] @ (n[a:b] * p_t[a:b])) + shift - v) - float(
+            np.sum(deviance[a:b]))
+        size = int(np.sum(hi[a:b] - lo[a:b])) + 1
+        length = 1 << (size - 1).bit_length()
+        spectrum = 1.0
+        for j in range(a, b):
+            window = pmf[start[j]:end[j]]
+            spectrum = spectrum * np.fft.rfft(window[::-1] if mirrored[j] else window, length)
+        density = np.maximum(np.fft.irfft(spectrum, length)[:size], 0.0)
+        total = float(density.sum())
+        if abs(total - 1.0) > _PMF_SUM_TOL:
+            raise NumericalIntegrityError(f"tilted difference pmf sums to {total!r}, deviating "
+                                          f"from 1 by more than {_PMF_SUM_TOL}")
+        at = v - shift - int(least[a:b].sum())  # index of v
+        d = np.arange(max(at, 0), size) if deviation > 0 else np.arange(min(at + 1, size))
+        tail = math.exp(log_scale) * float(np.exp(-theta * (d - at)) @ density[d])
+        tails[i] = tail if tail >= _PMF_FLOOR else 0.0
+    return tails
 
 
 # The 15 non-empty sets of (r, s) outcome columns, in the order of their
@@ -554,21 +531,20 @@ def _block_masses(model: NullModel, weights: np.ndarray) -> np.ndarray:
     return mass
 
 
-# Most entries a side's binomial windows may span for the exact engine to
-# run: 4 MB of PMF, and at most 1.4e11 multiply-adds to convolve.
+# Most entries a side's tilted windows may span for the exact engine to
+# run: 4 MB of PMF a side, and an FFT of at most 2**20 entries a measure.
 _MAX_SIDE_WINDOW = 1 << 19
 
 
 def _check_exact_work(model: NullModel, weights: np.ndarray, measures: Sequence) -> None:
     """Raise InputError, before any window is allocated, for the first
-    measure with a side whose windows could span over ``_MAX_SIDE_WINDOW``
-    entries.  By Pinsker's inequality n KL(k / n || p) >= 2 (k - np)^2 / n,
-    so a block of n trials keeps at most sqrt(2 n ``_WINDOW_LOG``) + 3 values.
-    The one bound guards both paths, unchanged: a tilted window, cut at
-    ``_TILT_LOG`` < ``_WINDOW_LOG``, is never wider than that, and a
-    measure's FFT spans under twice its tilted windows."""
+    measure with a side whose tilted windows could span over
+    ``_MAX_SIDE_WINDOW`` entries.  By Pinsker's inequality n KL(k / n || p)
+    >= 2 (k - np)^2 / n, so a block of n trials keeps at most
+    sqrt(2 n ``_TILT_LOG``) + 3 values, whatever its tilt; a measure's FFT
+    spans both sides' windows."""
     n = _block_masses(model, weights).astype(float)
-    sides = np.minimum(n + 1, np.sqrt(2 * _WINDOW_LOG * n) + 3 * (n > 0)).sum(axis=1)
+    sides = np.minimum(n + 1, np.sqrt(2 * _TILT_LOG * n) + 3 * (n > 0)).sum(axis=1)
     for measure, width in zip(measures, sides.reshape(-1, 2).max(axis=1).tolist()):
         if width > _MAX_SIDE_WINDOW:
             raise InputError(f"{measure if isinstance(measure, MeasureId) else 'custom measure'}: "
@@ -723,23 +699,15 @@ def _plan(table: DyadTable, config: InferenceConfig, model: NullModel | None) ->
 
 def _run_task(task: tuple[_Plan, range | None]):
     """One task of a run: an item's bootstrap tail counts over a range of
-    chunks, or with None its exact tail per measure, taken in the direction
-    of the deviation (1 for none): tilted for a measure past the crossover
-    (``_tilts``), else direct, the windows of all direct measures' blocks
-    in one batch."""
+    chunks, or with None its exact tail per measure (``_exact_tails``), all
+    its measures' tilted blocks evaluated in one batch."""
     plan, chunks = task
     if chunks is not None:
         return _tail_counts(plan.model, plan.weights, plan.observed, plan.config.seed,
                             plan.config.trials, chunks)
     sides = _side_blocks(plan.model, plan.weights)
-    measures = [(v, deviation, pos, neg, _tilts(pos, neg)) for v, (_, deviation), pos, neg
-                in zip(plan.observed.tolist(), plan.means, sides[::2], sides[1::2])]
-    windows = iter(_binom_windows([g for *_, pos, neg, tilted in measures if not tilted
-                                   for g in pos + neg]))
-    return [_tilted_tail(pos, neg, v, deviation) if tilted else
-            _direct_tail(_convolved(islice(windows, len(pos))),
-                         _convolved(islice(windows, len(neg))), v, deviation)
-            for v, deviation, pos, neg, tilted in measures]
+    return _exact_tails([(v, deviation, pos, neg) for v, (_, deviation), pos, neg
+                         in zip(plan.observed.tolist(), plan.means, sides[::2], sides[1::2])])
 
 
 _DIRECTIONS = {1: DIRECTION_POSITIVE, -1: DIRECTION_NEGATIVE, 0: DIRECTION_NONE}

@@ -5,7 +5,9 @@ Everything here is written directly from first principles (loops over all
 joint multinomial outcomes) and deliberately shares no code with the
 package under test beyond the documented bit order.  The binomial window
 reference takes the package's binomial PMF, since what it checks is the
-window around it.  The dyad CSV, node+edge join and simulator references
+window around it, and the direct tail takes the package's ``pb_pmf`` (which
+criterion 2 checks against subset enumeration), since what it checks is the
+tilted tail built from the same blocks.  The dyad CSV, node+edge join and simulator references
 build the package's ``DyadRecord`` (and ``JoinStats``) and raise its
 ``InputError``, so that records, counters and error messages compare
 directly; the side-block reference builds the package's ``TrialGroup``
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.stats import binom
 
 from dyadeval import DyadRecord, InputError
-from dyadeval.inference import TrialGroup, _binom_pmf
+from dyadeval.inference import TrialGroup, _binom_pmf, pb_pmf
 from dyadeval.io import JoinStats
 
 
@@ -163,6 +165,30 @@ def difference_distribution(pos, neg) -> tuple[int, np.ndarray]:
     reversed, which the exact engine's dot-product tails avoid."""
     pmf = np.convolve(pos.pmf, neg.pmf[::-1])
     return pos.support_min - (neg.support_min + len(neg.pmf) - 1), pmf
+
+
+def difference_tail(pos, neg, v: int, deviation: int) -> float:
+    """Inclusive tail of X - Y at v for independent X ~ pos, Y ~ neg (each
+    with a ``support_min`` and a ``pmf``), in the direction of the deviation
+    (1 for none): sum_y P(Y = y) P(X >= v + y), one dot product of Y's PMF
+    with X's suffix sums, or its mirror with X's prefix sums."""
+    if deviation == 0:
+        return 1.0
+    ys = neg.support_min + np.arange(len(neg.pmf))
+    if deviation > 0:
+        sums = np.append(np.cumsum(pos.pmf[::-1])[::-1], 0.0)  # P(X >= min + i)
+        at = v + ys - pos.support_min
+    else:
+        sums = np.concatenate(([0.0], np.cumsum(pos.pmf)))  # P(X <= min + i - 1)
+        at = v + ys - pos.support_min + 1
+    return float(neg.pmf @ sums[np.clip(at, 0, len(pos.pmf))])
+
+
+def direct_tail(pos_groups, neg_groups, v: int, deviation: int) -> float:
+    """The tail of ``difference_tail`` for X and Y the sums of two lists of
+    binomial groups, each side's PMF by the package's direct convolution
+    (``pb_pmf``): the direct engine that the tilted tails replaced."""
+    return difference_tail(pb_pmf(pos_groups), pb_pmf(neg_groups), v, deviation)
 
 
 def binom_window_by_growth(n: int, prob: float) -> tuple[int, np.ndarray]:

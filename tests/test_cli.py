@@ -86,25 +86,42 @@ def test_table_bad_probabilities_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def deviating_table(tmp_path):
+    """A 64-cell table of 10 to 29 dyads a cell on which every measure
+    deviates from its null mean, so that every exact tail is evaluated."""
+    counts = np.random.default_rng(0).integers(10, 30, 64)
+    lines = ["x,y,p,q,r,s,value"] + [",".join(map(str, bits)) + f",{n}"
+                                     for bits, n in zip(np.ndindex(*(2,) * 6), counts)]
+    path = tmp_path / "t64.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def test_table_integrity_failure_exit_code(tmp_path, monkeypatch, capsys):
     full_pmf = _binom_pmf
     monkeypatch.setattr("dyadeval.inference._binom_pmf",
                         lambda *args: 0.5 * full_pmf(*args))
-    code = main(["table", "--table", str(uniform_table(tmp_path)), "--probabilities",
+    code = main(["table", "--table", str(deviating_table(tmp_path)),
                  "--method", "exact", "--out-csv", str(tmp_path / "r.csv")])
     assert code == 2
     assert "numerical integrity failure" in capsys.readouterr().err
 
 
 def test_too_narrow_binomial_window_exit_code(tmp_path, monkeypatch, capsys):
+    # tilted windows cut to their middle third lose mass: the tilted mass
+    # check fails (pb_pmf's "cuts off" check is tested in test_inference)
     first_windows = inference._first_windows
-    monkeypatch.setattr(inference, "_first_windows",
-                        lambda n, p: tuple(w + 1 for w in first_windows(n, p)))
-    code = main(["table", "--table", str(uniform_table(tmp_path)), "--probabilities",
+
+    def narrowed(n, p, bound):
+        lo, hi = first_windows(n, p, bound)
+        return lo + (hi - lo) // 3, hi - (hi - lo) // 3
+
+    monkeypatch.setattr(inference, "_first_windows", narrowed)
+    code = main(["table", "--table", str(deviating_table(tmp_path)),
                  "--method", "exact", "--out-csv", str(tmp_path / "r.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "numerical integrity failure" in err and "cuts off" in err
+    assert "numerical integrity failure" in err and "tilted difference pmf sums to" in err
     assert not (tmp_path / "r.csv").exists()
 
 

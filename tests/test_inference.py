@@ -14,15 +14,15 @@ from dyadeval import (DiscreteDistribution, DyadTable, InferenceConfig,
                       method_disagreement, pb_pmf, run_all, simulate_dyad_table)
 from dyadeval import MeasureSpec, SimParams, sample
 from dyadeval import inference, io
-from dyadeval.inference import (_CHUNK_TRIALS, _PASS_ENTRIES, _STIRLERR, _binom_pmf,
-                                _binom_windows, _direct_tail, _side_blocks, _stirlerr,
-                                _tilted_tail, run_items)
+from dyadeval.inference import (_CHUNK_TRIALS, _MAX_SIDE_WINDOW, _PASS_ENTRIES, _STIRLERR,
+                                _TILT_LOG, _WINDOW_LOG, _binom_pmf, _binom_windows,
+                                _exact_tails, _side_blocks, _stirlerr, run_items)
 from dyadeval.null_model import _sample_group_outcomes
 from dyadeval.measures import spec_for
 
 from oracles import (binom_window_by_growth, cell_code, difference_distribution,
                      difference_pmf_by_double_loop, difference_pmf_by_fractions,
-                     distribution_mean,
+                     difference_tail, direct_tail, distribution_mean,
                      enumeration_cost, exact_test_by_full_convolution,
                      measure_cells_by_formula, measure_values_by_formula,
                      null_distribution_by_enumeration,
@@ -179,9 +179,10 @@ def test_too_narrow_window_is_integrity_error(monkeypatch, side):
         _binom_windows([TrialGroup(40, 0.5), TrialGroup(1000, 0.3)])
 
 
-def test_exact_tails_match_growth_oracle_bit_for_bit():
-    # run_all's exact tails equal tails built from the per-block windows of
-    # the oracle, convolved side by side in the engine's order
+def test_exact_tails_match_growth_oracle():
+    # run_all's exact tails equal, within 1e-12 relative, the direct tails
+    # of the per-block windows of the oracle, convolved side by side in the
+    # engine's order
     for seed in range(50):
         table = simulate_dyad_table(SimParams(seed=seed), node_count=60 + 20 * seed)
         model = fit(table)
@@ -196,8 +197,8 @@ def test_exact_tails_match_growth_oracle_bit_for_bit():
                     pmf = np.convolve(pmf, block)
                 sides.append(DiscreteDistribution(support_min, pmf))
             deviation = {"positive": 1, "negative": -1, "none": 0}[res.direction]
-            assert res.p_value == _direct_tail(*sides, res.observed, deviation), (
-                seed, res.measure)
+            want = difference_tail(*sides, res.observed, deviation)
+            assert abs(res.p_value - want) <= 1e-12 * want, (seed, res.measure)
 
 
 def test_side_blocks_match_per_side_oracle():
@@ -226,29 +227,67 @@ def test_side_blocks_match_per_side_oracle():
 
 
 def test_exact_task_work_is_bounded(monkeypatch):
-    # one exact task on a ~5k-dyad table, 8 measures: no evaluation pass
-    # exceeds the cap, and no window is evaluated twice
-    passes, kept, counts = [], [], []
-    full_pmf, full_windows = _binom_pmf, _binom_windows
+    # one exact task on a ~11k-dyad table, 8 measures: one batch of tilted
+    # windows, evaluated in more than one pass, none over the cap, each
+    # entry once, and each window within the exact-work bound's sizing (a
+    # ~5k-dyad table's ~7k entries fit in one pass)
+    batches, passes = [], []
+    full_pmf, full_entries = _binom_pmf, inference._binom_entries
 
     def counted_pmf(k, n, p):
         passes.append(len(k))
         return full_pmf(k, n, p)
 
-    def counted_windows(blocks):
-        windows = full_windows(blocks)
-        kept.extend(len(block) for _, block in windows)
-        counts.extend(g.count for g in blocks)
-        return windows
+    def counted_entries(n, p, lo, hi):
+        batches.append((n, hi - lo + 1))
+        return full_entries(n, p, lo, hi)
 
     monkeypatch.setattr(inference, "_binom_pmf", counted_pmf)
-    monkeypatch.setattr(inference, "_binom_windows", counted_windows)
-    table = simulate_dyad_table(SimParams(seed=3), node_count=900)
-    assert 4_000 <= table.total <= 6_000
-    run_all(table, InferenceConfig(method="exact"))
+    monkeypatch.setattr(inference, "_binom_entries", counted_entries)
+    table = simulate_dyad_table(SimParams(seed=3), node_count=2_000)
+    assert 10_000 <= table.total <= 12_000
+    results = run_all(table, InferenceConfig(method="exact"))
+    assert all(r.direction != "none" for r in results)
+    [(n, widths)] = batches
     assert len(passes) > 1 and max(passes) <= _PASS_ENTRIES
-    assert sum(kept) < sum(counts) + len(counts)  # windows are trimmed
-    assert sum(passes) <= sum(kept) + 4 * len(kept)
+    assert sum(passes) == widths.sum()
+    assert np.all(widths <= np.sqrt(2 * _TILT_LOG * n) + 3)
+
+
+def test_measures_at_their_null_mean_evaluate_nothing(monkeypatch):
+    # a uniform census of 64 x 250,000 dyads: every measure sits at its null
+    # mean, so its tail is 1 without one binomial entry evaluated
+    def refused(*args):
+        raise AssertionError("a measure with no deviation evaluated binomial entries")
+
+    monkeypatch.setattr(inference, "_binom_entries", refused)
+    results = run_all(DyadTable(np.full(64, 250_000)), InferenceConfig(method="exact"))
+    assert [(r.direction, r.p_value) for r in results] == [("none", 1.0)] * len(MeasureId)
+
+
+def test_exact_bound_sizes_the_windows_that_run(monkeypatch):
+    # a census whose largest sides exceed the exact-work bound when sized
+    # at pb_pmf's ~75-sd windows, as the bound once sized them, runs on its
+    # ~30-sd tilted windows, and the windows evaluated stay within the bound
+    rng = np.random.default_rng(1)
+    counts = rng.multinomial(10 ** 6, np.full(64, 1 / 64)).reshape(16, 4)
+    counts[12] += rng.multinomial(3 * 10 ** 8, np.full(4, 1 / 4))  # group x=1, y=1, p=0, q=0
+    table = DyadTable(counts.ravel())
+    weights = np.stack([spec_for(m).weights for m in MeasureId])
+    n = inference._block_masses(fit(table), weights).astype(float)
+    direct_widths = np.minimum(n + 1, np.sqrt(2 * _WINDOW_LOG * n) + 3 * (n > 0)).sum(axis=1)
+    assert direct_widths.max() > _MAX_SIDE_WINDOW
+    windows = []
+    full_entries = inference._binom_entries
+
+    def counted_entries(n, p, lo, hi):
+        windows.append(hi - lo + 1)
+        return full_entries(n, p, lo, hi)
+
+    monkeypatch.setattr(inference, "_binom_entries", counted_entries)
+    results = run_all(table, InferenceConfig(method="exact"))
+    assert all(r.direction != "none" and 0.0 < r.p_value < 1.0 for r in results)
+    assert windows[0].sum() <= 2 * len(MeasureId) * _MAX_SIDE_WINDOW
 
 
 def test_binom_pmf_point_masses():
@@ -314,8 +353,9 @@ def test_difference_point_masses():
     support_min, pmf = difference_distribution(x, y)
     assert support_min == 2
     assert pmf.tolist() == [1.0]
-    assert ([_direct_tail(x, y, v, 1) for v in (2, 3)]
-            + [_direct_tail(x, y, v, -1) for v in (2, 1)]) == [1.0, 0.0, 1.0, 0.0]
+    for tail in (lambda v, d: difference_tail(x, y, v, d),
+                 lambda v, d: engine_tail([TrialGroup(3, 1.0)], [TrialGroup(1, 1.0)], v, d)):
+        assert [tail(v, 1) for v in (2, 3)] + [tail(v, -1) for v in (2, 1)] == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_difference_fair_bernoullis():
@@ -323,15 +363,16 @@ def test_difference_fair_bernoullis():
     support_min, pmf = difference_distribution(x, x)
     assert support_min == -1
     assert pmf.tolist() == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
-    assert [_direct_tail(x, x, v, 1) for v in (-1, 0, 1, 2)] == pytest.approx(
-        [1.0, 0.75, 0.25, 0.0])
-    assert [_direct_tail(x, x, v, -1) for v in (-2, -1, 0, 1)] == pytest.approx(
-        [0.0, 0.25, 0.75, 1.0])
+    fair = [TrialGroup(1, 0.5)]
+    for tail in (lambda v, d: difference_tail(x, x, v, d),
+                 lambda v, d: engine_tail(fair, fair, v, d)):
+        assert [tail(v, 1) for v in (-1, 0, 1, 2)] == pytest.approx([1.0, 0.75, 0.25, 0.0])
+        assert [tail(v, -1) for v in (-2, -1, 0, 1)] == pytest.approx([0.0, 0.25, 0.75, 1.0])
 
 
 def test_difference_matches_double_loop():
     # the reference difference PMF against the double loop, and the
-    # engine's dot-product tails against that PMF's tail sums
+    # reference dot-product tails against that PMF's tail sums
     rng = np.random.default_rng(31)
     for _ in range(20):
         fx = rng.random(int(rng.integers(1, 9)))
@@ -346,8 +387,8 @@ def test_difference_matches_double_loop():
         assert max(abs(a - b) for a, b in zip(pmf, oracle)) <= 1e-12
         for v in range(z_min - 2, z_min + len(oracle) + 2):
             at = v - z_min
-            assert abs(_direct_tail(x, y, v, 1) - sum(oracle[max(at, 0):])) <= 1e-12
-            assert abs(_direct_tail(x, y, v, -1) - sum(oracle[:max(at + 1, 0)])) <= 1e-12
+            assert abs(difference_tail(x, y, v, 1) - sum(oracle[max(at, 0):])) <= 1e-12
+            assert abs(difference_tail(x, y, v, -1) - sum(oracle[:max(at + 1, 0)])) <= 1e-12
 
 
 def test_difference_expectation_identity():
@@ -369,16 +410,6 @@ def test_distribution_validation():
         DiscreteDistribution(0, np.array([0.5, -0.1, 0.6]))
     with pytest.raises(NumericalIntegrityError):
         DiscreteDistribution(0, np.array([0.5, 0.4]))  # sums to 0.9
-
-
-def test_distribution_tails():
-    d = DiscreteDistribution(-1, np.array([0.25, 0.5, 0.25]))
-    assert d.tail_ge(-1) == 1.0
-    assert d.tail_ge(1) == pytest.approx(0.25)
-    assert d.tail_ge(2) == 0.0
-    assert d.tail_le(1) == 1.0
-    assert d.tail_le(-1) == pytest.approx(0.25)
-    assert d.tail_le(-2) == 0.0
 
 
 def test_distribution_clamps_tiny_entries():
@@ -585,8 +616,10 @@ def measure_sides(table):
             in zip(plan.observed.tolist(), plan.means, sides[::2], sides[1::2])]
 
 
-def direct(pos, neg, v, deviation):
-    return _direct_tail(pb_pmf(pos), pb_pmf(neg), v, deviation)
+def engine_tail(pos, neg, v, deviation):
+    """The exact engine's tail of one measure given by its sides' blocks."""
+    [tail] = _exact_tails([(v, deviation, pos, neg)])
+    return tail
 
 
 def test_tilted_tail_matches_direct_on_random_tables():
@@ -598,8 +631,8 @@ def test_tilted_tail_matches_direct_on_random_tables():
         dyads = int(np.exp(rng.uniform(np.log(300), np.log(60_000))))
         for v, deviation, pos, neg in measure_sides(near_null_table(rng, dyads,
                                                                     rng.uniform(0.0, 0.05))):
-            want = direct(pos, neg, v, deviation)
-            assert abs(_tilted_tail(pos, neg, v, deviation) - want) <= 1e-9 * want + 1e-290
+            want = direct_tail(pos, neg, v, deviation)
+            assert abs(engine_tail(pos, neg, v, deviation) - want) <= 1e-9 * want + 1e-290
             compared += 1e-290 < want < 1.0
     assert compared > 600
 
@@ -619,11 +652,10 @@ def forced_deviations(scale):
 @pytest.mark.parametrize("scale", [1, 10, 100])
 def test_tilted_tail_at_forced_deviations(scale):
     pos, neg, values = forced_deviations(scale)
-    sides = pb_pmf(pos), pb_pmf(neg)
     for v, deviation in values:
-        want = _direct_tail(*sides, v, deviation)
+        want = direct_tail(pos, neg, v, deviation)
         assert 1e-250 < want < 0.01
-        assert abs(_tilted_tail(pos, neg, v, deviation) - want) <= 1e-9 * want, (v, deviation)
+        assert abs(engine_tail(pos, neg, v, deviation) - want) <= 1e-9 * want, (v, deviation)
 
 
 @pytest.mark.parametrize("factor", [0.9, 1.1])
@@ -635,11 +667,11 @@ def test_tilted_tail_does_not_depend_on_theta(monkeypatch, factor):
     cases += [(pos, neg, v, deviation) for v, deviation, pos, neg
               in measure_sides(near_null_table(np.random.default_rng(77), 200_000, 0.01))
               if deviation]
-    expected = [_tilted_tail(*case) for case in cases]
+    expected = [engine_tail(*case) for case in cases]
     tilt = inference._tilt
     monkeypatch.setattr(inference, "_tilt", lambda blocks, v: factor * tilt(blocks, v))
     for case, want in zip(cases, expected):
-        assert abs(_tilted_tail(*case) - want) <= 1e-11 * want
+        assert abs(engine_tail(*case) - want) <= 1e-11 * want
 
 
 def test_both_engines_match_exact_rational_tails():
@@ -662,7 +694,7 @@ def test_both_engines_match_exact_rational_tails():
             exact = Fraction(sum(pmf[at:] if deviation > 0 else pmf[:at + 1]), scale)
             if exact < Fraction(1, 10 ** 250):
                 continue
-            for tail in (direct(pos, neg, v, deviation), _tilted_tail(pos, neg, v, deviation)):
+            for tail in (direct_tail(pos, neg, v, deviation), engine_tail(pos, neg, v, deviation)):
                 assert abs(Fraction(tail) - exact) <= Fraction(1, 10 ** 10) * exact, (pos, neg, v)
             smallest, compared = min(smallest, float(exact)), compared + 1
     assert smallest < 1e-200 and compared > 40
@@ -673,10 +705,10 @@ def test_tilted_mass_drift_is_integrity_error(monkeypatch):
     v, deviation = values[0]
     full_pmf = _binom_pmf
     monkeypatch.setattr(inference, "_binom_pmf", lambda *args: (1 + 3e-11) * full_pmf(*args))
-    _tilted_tail(pos, neg, v, deviation)  # three blocks drift the mass by ~1e-10
+    engine_tail(pos, neg, v, deviation)  # three blocks drift the mass by ~1e-10
     monkeypatch.setattr(inference, "_binom_pmf", lambda *args: (1 + 1e-9) * full_pmf(*args))
     with pytest.raises(NumericalIntegrityError, match="tilted difference pmf sums to"):
-        _tilted_tail(pos, neg, v, deviation)
+        engine_tail(pos, neg, v, deviation)
 
 
 def test_tilted_integrity_failure_inline_and_in_forked_worker(monkeypatch):
@@ -700,13 +732,34 @@ def test_tilted_tail_edges_give_the_direct_answer():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for v, deviation in [(310, 1), (311, 1), (-240, -1), (-241, -1), (35, 0), (-300, 0)]:
-            assert _tilted_tail(pos, neg, v, deviation) == direct(pos, neg, v, deviation)
+            assert engine_tail(pos, neg, v, deviation) == direct_tail(pos, neg, v, deviation)
         for v, deviation in [(309, 1), (80, 1), (-10, -1), (-239, -1)]:
-            want = direct(pos, neg, v, deviation)
-            assert abs(_tilted_tail(pos, neg, v, deviation) - want) <= 1e-12 * want
-        assert _tilted_tail([TrialGroup(5, 1.0)], [TrialGroup(3, 0.0)], 5, 1) == 1.0
+            want = direct_tail(pos, neg, v, deviation)
+            assert abs(engine_tail(pos, neg, v, deviation) - want) <= 1e-12 * want
+        assert engine_tail([TrialGroup(5, 1.0)], [TrialGroup(3, 0.0)], 5, 1) == 1.0
         far = [TrialGroup(2000, 0.3)], [TrialGroup(10, 0.5)], 1990, 1
-        assert _tilted_tail(*far) == direct(*far) == 0.0
+        assert engine_tail(*far) == direct_tail(*far) == 0.0
+
+
+def test_edge_tails_equal_the_direct_tails_bit_for_bit():
+    # on the edge of the support in the tail's direction, random sides with
+    # point-mass and empty blocks: the closed form is the direct engine's
+    # product of extremes, bit for bit down to the 1e-300 floor
+    rng = np.random.default_rng(4242)
+    nonzero = 0
+    for _ in range(300):
+        pos, neg = ([TrialGroup(int(rng.integers(0, 80)),
+                                float(rng.choice([rng.uniform(), rng.uniform(0.9, 1.0), 0.0, 1.0],
+                                                 p=[0.5, 0.3, 0.1, 0.1])))
+                     for _ in range(int(rng.integers(1, 5)))] for _ in range(2))
+        reach = {s: sum(g.count for g in side if g.success_prob > 0.0)
+                 - sum(g.count for g in other if g.success_prob == 1.0)
+                 for s, side, other in ((1, pos, neg), (-1, neg, pos))}
+        for v, deviation in ((reach[1], 1), (-reach[-1], -1)):
+            want = direct_tail(pos, neg, v, deviation)
+            assert engine_tail(pos, neg, v, deviation) == (want if want >= 1e-300 else 0.0)
+            nonzero += want >= 1e-300
+    assert nonzero > 300
 
 
 # -------------------------------------------------- bootstrap_test

@@ -14,7 +14,6 @@ from dyadeval.inference import run_items
 from dyadeval.io import (ItemReport, dyad_csv_items, emit_report, evaluate_items,
                          join_node_edges, load_report_json, node_edge_items,
                          parse_dyad_csv, parse_node_csv, parse_table64, read_edge_list)
-from dyadeval.measures import spec_for
 
 DYAD_HEADER = "ego_id,alter_id,ego_part,alter_part,ego_b0,alter_b0,ego_b1,alter_b1,item_id"
 
@@ -890,27 +889,19 @@ def test_one_run_plan_agrees_bit_for_bit(tmp_path, monkeypatch):
             assert run_items([(table, custom, fitted)], workers, io._run_tasks) == [alone]
 
 
-def test_one_run_plan_agrees_bit_for_bit_above_the_tilt_crossover(monkeypatch):
-    # censuses of 200k dyads, every measure's tail on the tilted path:
-    # exact_test measure by measure, run_all and run_items inline and over
-    # two forked workers give bit-identical p-values, so a measure's path
-    # and tail do not depend on which measures share its task.  Paper-scale
-    # (~2.4k dyads) and survey-scale (~5k) censuses stay on the direct path.
+def test_one_run_plan_agrees_bit_for_bit_at_every_scale(monkeypatch):
+    # paper-scale (~2.4k dyads), survey-scale (5k) and 200k-dyad censuses,
+    # all eight tails of each in one batch of tilted windows: exact_test
+    # measure by measure, run_all and run_items inline and over two forked
+    # workers give bit-identical p-values, so a tail does not depend on
+    # which measures share its task
     rng = np.random.default_rng(31)
-    weights = np.stack([spec_for(m).weights for m in MeasureId])
-
-    def paths(table):
-        sides = inference._side_blocks(fit(table), weights)
-        return [inference._tilts(pos, neg) for pos, neg in zip(sides[::2], sides[1::2])]
-
-    for seed in range(5):
-        assert not any(paths(simulate_dyad_table(SimParams(seed=seed))))
-        assert not any(paths(DyadTable(rng.multinomial(5_000, np.full(64, 1 / 64)))))
-    tables = [DyadTable(rng.multinomial(200_000, np.full(64, 1 / 64))) for _ in range(2)]
-    assert all(all(paths(table)) for table in tables)
+    tables = ([simulate_dyad_table(SimParams(seed=seed)) for seed in range(3)]
+              + [DyadTable(rng.multinomial(dyads, np.full(64, 1 / 64)))
+                 for dyads in (5_000, 5_000, 200_000, 200_000)])
     config = InferenceConfig(method="exact")
     expected = [run_all(table, config) for table in tables]
-    assert any(0.0 < r.p_value < 0.5 for r in expected[0])
+    assert any(0.0 < r.p_value < 0.5 for r in expected[-1])
     for table, results in zip(tables, expected):
         assert results == [exact_test(table, m) for m in MeasureId]
         pair = InferenceConfig(method="exact", measures=(MeasureId.M8, MeasureId.M2))
