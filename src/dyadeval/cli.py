@@ -28,7 +28,7 @@ from .chart import emit_bubble_chart
 from .errors import InputError, NumericalIntegrityError
 from .census import CELL_BITS, tally
 from .inference import InferenceConfig, method_disagreement
-from .io import (ItemReport, _check_delimiter, _csv_quote, _open_text, _write_bytes,
+from .io import (ItemReport, _check_delimiter, _csv_quote, _listed_lines, _write_bytes,
                  dyad_csv_items, emit_report, evaluate_items, load_report_json,
                  node_edge_items, parse_table64, read_edge_list)
 from .sim import EdgeModel, SimParams, dyad_codes, simulate
@@ -139,24 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _listed_lines(path: str, what: str) -> list[tuple[int, str]]:
-    """(line number, line) of each line of ``path`` that is neither blank nor
-    a # comment."""
-    if not Path(path).exists():
-        raise InputError(f"no such {what}: {path}")
-    with _open_text(Path(path)) as lines:
-        text = "".join(lines)
-    return [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1)
-            if line.strip() and not line.strip().startswith("#")]
-
-
 def _load_config_file(path: str) -> dict:
     values = {}
     for line_no, line in _listed_lines(path, "config file"):
-        stripped = line.strip()
-        if "=" not in stripped:
+        if "=" not in line:
             raise InputError(f"{path}: line {line_no}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
+        key, _, raw = line.partition("=")
         values[key.strip().replace("-", "_")] = raw.strip()
     return values
 
@@ -188,13 +176,14 @@ def _set_config_defaults(parser: argparse.ArgumentParser, command: str,
 
 
 def _read_items_file(path: str, delimiter: str) -> dict[str, str]:
-    """Item id -> label, in file order; an id may be listed once only."""
+    """Item id -> label, in file order, past an ``item_id`` header; an id
+    may be listed once only."""
     labels: dict[str, str] = {}
     lines_of: dict[str, int] = {}
-    for line_no, line in _listed_lines(path, "items file"):
+    for listed, (line_no, line) in enumerate(_listed_lines(path, "items file")):
         parts = line.split(delimiter, 1)
         item_id = parts[0].strip()
-        if line_no == 1 and item_id.lower() == "item_id":
+        if not listed and item_id.lower() == "item_id":
             continue
         if item_id in labels:
             raise InputError(f"{path}: line {line_no}: item_id {item_id!r} "

@@ -9,12 +9,13 @@ dyad CSV      header ego_id, alter_id, ego_part, alter_part, ego_b0,
               Repeated (ego, alter, item) rows are tallied as given, once
               per row: detecting them would need a key set as large as the
               file, and the file is streamed in blocks.  ``dyad_csv_items``
-              reads it as bytes and tallies each plain block (ASCII, LF or
-              CRLF line ends, no quote, NUL or lone CR, no over-long line)
-              in numpy; from the first block that is not plain on, csv
-              reads the rest, as it reads the whole file for
-              ``parse_dyad_csv``.  Rows csv reads and rows numpy does not
-              keep go through one row rule, ``_check_row``.
+              tallies plain lines (ASCII, LF or CRLF line ends, no quote,
+              NUL or lone CR, not over-long) in numpy, block by block, and
+              hands the lines of a block from its first line that is not
+              plain to its last to csv, which reads on only to end a row
+              left open; ``parse_dyad_csv`` reads the whole file through csv.
+              Rows csv reads and rows numpy does not keep go through one
+              row rule, ``_check_row``.
 
 node CSV      header node_id, participation, then <item>_before and
               <item>_after column pairs; empty/NA cells mark that item
@@ -30,11 +31,13 @@ edge list     two identifier columns; lines starting with '#' and blank
               round(prob * scale).
 
 Missing data policy is listwise deletion per dyad per item, always with a
-drop count in the report.  Files are read as UTF-8, after a byte-order
-mark if there is one; an undecodable byte or a field over csv's size limit
-is an InputError naming the file and line, raised when that line is
-reached, so a bad row before it is reported first.  A row is numbered by
-the physical line it starts on.
+drop count in the report.  Every text file is read through one line
+source, ``_byte_blocks`` and ``_block_lines``: bytes in blocks past a
+byte-order mark, lines ended at LF, CR or CRLF as csv ends them, each
+decoded as UTF-8.  An undecodable byte or a field over csv's size limit is
+an InputError naming the file and line, raised when that line is reached,
+so a bad row before it is reported first.  A row is numbered by the
+physical line it starts on.
 
 Every input reaches the census as 64-cell codes, with no object per dyad
 but in the records views ``parse_dyad_csv`` and ``join_node_edges``.  Each
@@ -53,8 +56,10 @@ import os
 from codecs import BOM_UTF8
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from io import TextIOWrapper
-from itertools import chain, islice, repeat, starmap
+from functools import partial
+from io import StringIO
+from itertools import chain, count, repeat, starmap
+from math import inf
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -89,10 +94,7 @@ _MISSING_TOKENS = {"", "na", "nan", "none", "null", "."}
 _DYAD_COLUMNS = ("ego_id", "alter_id", "ego_part", "alter_part",
                  "ego_b0", "alter_b0", "ego_b1", "alter_b1", "item_id")
 
-# Rows of a dyad CSV tallied at once on its csv path.
-_BLOCK_ROWS = 65_536
-
-# Bytes of a dyad CSV tallied at once on its byte path.
+# Bytes read at once from a text file.
 _BLOCK_BYTES = 1 << 18
 
 # Longest id or item, in bytes, that the byte path compares and packs in
@@ -106,42 +108,61 @@ _CELL_CODES = {tuple(map(str, bits)): code for code, bits in enumerate(CELL_BITS
 _Layout = tuple[list[int], int, itemgetter]
 
 
-@contextmanager
-def _open_text(path: Path, start: int = 0) -> Iterator[Iterator[str]]:
-    """The lines of ``path`` from byte ``start`` on, past a byte-order mark at
-    byte 0, decoded as UTF-8 with newlines left to csv.  An undecodable byte
-    is an InputError naming the path and its line, raised when that line is
-    reached, so that the lines before it are read first."""
+def _byte_blocks(path: Path) -> Iterator[tuple[int, bytes]]:
+    """(number of its first line, block) over the bytes of ``path`` past a
+    byte-order mark: each read of ``_BLOCK_BYTES`` is cut after its last
+    line end (a LF, or a CR before another byte: lines end at LF, CR and
+    CRLF, as csv ends them) and the rest carried, so no line is cut."""
     if not path.exists():
         raise InputError(f"no such file: {path}")
-    with path.open("rb") as raw:
-        raw.seek(start)
-        handle = TextIOWrapper(raw, encoding="utf-8-sig" if start == 0 else "utf-8",
-                               errors="surrogateescape", newline="")
-        try:
-            yield map(_utf8, handle)
-        except UnicodeEncodeError:
-            raise InputError(f"{path}: line {_undecodable_line(path)}: "
-                             "not UTF-8 text") from None
-
-
-def _utf8(line: str) -> str:
-    """``line``, if it came from valid UTF-8: an undecodable byte read with
-    ``surrogateescape`` is a lone surrogate, which cannot be encoded."""
-    if not line.isascii():
-        line.encode("utf-8")
-    return line
-
-
-def _undecodable_line(path: Path) -> int:
-    """Number of the first line of ``path`` that is not valid UTF-8."""
     with path.open("rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
-    return 0
+        if handle.read(len(BOM_UTF8)) != BOM_UTF8:
+            handle.seek(0)
+        line_no, carry = 1, []
+        while chunk := handle.read(_BLOCK_BYTES):
+            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
+            if cut:
+                block = b"".join(carry + [chunk[:cut]])
+                yield line_no, block
+                line_no += _line_count(block)
+                carry = []
+            carry.append(chunk[cut:])
+        if any(carry):
+            yield line_no, b"".join(carry)
+
+
+def _line_count(block: bytes) -> int:
+    """Lines in ``block``, its last line ended or not."""
+    lone_crs = block.count(b"\r") - block.count(b"\r\n") if b"\r" in block else 0
+    return block.count(b"\n") + lone_crs + (not block.endswith((b"\n", b"\r")))
+
+
+def _block_lines(path: Path, line_no: int, block: bytes) -> Iterator[str]:
+    """The lines of ``block``, line ``line_no`` of ``path`` on, with their
+    line ends, decoded as UTF-8; a block with an undecodable byte line by
+    line, its bad line raising an InputError naming the path and line when
+    it is reached, so that the lines before it are read first."""
+    try:
+        return iter(StringIO(block.decode(), newline=""))
+    except UnicodeDecodeError:
+        lines = block.splitlines(True)
+        if len(lines) == 1:
+            raise InputError(f"{path}: line {line_no}: not UTF-8 text") from None
+        return chain.from_iterable(map(_block_lines, repeat(path), count(line_no), lines))
+
+
+def _lines(path: Path) -> Iterator[str]:
+    """The lines of ``path``, block by block, as ``_block_lines`` gives them."""
+    return chain.from_iterable(starmap(partial(_block_lines, path), _byte_blocks(path)))
+
+
+def _listed_lines(path, what: str = "file") -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line of ``path`` that is
+    neither blank nor a # comment; a missing file is a "no such ``what``"."""
+    if not Path(path).exists():
+        raise InputError(f"no such {what}: {path}")
+    return ((line_no, line) for line_no, line in enumerate(map(str.strip, _lines(Path(path))), 1)
+            if line and line[0] != "#")
 
 
 def _check_delimiter(delimiter) -> None:
@@ -150,24 +171,21 @@ def _check_delimiter(delimiter) -> None:
 
 
 @contextmanager
-def _open_csv(path: Path, delimiter: str, start: int = 0, line_no: int = 1
-              ) -> Iterator[Iterator[list[str]]]:
-    """A csv reader over ``path`` from byte ``start`` on, which is the start
-    of line ``line_no``; a csv error met inside the block (such as a field
+def _open_csv(path: Path, delimiter: str) -> Iterator[Iterator[list[str]]]:
+    """A csv reader over the lines of ``path``; a csv error (such as a field
     over csv's size limit) is an InputError naming the path and line."""
     _check_delimiter(delimiter)
-    with _open_text(path, start) as lines:
-        reader = csv.reader(lines, delimiter=delimiter)
-        try:
-            yield reader
-        except csv.Error as exc:
-            raise InputError(f"{path}: line {line_no - 1 + reader.line_num}: {exc}") from None
+    reader = csv.reader(_lines(path), delimiter=delimiter)
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _lined(reader, line_no: int = 1) -> Iterator[tuple[int, list[str]]]:
-    """(the line it starts on, row) for each row of ``reader``, whose first
-    line is line ``line_no``: zip takes the line count before each row."""
-    return zip(iter(lambda: line_no + reader.line_num, None), reader)
+def _lined(reader) -> Iterator[tuple[int, list[str]]]:
+    """(the line it starts on, row) for each row of ``reader``: zip takes
+    the line count before each row."""
+    return zip(iter(lambda: reader.line_num + 1, None), reader)
 
 
 def _numbered(reader) -> Iterator[tuple[int, list[str]]]:
@@ -261,23 +279,6 @@ def _checked_rows(rows: Iterator[tuple[int, list[str]]], path: Path, layout: _La
     return np.array(codes, np.intp), np.array(indices, np.intp), drops
 
 
-def _read_dyad_blocks(path: Path, delimiter: str, items: _ItemIndex,
-                      layout: _Layout | None = None, start: int = 0, line_no: int = 1
-                      ) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, str | None]]]]:
-    """(cell code, item index) of the kept rows of a dyad CSV, and their
-    drops, in blocks of ``_BLOCK_ROWS`` rows, read through csv from byte
-    ``start`` on, which begins line ``line_no``; the header is read there
-    unless its ``layout`` is given.  Each row goes through ``_check_row`` in
-    file order, numbered by the physical line it starts on, so the first
-    bad row raises its error before a read error further on."""
-    with _open_csv(path, delimiter, start, line_no) as reader:
-        layout = layout or _dyad_layout(next(reader, None), path)
-        rows = _lined(reader, line_no)
-        for first in rows:
-            yield _checked_rows(chain([first], islice(rows, _BLOCK_ROWS - 1)),
-                                path, layout, items)
-
-
 def parse_dyad_csv(path, delimiter: str = ",") -> tuple[list[DyadRecord], list[tuple[int, str | None]]]:
     """Read a dyad CSV.
 
@@ -298,27 +299,6 @@ def parse_dyad_csv(path, delimiter: str = ",") -> tuple[list[DyadRecord], list[t
                 ego, alter, item = (row[c].strip() for c in (cols[0], cols[1], cols[8]))
                 records.append(DyadRecord(ego, alter, *CELL_BITS[code], item_id=item))
     return records, drops
-
-
-def _byte_blocks(handle, limit: int) -> Iterator[tuple[int, int, bytes]]:
-    """(first byte, first line number, block) over a binary file: each read
-    of ``_BLOCK_BYTES`` is cut after its last newline and the rest carried
-    into the next.  A carry over ``limit`` bytes with no newline is given
-    whole, so a carry never holds more than ``limit`` bytes and one read."""
-    start, line_no, carry = handle.tell(), 1, b""
-    while True:
-        chunk = handle.read(_BLOCK_BYTES)
-        data = carry + chunk
-        if not data:
-            return
-        cut = data.rfind(b"\n") + 1
-        if not chunk or (not cut and len(data) > limit):
-            cut = len(data)
-        if cut:
-            yield start, line_no, data[:cut]
-            start += cut
-            line_no += data.count(b"\n", 0, cut)
-        carry = data[cut:]
 
 
 def _plain_lines(block: bytes, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -388,44 +368,79 @@ def _plain_rows(buf: np.ndarray, ends: np.ndarray, line_no: int, path: Path,
     return np.concatenate([code, slow_code]), np.concatenate([item, slow_item]), drops
 
 
+def _csv_cut(block: bytes, limit: int) -> tuple[int, int]:
+    """(byte offset, line index) at which to cut ``block``, which is not
+    plain (see ``_plain_lines``): the start of its first line that is not
+    plain or, if that is its first line, the end of its last.  A line is
+    not plain if it holds a byte that is not ASCII, a quote, a NUL or a lone
+    CR, or is over ``limit`` bytes long with its line end."""
+    buf = np.frombuffer(block, np.uint8)
+    lone = (buf == 13) & (np.r_[buf[1:], 0] != 10)
+    ends = np.flatnonzero((buf == 10) | lone)  # the last byte of each ended line
+    bounds = np.r_[-1, ends, buf.size]  # line k is bounds[k] + 1 .. bounds[k + 1]
+    lines = np.r_[np.searchsorted(ends, np.flatnonzero((buf > 127) | (buf == 34) | (buf == 0) | lone)),
+                  np.flatnonzero(np.diff(bounds) > limit + 1)]
+    line = int(lines.min()) or int(lines.max()) + 1
+    return min(int(bounds[line]) + 1, buf.size), line
+
+
 def _tallied_blocks(path: Path, delimiter: str, items: _ItemIndex
                     ) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, str | None]]]]:
     """(cell code, item index) of the kept rows of a dyad CSV, and its
-    drops, block by block.
-
-    The file is read as bytes past any byte-order mark, in blocks of
-    ``_BLOCK_BYTES`` cut at their last newline, and each plain block (see
-    ``_plain_lines``) is tallied by ``_plain_rows``, the header taken from
-    the first block through csv.
-    From the first block that is not plain, or from the start with a
-    delimiter that is not plain ASCII, the rest goes through csv
-    (``_read_dyad_blocks``): the bytes before it hold no quote, so that
-    block starts a row.
-    """
+    drops, part by part: ``_plain_rows`` tallies plain lines (the header
+    read through csv), and one csv reader, which lives for the whole file,
+    reads the lines of each block ``_csv_cut`` does not leave plain, and
+    reads on only while its last row is still open (a quoted field across a
+    line end); csv reads every line if the delimiter is not plain ASCII."""
     _check_delimiter(delimiter)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
     limit = csv.field_size_limit()
-    layout, start, line_no = None, 0, 1
-    if delimiter.isascii() and delimiter not in '"\r\n\0':
-        with path.open("rb") as handle:
-            if handle.read(len(BOM_UTF8)) != BOM_UTF8:
-                handle.seek(0)
-            for start, line_no, block in _byte_blocks(handle, limit):
+    byte_path = delimiter.isascii() and delimiter not in '"\r\n\0'
+    blocks, ahead = _byte_blocks(path), []  # ahead: (first line, bytes) of parts to read next
+    offset, last = 0, inf  # line = offset + csv's line count; the last line of csv's part
+
+    def next_part() -> tuple[int, bytes] | None:
+        return ahead.pop() if ahead else next(blocks, None)
+
+    def csv_lines(line_no: int, part: bytes) -> Iterator[str]:
+        """The lines of a part csv reads, the last of which bounds its rows."""
+        nonlocal last
+        last = line_no + _line_count(part) - 1
+        return _block_lines(path, line_no, part)
+
+    def next_row_line() -> int | None:
+        """The line csv's next row starts on, None once csv has read its part."""
+        line = offset + reader.line_num + 1
+        return line if line <= last else None
+
+    reader = csv.reader(chain.from_iterable(starmap(csv_lines, iter(next_part, None))),
+                        delimiter=delimiter)
+    layout = None
+    for line_no, block in iter(next_part, None):
+        plain = _plain_lines(block, limit) if byte_path else None
+        if plain is None and byte_path:  # put back what follows the cut, read what precedes it
+            cut, lines = _csv_cut(block, limit)
+            if cut < len(block):
+                ahead.append((line_no + lines, block[cut:]))
+                block = block[:cut]
                 plain = _plain_lines(block, limit)
-                if plain is None:
-                    break
-                buf, ends = plain
-                if layout is None:
-                    header = buf[:ends[0]].tobytes().decode()
-                    layout = _dyad_layout(next(csv.reader([header], delimiter=delimiter)), path)
-                    buf, ends, line_no = buf[ends[0] + 1:], ends[1:] - (ends[0] + 1), 2
-                if ends.size:
-                    yield _plain_rows(buf, ends, line_no, path, delimiter, layout, items)
-            else:
-                if layout is not None:  # all plain; csv names an empty file
-                    return
-    yield from _read_dyad_blocks(path, delimiter, items, layout, start, line_no)
+        if plain is not None:
+            buf, ends = plain
+            if layout is None:
+                header = buf[:ends[0]].tobytes().decode()
+                layout = _dyad_layout(next(csv.reader([header], delimiter=delimiter)), path)
+                buf, ends, line_no = buf[ends[0] + 1:], ends[1:] - (ends[0] + 1), line_no + 1
+            if ends.size:
+                yield _plain_rows(buf, ends, line_no, path, delimiter, layout, items)
+            continue
+        ahead.append((line_no, block))  # for csv, which sets ``last`` as it takes it
+        offset, last = line_no - 1 - reader.line_num, inf
+        try:
+            layout = layout or _dyad_layout(next(reader, None), path)
+            yield _checked_rows(zip(iter(next_row_line, None), reader), path, layout, items)
+        except csv.Error as exc:
+            raise InputError(f"{path}: line {offset + reader.line_num}: {exc}") from None
+    if layout is None:  # an empty file
+        _dyad_layout(None, path)
 
 
 def _tally_dyad_csv(path, delimiter: str
@@ -527,17 +542,12 @@ def read_edge_list(path, delimiter: str = ",") -> list[tuple[str, str]]:
     _check_delimiter(delimiter)
     path = Path(path)
     edges: list[tuple[str, str]] = []
-    with _open_text(path) as lines:
-        for line_no, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = [f.strip() for f in stripped.split(delimiter)]
-            fields = [f for f in fields if f]
-            if len(fields) != 2:
-                raise InputError(f"{path}: line {line_no}: expected 2 fields, "
-                                 f"got {len(fields)}")
-            edges.append((fields[0], fields[1]))
+    for line_no, line in _listed_lines(path):
+        fields = [f for f in map(str.strip, line.split(delimiter)) if f]
+        if len(fields) != 2:
+            raise InputError(f"{path}: line {line_no}: expected 2 fields, "
+                             f"got {len(fields)}")
+        edges.append((fields[0], fields[1]))
     return edges
 
 
@@ -887,10 +897,8 @@ def load_report_json(path) -> list[ItemReport]:
     or out of its field's domain, or an unknown measure is an InputError
     naming the file."""
     path = Path(path)
-    with _open_text(path) as lines:
-        text = "".join(lines)
     try:
-        payload = json.loads(text)
+        payload = json.loads("".join(_lines(path)))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict):

@@ -162,13 +162,15 @@ def _check_degree_sequence(degrees: np.ndarray, node_count: int) -> None:
         raise InputError("degrees must lie in [0, node_count - 1]")
     if int(degrees.sum()) % 2:
         raise InputError("degree sequence sum must be even")
-    # Erdos-Gallai feasibility for a simple graph.
+    # Erdos-Gallai feasibility for a simple graph, every k at once: with d
+    # sorted descending, the first k degrees sum to at most k(k - 1) plus
+    # min(d_i, k) over the rest, whose entries at or above k come first.
     d = np.sort(degrees)[::-1].astype(np.int64)
-    cumulative = np.cumsum(d)
-    for k in range(1, len(d) + 1):
-        rhs = k * (k - 1) + int(np.minimum(d[k:], k).sum())
-        if cumulative[k - 1] > rhs:
-            raise InputError("degree sequence is not realizable as a simple graph")
+    k = np.arange(1, len(d) + 1)
+    split = np.maximum(np.searchsorted(-d, -k, side="right"), k)  # rest >= k before split
+    suffix = np.append(np.cumsum(d[::-1])[::-1], 0)  # suffix[j] = sum of d[j:]
+    if np.any(np.cumsum(d) > k * (k - 1) + k * (split - k) + suffix[split]):
+        raise InputError("degree sequence is not realizable as a simple graph")
 
 
 def _stub_match(degrees: np.ndarray, rng: np.random.Generator) -> list[tuple[int, int]]:

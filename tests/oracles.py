@@ -421,7 +421,7 @@ def parse_dyad_csv_by_rows(path, delimiter: str = ","
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        bad_line = data.count(b"\n", 0, exc.start) + 1
+        bad_line = len((data[:exc.start] + b"x").splitlines())  # lines end as csv ends them
     text = data.decode("utf-8", errors="surrogateescape")
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
 
@@ -570,3 +570,21 @@ def difference_pmf_by_fractions(pos, neg) -> tuple[int, list[int], int]:
                 out[i + j] += a * b
         pmf, scale = out, scale * den ** g.count
     return -sum(g.count for g in neg), pmf, scale
+
+
+def check_degree_sequence_by_loop(degrees: np.ndarray, node_count: int) -> None:
+    """The degree-sequence check ``dyadeval.sim`` had, with one Erdos-Gallai
+    inequality per k in a Python loop: the same errors in the same order."""
+    if len(degrees) != node_count:
+        raise InputError(f"degree sequence has {len(degrees)} entries for "
+                         f"{node_count} nodes")
+    if np.any(degrees < 0) or np.any(degrees > node_count - 1):
+        raise InputError("degrees must lie in [0, node_count - 1]")
+    if int(degrees.sum()) % 2:
+        raise InputError("degree sequence sum must be even")
+    d = np.sort(degrees)[::-1].astype(np.int64)
+    cumulative = np.cumsum(d)
+    for k in range(1, len(d) + 1):
+        rhs = k * (k - 1) + int(np.minimum(d[k:], k).sum())
+        if cumulative[k - 1] > rhs:
+            raise InputError("degree sequence is not realizable as a simple graph")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from oracles import to_dyad_records, write_dyad_csv_by_records
 
-from dyadeval import (DyadRecord, EdgeModel, InferenceConfig, SimParams, inference, io,
+from dyadeval import (DyadRecord, EdgeModel, InferenceConfig, SimParams, cli, inference, io,
                       run_all, simulate)
 from dyadeval.cli import main
 from dyadeval.inference import _binom_pmf
@@ -386,6 +386,24 @@ def test_items_file_repeated_id_is_error(tmp_path, capsys):
                  "--method", "exact", "--out-csv", str(out)]) == 1
     assert f"error: {items}: line 4: item_id 'q1' repeats line 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_items_file_header_after_comment_and_labels_on_one_line(tmp_path):
+    # the header may follow a comment, and a label holding U+2028 or a form
+    # feed stays on its line, with LF, CRLF and CR-only line ends alike
+    for eol in ("\n", "\r\n", "\r"):
+        items = tmp_path / "items.csv"
+        items.write_bytes(eol.join(["# survey items", "item_id,label", "q1,Weekly\u2028drinking",
+                                    "q2,Any\x0csmoking", ""]).encode())
+        assert cli._read_items_file(str(items), ",") == {
+            "q1": "Weekly\u2028drinking", "q2": "Any\x0csmoking"}, repr(eol)
+
+
+def test_config_value_stays_on_its_line(tmp_path):
+    cfg = tmp_path / "dyadeval.cfg"
+    cfg.write_text("# defaults\nmethod = exact\u2028bootstrap\nseed = 1\x0c2\n")
+    assert cli._load_config_file(str(cfg)) == {"method": "exact\u2028bootstrap",
+                                               "seed": "1\x0c2"}
 
 
 def _with(where, key, value):

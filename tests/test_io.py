@@ -164,9 +164,9 @@ def test_dyad_csv_repeated_rows_tallied_as_given(tmp_path):
     assert streamed_tables(path, None) == [("q1", table.counts.tolist(), 0)]
 
 
-@pytest.mark.parametrize("block_rows", [7, 65_536])
-def test_block_reader_matches_row_reference(tmp_path, monkeypatch, block_rows):
-    monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
+@pytest.mark.parametrize("block_bytes", [7, 65_536])
+def test_block_reader_matches_row_reference(tmp_path, monkeypatch, block_bytes):
+    monkeypatch.setattr(io, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(2024)
     errors = 0
     for case in range(120):
@@ -227,10 +227,20 @@ def test_row_lines_count_physical_lines_after_multiline_field(tmp_path):
     assert tally_outcome(dropped)[1] == {"q1": 1}
 
 
+def record_csv_blocks(monkeypatch):
+    """(first line, bytes) of each part the dyad tally hands to csv (and of
+    each line of a part with an undecodable byte), recorded from now on."""
+    handed = []
+    block_lines = io._block_lines
+    monkeypatch.setattr(io, "_block_lines", lambda path, line_no, block: (
+        handed.append((line_no, block)) or block_lines(path, line_no, block)))
+    return handed
+
+
 def test_plain_file_checks_only_its_missing_bit_rows(tmp_path, monkeypatch):
     # on a plain file, with LF and with CRLF line ends, the byte path keeps
     # every clean row in numpy: the row rules see just the 1% of rows with a
-    # missing bit, and csv never runs
+    # missing bit, and no block is handed to csv
     na = set(range(37, 20_000, 100))
     lines = [DYAD_HEADER] + [f"e{i},a{i},{i & 1},0,{'NA' if i in na else 1},{i >> 1 & 1},0,1,"
                              f"q{i % 7}" for i in range(20_000)]
@@ -238,21 +248,21 @@ def test_plain_file_checks_only_its_missing_bit_rows(tmp_path, monkeypatch):
     check_row = io._check_row
     monkeypatch.setattr(io, "_check_row", lambda row, line_no, *rest: (
         checked.append(line_no) or check_row(row, line_no, *rest)))
-    monkeypatch.setattr(io, "_read_dyad_blocks", None)
+    handed = record_csv_blocks(monkeypatch)
     for eol in ("\n", "\r\n"):
         path = tmp_path / "d.csv"
         path.write_bytes((eol.join(lines) + eol).encode())
         checked.clear()
         counts, dropped = io._tally_dyad_csv(path, ",")
-        assert checked == [i + 2 for i in sorted(na)], eol
+        assert checked == [i + 2 for i in sorted(na)] and not handed, eol
         assert dropped == Counter(f"q{i % 7}" for i in na)
         assert sum(int(c.sum()) for c in counts.values()) == 20_000 - len(na)
 
 
 def test_csv_path_checks_each_row_once(tmp_path, monkeypatch):
-    # a quoted id sends the whole file to csv, where every row, blank ones
-    # too, goes through the row rules exactly once, and nothing else keeps
-    # or drops a row
+    # a quoted id on every row sends every block to csv, where every row,
+    # blank ones too, goes through the row rules exactly once, and nothing
+    # else keeps or drops a row
     lines = [DYAD_HEADER] + [f'"e{i}",a{i % 13},{i & 1},0,{"NA" if i % 50 == 7 else 1},'
                              f"{i >> 1 & 1},0,1,q{i % 7}" + ("\n" if i % 97 == 0 else "")
                              for i in range(3_000)]
@@ -261,7 +271,7 @@ def test_csv_path_checks_each_row_once(tmp_path, monkeypatch):
     check_row = io._check_row
     monkeypatch.setattr(io, "_check_row", lambda row, line_no, *rest: (
         checked.update([line_no]) or check_row(row, line_no, *rest)))
-    monkeypatch.setattr(io, "_BLOCK_ROWS", 1_000)
+    monkeypatch.setattr(io, "_BLOCK_BYTES", 16_384)
     rows = list(range(2, len(path.read_text().splitlines()) + 1))
     for reader in (streamed_tables, lambda path, items: parse_dyad_csv(path)):
         checked.clear()
@@ -282,17 +292,20 @@ _FUZZ_LIMIT = 300
 _FUZZ_TURNS = {"quote": lambda d: f'"u{d}x"'.encode(), "quoted_newline": lambda d: b'"u\nx"',
                "non_ascii": lambda d: "\u00e9".encode(), "undecodable": lambda d: b"\xff",
                "oversized": lambda d: b"w" * (_FUZZ_LIMIT + 1), "lone_cr": None}
+_FUZZ_IDS = [_FUZZ_TURNS[turn] for turn in ("quote", "quoted_newline", "non_ascii")]
 
 
-def fuzz_dyad_csv(rng, path, delimiter):
+def fuzz_dyad_csv(rng, path, delimiter, ids=0):
     """A seeded dyad CSV of 0-60 rows: permuted and extra columns, clean and
     missing bits, blank, short and long rows, empty and long item ids,
     self-dyads and, in half the files, bad bits; in a third of the files
     CRLF line ends from one line on; in two thirds of the files one row
-    from which on the file is not plain.  Returns the byte offset of that
-    row's line, or None."""
+    from which on the file is not plain; and ``ids`` more rows whose ego id
+    is not plain (quoted, across a line end or not ASCII).  Returns the byte
+    offset of the first row that is not plain, or None."""
     names = list(io._DYAD_COLUMNS) + [f"extra{i}" for i in range(rng.integers(0, 3))]
     header = [names[i] for i in rng.permutation(len(names))]
+    ego = header.index("ego_id")
     bad_rate = [0.0, 0.02][rng.integers(2)]
     lines = [delimiter.join(header).encode()]
     for _ in range(rng.integers(0, 61)):
@@ -333,8 +346,15 @@ def fuzz_dyad_csv(rng, path, delimiter):
         cut = lines[at].find(delimiter.encode())
         rest = lines[at][cut:] if cut >= 0 else b""  # the row past its first field
         lines[at] = _FUZZ_TURNS[turn](delimiter) + rest
-    if turn is not None:
-        turn_at = len(b"\n".join(lines[:at])) + 1
+    turned = [] if turn is None else [at]
+    for row in rng.integers(1, len(lines), size=ids if len(lines) > 1 else 0).tolist():
+        fields = lines[row].split(delimiter.encode())
+        if row != at and len(fields) > ego:
+            fields[ego] = _FUZZ_IDS[rng.integers(len(_FUZZ_IDS))](delimiter)
+            lines[row] = delimiter.encode().join(fields)
+            turned.append(row)
+    if turned:
+        turn_at = len(b"\n".join(lines[:min(turned)])) + 1
     path.write_bytes(b"\n".join(lines) + end)
     return turn_at
 
@@ -347,75 +367,129 @@ def low_field_limit():
     csv.field_size_limit(limit)
 
 
+def record_plain_rows(monkeypatch):
+    """The first line of each block the dyad tally hands to ``_plain_rows``,
+    recorded from now on."""
+    lines = []
+    plain_rows = io._plain_rows
+    monkeypatch.setattr(io, "_plain_rows", lambda buf, ends, line_no, *rest: (
+        lines.append(line_no) or plain_rows(buf, ends, line_no, *rest)))
+    return lines
+
+
 @pytest.mark.parametrize("delimiter", [",", ";", "\t"])
 def test_byte_path_matches_row_reference(tmp_path, monkeypatch, low_field_limit, delimiter):
     # per-item tables, drop counts and the first error of the byte path and
     # of dyad_csv_items equal the row-by-row reference's, with blocks of a
-    # few dozen bytes so rows straddle block edges; the switch to csv comes
-    # at a row boundary at or before the first row that is not plain
-    switches = []
-    read_blocks = io._read_dyad_blocks
-    monkeypatch.setattr(io, "_read_dyad_blocks", lambda path, delim, items, *at: (
-        switches.append(at) or read_blocks(path, delim, items, *at)))
+    # few dozen bytes so rows straddle block edges; every part csv takes
+    # starts a line, the first at the first line that is not plain, a plain
+    # one only right after another part csv took (whose last row is still
+    # open).  The last 100 files have three more ids that are not plain, so
+    # that the byte path often resumes after csv and csv often comes back
+    handed, plain = record_csv_blocks(monkeypatch), record_plain_rows(monkeypatch)
     rng = np.random.default_rng([12, ord(delimiter)])
-    errors = switched = 0
-    for case in range(150):
+    errors = switched = resumed = reentered = 0
+    for case in range(250):
         monkeypatch.setattr(io, "_BLOCK_BYTES", int(rng.integers(16, 80)))
         path = tmp_path / f"d{case}.csv"
-        turn_at = fuzz_dyad_csv(rng, path, delimiter)
+        turn_at = fuzz_dyad_csv(rng, path, delimiter, ids=3 * (case >= 150))
         expected = reference_tally(path, delimiter)
-        switches.clear()
+        handed.clear()
+        plain.clear()
         assert tally_outcome(path, delimiter) == expected, case
+        data = path.read_bytes()
+        line_starts = np.cumsum([0] + [len(line) for line in data.splitlines(True)])
+        ends = 0  # the line after the last part csv took
+        for line_no, block in handed:
+            assert data.startswith(block, line_starts[line_no - 1]), case
+            assert io._plain_lines(block, _FUZZ_LIMIT) is None or line_no == ends, case
+            ends = line_no + io._line_count(block)
+        if handed:
+            assert turn_at is not None and line_starts[handed[0][0] - 1] == turn_at, case
+            switched += handed[0][0] > 1
+            resumed += any(line_no > handed[0][0] for line_no in plain)
+            reentered += any(handed[0][0] < line_no < handed[-1][0] for line_no in plain)
         items = [None, ["q1", "q2", "NA", "", "q_longer_than_8", "q_absent"]][case % 2]
         assert (streamed_tables(path, items, delimiter)
                 == reference_tables(path, items, delimiter)), case
-        data = path.read_bytes()
-        for layout, start, line_no in switches[:1]:
-            assert turn_at is not None and start <= turn_at, case
-            assert start == 0 or (layout is not None and data[start - 1] == ord("\n")), case
-            assert line_no == data.count(b"\n", 0, start) + 1, case
-            switched += start > 0
         errors += is_error(expected)
-    # files that raise and files that do not are both common
-    assert errors >= 20 and 150 - errors >= 20 and switched > 20, (errors, switched)
+    # files that raise and files that do not are both common, and csv's
+    # parts start mid-file, end before the file does and come back often
+    counts = errors, switched, resumed, reentered
+    assert 20 <= errors <= 230 and switched > 60 and resumed > 35 and reentered > 20, counts
+
+
+def test_quoted_ids_send_only_their_lines_to_csv(tmp_path, monkeypatch):
+    # a quoted id on lines 5 and 10,000 of a 20k-row file: csv and the row
+    # rules read just those two lines, every other line but the missing-bit
+    # rows goes through _plain_rows, and the tables equal the unquoted file's
+    monkeypatch.setattr(io, "_BLOCK_BYTES", 16_384)
+    lines = [DYAD_HEADER] + [f"e{i},a{i},{i & 1},0,{'NA' if i % 97 == 5 else 1},"
+                             f"{i >> 1 & 1},0,1,q{i % 7}" for i in range(20_000)]
+    plain_file = write(tmp_path, "plain.csv", "\n".join(lines) + "\n")
+    quoted_lines = [5, 10_000]
+    for line in quoted_lines:
+        lines[line - 1] = f'"e{line - 2}",' + lines[line - 1].partition(",")[2]
+    quoted = write(tmp_path, "quoted.csv", "\n".join(lines) + "\n")
+    expected = tally_outcome(plain_file)
+    checked = []
+    check_row = io._check_row
+    monkeypatch.setattr(io, "_check_row", lambda row, line_no, *rest: (
+        checked.append(line_no) or check_row(row, line_no, *rest)))
+    handed, plain = record_csv_blocks(monkeypatch), record_plain_rows(monkeypatch)
+    assert tally_outcome(quoted) == expected
+    assert handed == [(line, lines[line - 1].encode() + b"\n") for line in quoted_lines]
+    firsts = [line_no for line_no, _ in io._byte_blocks(quoted)]
+    assert len(firsts) > 20
+    assert plain == sorted({2, *firsts[1:], *(line + 1 for line in quoted_lines)}
+                           - set(quoted_lines))
+    na = [i + 2 for i in range(20_000) if i % 97 == 5]
+    assert checked == sorted({*quoted_lines, *na})
 
 
 def test_dyad_tally_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
-    monkeypatch.setattr(io, "_BLOCK_ROWS", 500)
+    # on the byte path and, with every id quoted, on csv's blocks alike
     monkeypatch.setattr(io, "_BLOCK_BYTES", 16_384)
-    peaks = []
-    for rows in (10_000, 100_000):
-        lines = [DYAD_HEADER] + [f"e{i},a{i},{i & 1},0,1,{i >> 1 & 1},0,1,q{i % 5}"
-                                 for i in range(rows)]
-        path = write(tmp_path, f"d{rows}.csv", "\n".join(lines) + "\n")
-        del lines
-        tracemalloc.start()
-        try:
-            counts, dropped = io._tally_dyad_csv(path, ",")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert sum(int(c.sum()) for c in counts.values()) == rows and not dropped
-    assert peaks[1] < 1.2 * peaks[0], peaks
+    for quote in ("", '"'):
+        peaks = []
+        for rows in (10_000, 100_000):
+            lines = [DYAD_HEADER] + [f"{quote}e{i}{quote},a{i},{i & 1},0,1,{i >> 1 & 1},0,1,"
+                                     f"q{i % 5}" for i in range(rows)]
+            path = write(tmp_path, f"d{rows}.csv", "\n".join(lines) + "\n")
+            del lines
+            tracemalloc.start()
+            try:
+                counts, dropped = io._tally_dyad_csv(path, ",")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sum(int(c.sum()) for c in counts.values()) == rows and not dropped
+        assert peaks[1] < 1.2 * peaks[0], (quote, peaks)
 
 
 _READERS = {
     "dyad": (parse_dyad_csv, DYAD_HEADER + "\nu,v,1,0,1,1,0,1,q1\n"),
+    "dyad_tally": (lambda path: io._tally_dyad_csv(path, ","),
+                   DYAD_HEADER + "\nu,v,1,0,1,1,0,1,q1\n"),
     "node": (parse_node_csv, "node_id,participation,q1_before,q1_after\na,1,1,0\n"),
     "edge": (read_edge_list, "# ties\na,b\n"),
     "table64": (parse_table64, "x,y,p,q,r,s,value\n0,0,0,0,0,0,1\n"),
     "report": (load_report_json, '{\n "items": [],\n'),
+    "items": (lambda path: cli._read_items_file(path, ","), "item_id,label\nq1,A\n"),
+    "config": (cli._load_config_file, "# settings\nmethod = exact\n"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_READERS))
 def test_undecodable_input_is_named_error(tmp_path, kind):
+    # the bad byte's line is named with LF, CRLF and CR-only line ends alike
     reader, head = _READERS[kind]
     path = tmp_path / "input.txt"
-    path.write_bytes(head.encode() + b"b,\xff\xfe,1\n")
-    with pytest.raises(InputError) as exc:
-        reader(path)
-    assert str(exc.value) == f"{path}: line 3: not UTF-8 text"
+    for eol in ("\n", "\r\n", "\r"):
+        path.write_bytes(head.replace("\n", eol).encode() + b"b,\xff\xfe,1" + eol.encode())
+        with pytest.raises(InputError) as exc:
+            reader(path)
+        assert str(exc.value) == f"{path}: line 3: not UTF-8 text", repr(eol)
 
 
 @pytest.mark.parametrize("kind", ["dyad", "node", "table64"])
@@ -500,8 +574,8 @@ def test_byte_order_mark_keeps_every_edge_and_the_byte_path(tmp_path, monkeypatc
     marked = tmp_path / "marked.csv"
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
     expected = tally_outcome(plain)
-    monkeypatch.setattr(io, "_read_dyad_blocks", None)
-    assert tally_outcome(marked) == expected
+    handed = record_csv_blocks(monkeypatch)
+    assert tally_outcome(marked) == expected and not handed
 
 
 # -------------------------------------------------- node CSV + edges

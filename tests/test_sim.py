@@ -1,12 +1,13 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import cell_code, record_code, to_dyad_records
+from oracles import cell_code, check_degree_sequence_by_loop, record_code, to_dyad_records
 
 from dyadeval import (EdgeModel, InputError, SimNetwork, SimParams,
                       assign_initial_states, build_table, dyad_codes, generate_network,
-                      probabilities_to_counts, simulate, simulate_dyad_table,
+                      probabilities_to_counts, sim, simulate, simulate_dyad_table,
                       transition)
 
 
@@ -53,6 +54,39 @@ def test_degree_sequence_infeasible_rejected():
         generate_network(3, EdgeModel(kind="degree_sequence", degrees=(3, 1, 0)), seed=0)
     with pytest.raises(InputError, match="not realizable"):
         generate_network(4, EdgeModel(kind="degree_sequence", degrees=(3, 3, 1, 1)), seed=0)
+
+
+def _degree_check_outcome(check, degrees, node_count):
+    try:
+        check(degrees, node_count)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def test_degree_sequence_check_matches_loop_oracle():
+    # 600 random sequences, realizable and not, and some of the wrong length,
+    # out of range or of odd sum: the same outcome as one inequality per k
+    rng = np.random.default_rng(31)
+    outcomes = []
+    for case in range(600):
+        n = int(rng.integers(1, 40))
+        top = int(rng.integers(1, n + 1))
+        degrees = np.minimum(rng.geometric(1 / top, size=n) - 1, n - 1) if case % 3 else \
+            rng.integers(0, top, size=n)
+        if case % 5 and degrees.sum() % 2:
+            degrees[int(rng.integers(n))] ^= 1  # even sum, mostly
+        if case % 50 == 0:
+            degrees = np.append(degrees, 1)
+        elif case % 50 == 1:
+            degrees[0] = n
+        outcome = _degree_check_outcome(sim._check_degree_sequence, degrees, n)
+        assert outcome == _degree_check_outcome(check_degree_sequence_by_loop, degrees, n), \
+            (case, degrees)
+        outcomes.append(outcome)
+    counts = Counter(outcomes)
+    assert counts[None] >= 100 and counts["degree sequence is not realizable as a "
+                                          "simple graph"] >= 100, counts
 
 
 def test_small_world_counts():
