@@ -59,12 +59,13 @@ direction "none" and p = 1.  Set ``two_sided=True`` to double the tail
 (capped at 1).
 
 One run plan serves every entry point.  ``run_items`` fits each item's
-model once, takes each measure's observed value, null mean and direction
-once, and splits the work into tasks: ranges of bootstrap chunks plus one
-exact task per item.  The tasks run inline or through a map the caller
-supplies (``io.evaluate_items``, which takes one census per item from any
-source, passes a pool of forked workers); only
-this module knows the chunk layout and the split.  ``run_all`` is the
+model once, takes each measure's observed value, null mean, direction and
+binomial blocks once, and splits the work into tasks: ranges of bootstrap
+chunks plus the exact work of all items in at most one batch per worker.
+The tasks run inline or through a map the caller supplies
+(``io.evaluate_items``, which takes one census per item from any source,
+passes one that runs them in forked children); only this module knows the
+chunk layout and the split.  ``run_all`` is the
 one-item case, inline; ``bootstrap_test`` and ``exact_test`` are its
 one-measure cases.
 """
@@ -73,6 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -536,28 +538,31 @@ def _block_masses(model: NullModel, weights: np.ndarray) -> np.ndarray:
 _MAX_SIDE_WINDOW = 1 << 19
 
 
-def _check_exact_work(model: NullModel, weights: np.ndarray, measures: Sequence) -> None:
-    """Raise InputError, before any window is allocated, for the first
-    measure with a side whose tilted windows could span over
-    ``_MAX_SIDE_WINDOW`` entries.  By Pinsker's inequality n KL(k / n || p)
-    >= 2 (k - np)^2 / n, so a block of n trials keeps at most
-    sqrt(2 n ``_TILT_LOG``) + 3 values, whatever its tilt; a measure's FFT
-    spans both sides' windows."""
-    n = _block_masses(model, weights).astype(float)
-    sides = np.minimum(n + 1, np.sqrt(2 * _TILT_LOG * n) + 3 * (n > 0)).sum(axis=1)
-    for measure, width in zip(measures, sides.reshape(-1, 2).max(axis=1).tolist()):
+def _check_exact_work(mass: np.ndarray, measures: Sequence) -> np.ndarray:
+    """The most entries each side's tilted windows can span, as a (k, 2)
+    array from the (2k, 60) block trials of ``_block_masses``; InputError,
+    before any window is allocated, for the first measure with a side over
+    ``_MAX_SIDE_WINDOW``.  By Pinsker's inequality n KL(k / n || p) >= 2 (k
+    - np)^2 / n, so a block of n trials keeps at most sqrt(2 n
+    ``_TILT_LOG``) + 3 values, whatever its tilt; a measure's FFT spans both
+    sides' windows."""
+    n = mass.astype(float)
+    sides = np.minimum(n + 1, np.sqrt(2 * _TILT_LOG * n) + 3 * (n > 0)).sum(axis=1).reshape(-1, 2)
+    for measure, width in zip(measures, sides.max(axis=1).tolist()):
         if width > _MAX_SIDE_WINDOW:
             raise InputError(f"{measure if isinstance(measure, MeasureId) else 'custom measure'}: "
                              f"the exact engine would convolve binomial windows of up to "
                              f"{width:,.0f} entries on one side, over its bound of "
                              f"{_MAX_SIDE_WINDOW:,}; use --method bootstrap")
+    return sides
 
 
-def _side_blocks(model: NullModel, weights: np.ndarray) -> list[list[TrialGroup]]:
-    """The binomial blocks of each side of each of the (k, 64) weight rows,
-    in the order row 0's positive side, its negative side, row 1's positive
-    side, and so on.  A side's cells are read off ``weights[i].reshape(2,
-    2, 2, 2, 4)`` by (x, y, p, q) group and (r, s) outcome column.
+def _side_blocks(model: NullModel, mass: np.ndarray) -> list[list[TrialGroup]]:
+    """The binomial blocks of each side of (k, 64) weight rows, from their
+    (2k, 60) block trials (``_block_masses``), in the order row 0's positive
+    side, its negative side, row 1's positive side, and so on.  A side's
+    cells are read off ``weights[i].reshape(2, 2, 2, 2, 4)`` by (x, y, p, q)
+    group and (r, s) outcome column.
 
     A group's success probability depends only on its (p, q) row and its
     outcome columns, so groups sharing both add up to one binomial of their
@@ -565,7 +570,6 @@ def _side_blocks(model: NullModel, weights: np.ndarray) -> list[list[TrialGroup]
     columns) order, each probability summed over its columns in ascending
     order.
     """
-    mass = _block_masses(model, weights)
     keys = np.flatnonzero(mass)
     side, rows, sets = keys // 60, keys // 15 % 4, keys % 15
     terms = np.where(_SET_COLUMNS[sets], model.p0.reshape(4, 4)[rows], 0.0)
@@ -675,13 +679,16 @@ def _tail_counts(model: NullModel, weights: np.ndarray, observed: np.ndarray,
 
 class _Plan(NamedTuple):
     """One item's run: its settings and model, and per measure the weight
-    row, the observed value and (null mean, sign of the deviation)."""
+    row, the observed value, (null mean, sign of the deviation) and, for an
+    exact run, its sides' block trials and window widths."""
 
     config: InferenceConfig
     model: NullModel
     weights: np.ndarray   # (k, 64)
     observed: np.ndarray  # (k,) int64
     means: list[tuple[float, int]]
+    masses: np.ndarray | None = None   # (2k, 60), ``_block_masses``
+    windows: np.ndarray | None = None  # (k, 2), ``_check_exact_work``
 
 
 def _plan(table: DyadTable, config: InferenceConfig, model: NullModel | None) -> _Plan:
@@ -690,24 +697,46 @@ def _plan(table: DyadTable, config: InferenceConfig, model: NullModel | None) ->
         raise InputError("cannot test against a null model fitted from an empty table")
     weights = np.stack([(spec_for(m) if isinstance(m, MeasureId) else m).weights
                         for m in config.measures])
-    if config.method != "bootstrap":
-        _check_exact_work(model, weights, config.measures)
+    masses = _block_masses(model, weights) if config.method != "bootstrap" else None
+    windows = None if masses is None else _check_exact_work(masses, config.measures)
     observed = weights @ table.counts
     return _Plan(config, model, weights, observed,
-                 [_null_mean(model, w, int(v)) for w, v in zip(weights, observed)])
+                 [_null_mean(model, w, int(v)) for w, v in zip(weights, observed)],
+                 masses, windows)
 
 
-def _run_task(task: tuple[_Plan, range | None]):
+def _run_task(task: tuple[_Plan, range] | list[_Plan]):
     """One task of a run: an item's bootstrap tail counts over a range of
-    chunks, or with None its exact tail per measure (``_exact_tails``), all
-    its measures' tilted blocks evaluated in one batch."""
-    plan, chunks = task
-    if chunks is not None:
+    chunks, or the exact tail of every measure of a batch of items, all
+    their tilted blocks evaluated in one ``_exact_tails`` call."""
+    if isinstance(task, tuple):
+        plan, chunks = task
         return _tail_counts(plan.model, plan.weights, plan.observed, plan.config.seed,
                             plan.config.trials, chunks)
-    sides = _side_blocks(plan.model, plan.weights)
-    return _exact_tails([(v, deviation, pos, neg) for v, (_, deviation), pos, neg
-                         in zip(plan.observed.tolist(), plan.means, sides[::2], sides[1::2])])
+    measures = []
+    for plan in task:
+        sides = _side_blocks(plan.model, plan.masses)
+        measures += zip(plan.observed.tolist(), [d for _, d in plan.means], sides[::2], sides[1::2])
+    return _exact_tails(measures)
+
+
+def _exact_batches(plans: list[_Plan], workers: int) -> list[list[_Plan]]:
+    """The exact items' plans in consecutive batches of summed window width
+    at most a worker's share of the total plus the widest item's, so that a
+    batch closes only past its share and there is one per worker at most,
+    and at most what one item of the eight measures may span (2 x 8 x
+    ``_MAX_SIDE_WINDOW``), which bounds memory whatever the item count."""
+    widths = [float(plan.windows.sum()) for plan in plans]
+    cap = min(2 * len(MeasureId) * _MAX_SIDE_WINDOW,
+              sum(widths) / max(1, min(workers, len(plans))) + max(widths, default=0.0))
+    batches, load = [], math.inf
+    for plan, width in zip(plans, widths):
+        if load + width > cap:
+            batches.append([])
+            load = 0.0
+        batches[-1].append(plan)
+        load += width
+    return batches
 
 
 _DIRECTIONS = {1: DIRECTION_POSITIVE, -1: DIRECTION_NEGATIVE, 0: DIRECTION_NONE}
@@ -753,14 +782,15 @@ def run_items(work: Sequence[tuple[DyadTable, InferenceConfig, NullModel | None]
     the InputError that stopped it (such as an empty table), in order.
 
     Each item's model is fitted once unless given, and each measure's
-    observed value, null mean and direction are taken once.  The items'
-    bootstrap chunks then go out in ranges, about four per worker over all
-    items, and each item's exact engine as one task more;
+    observed value, null mean, direction and binomial blocks are taken once.
+    The items' bootstrap chunks then go out in ranges, about four per worker
+    over all items, and their exact work as at most one batch per worker
+    (``_exact_batches``), each one ``_exact_tails`` call;
     ``map_tasks(fn, tasks)`` runs them and returns their outcomes in order
-    (``map``, inline, by default; a pool of ``workers`` processes from
-    ``evaluate_items``).  Counts over an item's ranges add up to its
-    counts over all chunks, so results depend neither on the ranges nor on
-    the worker count.
+    (``map``, inline, by default; forked children from ``evaluate_items``).
+    Counts over an item's ranges add up to its counts over all chunks, and
+    a tail does not depend on its batch-mates, so results depend neither on
+    the split nor on the worker count.
     """
     plans: list[_Plan | InputError] = []
     for table, config, model in work:
@@ -772,17 +802,17 @@ def run_items(work: Sequence[tuple[DyadTable, InferenceConfig, NullModel | None]
     boot = {i: _chunks(plan.config.trials) for i, plan in ready
             if plan.config.method != "exact"}
     step = max(1, -(-sum(map(len, boot.values())) // (4 * workers)))
-    tasks = [(i, chunks[k:k + step]) for i, chunks in boot.items()
-             for k in range(0, len(chunks), step)]
-    tasks += [(i, None) for i, plan in ready if plan.config.method != "bootstrap"]
+    ranges = [(i, chunks[k:k + step]) for i, chunks in boot.items()
+              for k in range(0, len(chunks), step)]
+    exact = [i for i, plan in ready if plan.config.method != "bootstrap"]
+    outcomes = list(map_tasks(_run_task, [(plans[i], chunks) for i, chunks in ranges]
+                              + _exact_batches([plans[i] for i in exact], workers)))
     counts = dict.fromkeys(boot, 0)
-    exact = {}
-    for (i, chunks), part in zip(tasks, map_tasks(_run_task, [(plans[i], c) for i, c in tasks])):
-        if chunks is None:
-            exact[i] = part
-        else:
-            counts[i] = counts[i] + part
-    return [plan if isinstance(plan, InputError) else _results(plan, counts.get(i), exact.get(i))
+    for (i, _), part in zip(ranges, outcomes):
+        counts[i] = counts[i] + part
+    found = chain.from_iterable(outcomes[len(ranges):])  # every exact tail, in item order
+    tails = {i: list(islice(found, len(plans[i].config.measures))) for i in exact}
+    return [plan if isinstance(plan, InputError) else _results(plan, counts.get(i), tails.get(i))
             for i, plan in enumerate(plans)]
 
 

@@ -45,7 +45,7 @@ source has its own census builder: ``dyad_csv_items``, ``node_edge_items``
 and ``parse_table64``.  ``evaluate_items`` takes the censuses, from any of
 them, and hands them to ``inference.run_items``, which plans and splits
 their runs; this module only supplies the map that runs the tasks in
-forked worker processes.
+forked children, one per CPU.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import pickle
 from codecs import BOM_UTF8
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -100,6 +101,9 @@ _BLOCK_BYTES = 1 << 18
 # Longest id or item, in bytes, that the byte path compares and packs in
 # numpy; a row with a longer one goes through the row rules.
 _SPAN_BYTES = 64
+
+# Bytes of an id word that are the id's, by the count it has left -> mask.
+_WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 
 # Exact bit tokens of the six bit columns, in column order -> cell code.
 _CELL_CODES = {tuple(map(str, bits)): code for code, bits in enumerate(CELL_BITS)}
@@ -326,7 +330,8 @@ def _plain_rows(buf: np.ndarray, ends: np.ndarray, line_no: int, path: Path,
     A fast row has ``width`` fields and no byte below 0x21 but the
     delimiter; each of its bits is the byte 0 or 1, its ego and alter ids
     differ, and no id or item is over ``_SPAN_BYTES``.  Fast rows are
-    tallied in numpy, their items through one ``np.unique``.  Every other
+    tallied in numpy, each id as the same number of 64-bit words, ego and
+    alter compared and items keyed (one ``np.unique``) by them.  Every other
     row is split at the delimiter, which is what csv makes of a plain line,
     and goes through ``_check_row`` in file order.
     """
@@ -347,20 +352,22 @@ def _plain_rows(buf: np.ndarray, ends: np.ndarray, line_no: int, path: Path,
     bits = buf[bounds[:, bit_cols] + 1] - 48  # uint8: a byte below "0" wraps above 1
     ok = ((bounds[:, bit_cols + 1] - bounds[:, bit_cols] == 2) & (bits <= 1)).all(axis=1)
     id_cols = np.array([cols[0], cols[1], cols[8]])  # ego, alter, item
-    lo, hi = bounds[:, id_cols] + 1, bounds[:, id_cols + 1]
-    ok &= (hi - lo).max(axis=1, initial=0) <= _SPAN_BYTES
-    rows, code, lo, hi = rows[ok], cell_codes(*bits[ok].T), lo[ok], hi[ok]
-    span = max(8, int(np.max(hi - lo, initial=0)))  # 8 bytes: items sort as ints
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((buf, np.zeros(_SPAN_BYTES, np.uint8))), _SPAN_BYTES)
-    packed = windows[lo, :span]  # (row, field, byte), zero-padded below
-    packed[np.arange(span) >= (hi - lo)[..., None]] = 0
+    lo = bounds[:, id_cols] + 1
+    size = bounds[:, id_cols + 1] - lo
+    ok &= size.max(axis=1, initial=0) <= _SPAN_BYTES
+    rows, code, lo, size = rows[ok], bits[ok] @ (1 << np.arange(5, -1, -1)), lo[ok], size[ok]
+    # little-endian words read at any byte offset, each masked to the id's bytes
+    words = 8 * np.arange(-(-int(np.max(size, initial=1)) // 8))
+    padded = np.concatenate((buf, np.zeros(_SPAN_BYTES, np.uint8)))
+    packed = (np.ndarray((padded.size - 7,), "<u8", padded, strides=(1,))[lo[..., None] + words]
+              & _WORD_MASKS[np.clip(size[..., None] - words, 0, 8)])  # (row, field, word)
     differ = (packed[:, 0] != packed[:, 1]).any(axis=1)  # else a self-dyad, left to the row rules
     rows, code = rows[differ], code[differ]
-    keys = packed[differ, 2].view(np.uint64 if span == 8 else f"S{span}").ravel()
-    tokens, item = np.unique(keys, return_inverse=True)
-    tokens = tokens.view(f"S{span}").tolist()
-    item = np.array([items[token.decode()] for token in tokens], np.intp)[item]
+    keys = packed[differ, 2]  # a plain block holds no NUL, so the zero padding is unambiguous
+    tokens, item = np.unique(keys[:, 0] if words.size == 1 else keys.view(f"S{8 * words.size}"),
+                             return_inverse=True)
+    tokens = tokens.view(f"S{8 * words.size}").ravel().tolist()
+    item = np.array([items[token.decode()] for token in tokens], np.intp)[item.ravel()]
 
     slow_code, slow_item, drops = _checked_rows(
         ((line_no + i, buf[starts[i]:ends[i]].tobytes().decode().split(delimiter))
@@ -720,19 +727,43 @@ def _worker_count() -> int:
 
 
 def _run_tasks(fn: Callable, tasks: list) -> list:
-    """``fn`` over ``tasks`` in order, in forked workers when more than one
-    task and more than one CPU are at hand."""
+    """``fn`` over ``tasks``, the outcomes in task order: inline, or with more
+    than one task and CPU in ``jobs`` forked children, task i in child i mod
+    jobs, each pickling its outcomes, or its error, to a pipe.  The parent
+    raises a child's error (a RuntimeError for a child that sent nothing);
+    no child outlives the call."""
     jobs = min(len(tasks), _worker_count())
-    if jobs > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                outcomes = pool.map(fn, tasks, chunksize=1)
-                pool.close()
-                pool.join()
-            return outcomes
-    return [fn(t) for t in tasks]
+    if jobs < 2 or not hasattr(os, "fork"):
+        return [fn(task) for task in tasks]
+    outcomes, children = [None] * len(tasks), []  # (pid, read end) by child
+    try:
+        for share in range(jobs):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    try:
+                        outcome = [fn(task) for task in tasks[share::jobs]]
+                    except BaseException as exc:
+                        outcome = exc
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(outcome))
+                finally:
+                    os._exit(0)  # no exit handler or buffer of the parent runs twice
+            os.close(write)
+            children.append((pid, read))
+        for share, (pid, read) in enumerate(children):
+            payload = b"".join(iter(partial(os.read, read, 1 << 16), b""))
+            outcome = pickle.loads(payload) if payload else RuntimeError(
+                f"worker process {pid} ended without sending its results")
+            if isinstance(outcome, BaseException):
+                raise outcome
+            outcomes[share::jobs] = outcome
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    return outcomes
 
 
 def evaluate_items(items: Sequence[tuple[str, str, DyadTable, int]],
@@ -747,14 +778,12 @@ def evaluate_items(items: Sequence[tuple[str, str, DyadTable, int]],
     A ``NumericalIntegrityError`` is a fault of the engine, not of an item,
     and propagates.
 
-    ``inference.run_items`` plans every item's run and splits it into tasks
-    (each item's bootstrap chunks in ranges, its exact engine as one task
-    more), and this module only runs those tasks in up to one forked worker
-    process per CPU (inline for a single task or CPU), so one item's
-    bootstrap uses every CPU too.  Chunk j of an item draws from stream j
-    of its seed child, so results do not depend on the worker count.  A
-    worker holds one chunk's null censuses at a time (16,384 x 64 int64
-    cell counts) plus running tail counts, whatever the trial count.
+    ``inference.run_items`` plans every item's run and splits it into tasks,
+    and this module only runs them in up to one forked child per CPU
+    (``_run_tasks``), so one item's bootstrap uses every CPU too; results do
+    not depend on the worker count.  A child holds one chunk's null censuses
+    at a time (16,384 x 64 int64 cell counts) plus running tail counts,
+    whatever the trial count.
     """
     children = np.random.SeedSequence(config.seed).spawn(len(items))
     outcomes = run_items([(table, replace(config, seed=child), None)

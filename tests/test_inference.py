@@ -16,7 +16,8 @@ from dyadeval import MeasureSpec, SimParams, sample
 from dyadeval import inference, io
 from dyadeval.inference import (_CHUNK_TRIALS, _MAX_SIDE_WINDOW, _PASS_ENTRIES, _STIRLERR,
                                 _TILT_LOG, _WINDOW_LOG, _binom_pmf, _binom_windows,
-                                _exact_tails, _side_blocks, _stirlerr, run_items)
+                                _block_masses, _exact_tails, _side_blocks, _stirlerr,
+                                run_items)
 from dyadeval.null_model import _sample_group_outcomes
 from dyadeval.measures import spec_for
 
@@ -189,7 +190,7 @@ def test_exact_tails_match_growth_oracle():
         for res in run_all(table, InferenceConfig(method="exact")):
             weights = spec_for(res.measure).weights
             sides = []
-            for blocks in _side_blocks(model, weights):
+            for blocks in _side_blocks(model, _block_masses(model, weights)):
                 support_min, pmf = 0, np.array([1.0])
                 for g in blocks:
                     lo, block = binom_window_by_growth(g.count, g.success_prob)
@@ -213,7 +214,7 @@ def test_side_blocks_match_per_side_oracle():
                               for w in weights for sign in (1, -1)]
     for seed in range(50):
         model = fit(simulate_dyad_table(SimParams(seed=seed), node_count=40 + 10 * seed))
-        assert _side_blocks(model, weights) == expected(model), seed
+        assert _side_blocks(model, _block_masses(model, weights)) == expected(model), seed
     undefined = 0
     for case in range(30):
         # sparse random tables, some of whose pre-state rows are empty, so
@@ -222,7 +223,7 @@ def test_side_blocks_match_per_side_oracle():
         counts *= (rng.random((2, 2)) < 0.8)[:, :, None, None]
         model = fit(DyadTable(counts.ravel()))
         undefined += not model.row_defined.all()
-        assert _side_blocks(model, weights) == expected(model), case
+        assert _side_blocks(model, _block_masses(model, weights)) == expected(model), case
     assert undefined >= 10
 
 
@@ -611,7 +612,7 @@ def measure_sides(table):
     """(observed, sign of the deviation, positive blocks, negative blocks)
     of each of the eight measures."""
     plan = inference._plan(table, InferenceConfig(method="exact"), None)
-    sides = _side_blocks(plan.model, plan.weights)
+    sides = _side_blocks(plan.model, plan.masses)
     return [(v, deviation, pos, neg) for v, (_, deviation), pos, neg
             in zip(plan.observed.tolist(), plan.means, sides[::2], sides[1::2])]
 

@@ -1,5 +1,7 @@
 import csv
+import math
 import os
+import time
 import tracemalloc
 from collections import Counter
 
@@ -8,8 +10,8 @@ import pytest
 from oracles import NodeRow, join_node_edges_by_rows, parse_dyad_csv_by_rows, record_code
 
 from dyadeval import (DyadTable, InferenceConfig, InputError, MeasureId, MeasureSpec,
-                      SimParams, bootstrap_test, build_table, census, cli, exact_test, fit,
-                      inference, io, run_all, simulate_dyad_table)
+                      NumericalIntegrityError, SimParams, bootstrap_test, build_table, census,
+                      cli, exact_test, fit, inference, io, run_all, simulate_dyad_table)
 from dyadeval.inference import run_items
 from dyadeval.io import (ItemReport, dyad_csv_items, emit_report, evaluate_items,
                          join_node_edges, load_report_json, node_edge_items,
@@ -280,10 +282,16 @@ def test_csv_path_checks_each_row_once(tmp_path, monkeypatch):
     assert streamed_tables(path, None) == reference_tables(path, None)
 
 
-_FUZZ_EGOS, _FUZZ_ALTERS = ["u", "n00619", "", "w "], ["v", "n01903", "x", " y"]
+# Ids of 7, 8, 9, 16, 17 and 64 bytes too, whose ego and alter pairs may
+# agree in their first 7, 8, 16 or 63 bytes, or differ only in length.
+_FUZZ_EGOS = ["u", "n00619", "", "w ", "k" * 7, "k" * 8, "k" * 8 + "1", "k" * 16,
+              "k" * 16 + "1", "k" * 64]
+_FUZZ_ALTERS = ["v", "n01903", "x", " y", "k" * 7 + "j", "k" * 8 + "2", "k" * 9, "k" * 16 + "2",
+                "k" * 17, "k" * 63 + "1"]
 _FUZZ_BITS = ["0", "1"] * 20 + ["NA", "na", "", ".", "None", " 1", "0 ", "\x0c1"]
 _FUZZ_BAD_BITS = ["2", "x", "01", "1.0", "-1", "1x"]
-_FUZZ_ITEMS = ["q1", "q2", "", "NA", " q1", "q_longer_than_8", "q" * 70]
+_FUZZ_ITEMS = ["q1", "q2", "", "NA", " q1", "q_longer_than_8", "q" * 70,
+               "i" * 8, "i" * 9, "i" * 16, "i" * 17, "i" * 64]
 _FUZZ_LIMIT = 300
 # The first field of a row that turns its block away from the byte path:
 # a quoted id holding the delimiter or a newline, a non-ASCII id, an
@@ -297,12 +305,13 @@ _FUZZ_IDS = [_FUZZ_TURNS[turn] for turn in ("quote", "quoted_newline", "non_asci
 
 def fuzz_dyad_csv(rng, path, delimiter, ids=0):
     """A seeded dyad CSV of 0-60 rows: permuted and extra columns, clean and
-    missing bits, blank, short and long rows, empty and long item ids,
-    self-dyads and, in half the files, bad bits; in a third of the files
-    CRLF line ends from one line on; in two thirds of the files one row
-    from which on the file is not plain; and ``ids`` more rows whose ego id
-    is not plain (quoted, across a line end or not ASCII).  Returns the byte
-    offset of the first row that is not plain, or None."""
+    missing bits, blank, short and long rows, empty ids, ids of up to 64
+    bytes and over, ego and alter ids that share a prefix, self-dyads and,
+    in half the files, bad bits; in a third of the files CRLF line ends
+    from one line on; in two thirds of the files one row from which on the
+    file is not plain; and ``ids`` more rows whose ego id is not plain
+    (quoted, across a line end or not ASCII).  Returns the byte offset of
+    the first row that is not plain, or None."""
     names = list(io._DYAD_COLUMNS) + [f"extra{i}" for i in range(rng.integers(0, 3))]
     header = [names[i] for i in rng.permutation(len(names))]
     ego = header.index("ego_id")
@@ -314,8 +323,8 @@ def fuzz_dyad_csv(rng, path, delimiter, ids=0):
             lines.append(["", delimiter * 3, "  "][rng.integers(3)].encode())
             continue
         field = {name: "z" for name in header}
-        field["ego_id"] = _FUZZ_EGOS[rng.integers(4)]
-        field["alter_id"] = (_FUZZ_ALTERS[rng.integers(4)] if rng.random() > 0.01
+        field["ego_id"] = _FUZZ_EGOS[rng.integers(len(_FUZZ_EGOS))]
+        field["alter_id"] = (_FUZZ_ALTERS[rng.integers(len(_FUZZ_ALTERS))] if rng.random() > 0.01
                              else field["ego_id"] + " " * rng.integers(2))
         for name in io._DYAD_COLUMNS[2:8]:
             field[name] = (_FUZZ_BITS[rng.integers(len(_FUZZ_BITS))] if rng.random() < 0.15
@@ -921,6 +930,61 @@ def test_run_tasks_in_forked_workers(monkeypatch):
     assert io._run_tasks(_worker_pid, [None] * 3) == [os.getpid()] * 3
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _act(task):
+    """A task for ``_run_tasks``: raise, leave, sleep or name its process."""
+    kind, arg = task
+    if kind == "raise":
+        raise arg
+    if kind == "exit":
+        os._exit(arg)
+    if kind == "sleep":
+        time.sleep(arg)
+    return arg, os.getpid()
+
+
+def test_run_tasks_keeps_task_order_over_children(monkeypatch):
+    # 7 tasks over 3 children: task i runs in child i mod 3
+    monkeypatch.setattr(io, "_worker_count", lambda: 3)
+    outcomes = io._run_tasks(_act, [("name", i) for i in range(7)])
+    assert [i for i, _ in outcomes] == list(range(7))
+    pids = [pid for _, pid in outcomes]
+    assert len(set(pids)) == 3 and os.getpid() not in pids
+    assert all(pids[i] == pids[i % 3] for i in range(7))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [InputError("q3: no dyads"),
+                                   NumericalIntegrityError("pmf sums to 1.1")])
+def test_run_tasks_reraises_a_child_error(monkeypatch, error):
+    monkeypatch.setattr(io, "_worker_count", lambda: 2)
+    with pytest.raises(type(error)) as raised:
+        io._run_tasks(_act, [("name", 0), ("name", 1), ("raise", error), ("name", 3)])
+    assert type(raised.value) is type(error) and str(raised.value) == str(error)
+    assert_no_child_left()
+
+
+def test_run_tasks_raises_when_a_child_dies(monkeypatch):
+    monkeypatch.setattr(io, "_worker_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="ended without sending its results"):
+        io._run_tasks(_act, [("name", 0), ("exit", 3), ("name", 2), ("name", 3)])
+    assert_no_child_left()
+
+
+def test_run_tasks_stops_at_the_first_error(monkeypatch):
+    # share 0 raises at once; share 1 would sleep 30 s, and is killed
+    monkeypatch.setattr(io, "_worker_count", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(InputError, match="at once"):
+        io._run_tasks(_act, [("raise", InputError("at once")), ("sleep", 30)])
+    assert time.monotonic() - start < 5
+    assert_no_child_left()
+
+
 def long_table_csv(tmp_path, name, counts):
     lines = ["x,y,p,q,r,s,value"]
     lines += [",".join(str(code >> shift & 1) for shift in range(5, -1, -1)) + f",{value}"
@@ -931,7 +995,7 @@ def long_table_csv(tmp_path, name, counts):
 def test_one_run_plan_agrees_bit_for_bit(tmp_path, monkeypatch):
     # bootstrap_test, exact_test, run_all, run_items and a one-item
     # evaluate_items share one run plan: built-in measures, a custom spec and
-    # an explicit model, at one and two workers, with chunks of 257 trials so
+    # an explicit model, at one, two and three workers, with chunks of 257 trials so
     # that every bootstrap spreads over several tasks
     monkeypatch.setattr("dyadeval.inference._CHUNK_TRIALS", 257)
     spec = MeasureSpec({(1, 1, p, q, 1, s) for p in (0, 1) for q in (0, 1) for s in (0, 1)},
@@ -954,7 +1018,7 @@ def test_one_run_plan_agrees_bit_for_bit(tmp_path, monkeypatch):
             bootstrap_test(table, m, trials, child, two_sided=two_sided, model=fitted),
             exact_test(table, m, two_sided=two_sided, model=fitted))]
         assert [r.measure for r in alone] == [None, None, MeasureId.M3, MeasureId.M3]
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             monkeypatch.setattr(io, "_worker_count", lambda: workers)
             [report] = evaluate_items(
                 [("t", "t", parse_table64(path), 0)],
@@ -966,9 +1030,9 @@ def test_one_run_plan_agrees_bit_for_bit(tmp_path, monkeypatch):
 def test_one_run_plan_agrees_bit_for_bit_at_every_scale(monkeypatch):
     # paper-scale (~2.4k dyads), survey-scale (5k) and 200k-dyad censuses,
     # all eight tails of each in one batch of tilted windows: exact_test
-    # measure by measure, run_all and run_items inline and over two forked
-    # workers give bit-identical p-values, so a tail does not depend on
-    # which measures share its task
+    # measure by measure, run_all and run_items inline and over two and three
+    # forked children give bit-identical p-values, so a tail does not depend
+    # on which measures or items share its batch
     rng = np.random.default_rng(31)
     tables = ([simulate_dyad_table(SimParams(seed=seed)) for seed in range(3)]
               + [DyadTable(rng.multinomial(dyads, np.full(64, 1 / 64)))
@@ -980,10 +1044,47 @@ def test_one_run_plan_agrees_bit_for_bit_at_every_scale(monkeypatch):
         assert results == [exact_test(table, m) for m in MeasureId]
         pair = InferenceConfig(method="exact", measures=(MeasureId.M8, MeasureId.M2))
         assert run_all(table, pair) == [results[7], results[1]]
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(io, "_worker_count", lambda: workers)
         assert run_items([(table, config, None) for table in tables],
                          workers, io._run_tasks) == expected
+
+
+def test_exact_work_goes_out_in_one_batch_per_worker(monkeypatch):
+    # 40 survey-sized items (5k dyads) at 2 workers: at most 2 exact tasks,
+    # balanced by summed window width; with the window bound lowered to the
+    # widest side of any item, more tasks than workers, none over one item's
+    # budget; the same results either way
+    rng = np.random.default_rng(26)
+    config = InferenceConfig(method="exact")
+    work = [(DyadTable(rng.multinomial(5_000, np.full(64, 1 / 64))), config, None)
+            for _ in range(40)]
+    expected = run_items(work)
+    observed = [inference._plan(table, config, None).observed.tolist() for table, *_ in work]
+    width = lambda batch: sum(float(plan.windows.sum()) for plan in batch)
+
+    def batches_of(workers):
+        tasks = []
+
+        def recorded(fn, run):
+            tasks.extend(run)
+            return map(fn, run)
+
+        assert run_items(work, workers, recorded) == expected
+        # each item once, in order
+        assert [plan.observed.tolist() for batch in tasks for plan in batch] == observed
+        return tasks
+
+    batches = batches_of(2)
+    assert len(batches) == 2
+    widest = max(width([plan]) for batch in batches for plan in batch)
+    assert max(map(width, batches)) <= width(sum(batches, [])) / 2 + widest
+    monkeypatch.setattr(inference, "_MAX_SIDE_WINDOW", math.ceil(max(
+        float(plan.windows.max()) for batch in batches for plan in batch)))
+    budget = 2 * len(MeasureId) * inference._MAX_SIDE_WINDOW
+    batches = batches_of(2)
+    assert len(batches) > 2
+    assert all(width(batch) <= budget for batch in batches)
 
 
 def test_each_item_fitted_once_and_each_null_mean_taken_once(tmp_path, monkeypatch):
