@@ -38,6 +38,10 @@ _BITS = ("x", "y", "p", "q", "r", "s")
 # The six bits (x, y, p, q, r, s) of each cell, indexed by its code.
 CELL_BITS = tuple(tuple(code >> shift & 1 for shift in range(5, -1, -1)) for code in range(64))
 
+# Largest cell count a 64-cell table takes: every integer up to it is exact
+# as a float, and 64 such cells still sum within int64.
+_MAX_COUNT = 2**53
+
 
 @dataclass(frozen=True)
 class DyadRecord:

@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--probabilities", action="store_true",
                     help="table holds per-row probabilities, not counts")
     tb.add_argument("--scale", type=int, default=100,
-                    help="count = round(probability * scale)")
+                    help="count = round(probability * scale), scale 1 to 2**53")
     tb.add_argument("--item-id", default="table", help="item id for the report")
     tb.add_argument("--item-label", default=None, help="item label for the report")
     _add_inference_flags(tb)

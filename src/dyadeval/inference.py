@@ -29,10 +29,12 @@ Loader, "Fast and Accurate Computation of Binomial Probabilities", 2000;
 the algorithm of R's ``dbinom``): Stirling-series errors plus deviance
 terms, so no difference of log-gamma values cancels, in numpy alone.
 
-Every measure's tail takes one path (``_exact_tails``).  At the null mean
-the tail is 1 and nothing is evaluated; on or past the edge of the
-difference's support it is the product of each block's PMF at its extreme,
-or 0.  Every other tail is taken by exponential tilting (Keich, J. Comput.
+Every measure's tail takes one path (``_exact_tails``), its blocks kept as
+arrays from its run plan on (``_side_blocks``).  At the null mean the tail
+is 1 and nothing is evaluated; on or past the edge of the difference's
+support it is the product of each block's PMF at its extreme, or 0, told
+apart for all measures at once by exact integer sums of their trials.
+Every other tail is taken by exponential tilting (Keich, J. Comput.
 Biol. 2005; Wilson and Keich, CSDA 2016): the null is tilted by theta so
 that its mean is the observed value, each block staying a binomial; the
 tilted blocks, evaluated on +-15 tilted sd, give the tilted PMF of X - Y
@@ -421,31 +423,14 @@ def _tilt(blocks: Sequence[tuple[int, float, int]], v: float) -> float:
     return theta
 
 
-def _edge_tail(live: Sequence[tuple[int, float, int]], gap: int, deviation: int
-               ) -> float | None:
-    """The tail of the sum of sign * Binomial(n, p) over the live (n, p,
-    sign) blocks at ``gap``, in the direction of the deviation, where it has
-    a closed form; else None."""
-    if deviation == 0:
-        return 1.0
-    ahead = sum(n for n, _, sign in live if sign == deviation)
-    reach = deviation * gap  # where the tail starts, counted in its direction
-    if reach <= ahead - sum(n for n, *_ in live):  # the whole support in the tail
-        return 1.0
-    if reach != ahead:  # inside the support (theta is finite), or past its edge
-        return None if reach < ahead else 0.0
-    # on the support's edge: each block at its extreme, Y's side times X's
-    n, p, sign = (np.array(column) for column in zip(*live))
-    at = _binom_pmf(np.where(sign == deviation, n, 0), n, p)
-    tail = math.prod(at[sign < 0].tolist()) * math.prod(at[sign > 0].tolist())
-    return tail if tail >= _PMF_FLOOR else 0.0
-
-
-def _exact_tails(measures: Sequence[tuple[int, int, Sequence[TrialGroup], Sequence[TrialGroup]]]
-                 ) -> list[float]:
-    """The inclusive tail of D = X - Y at v in the direction of the
-    deviation, for each (v, deviation, X's blocks, Y's blocks) measure: in
-    closed form where there is one (``_edge_tail``), else by tilting.
+def _exact_tails(v: np.ndarray, deviation: np.ndarray,
+                 blocks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]) -> list[float]:
+    """The inclusive tail of measure i's D = X - Y at v[i] in the direction
+    of deviation[i], from its blocks among the (measure, n, p, sign) columns
+    (each sign * Binomial(n, p), grouped by measure in ascending order): 1
+    at the null mean or with the whole support in the tail, 0 past its
+    edge, the product of each block's PMF at its extreme (Y's side times
+    X's) on the edge, else by tilting.
 
     Under the measure tilted by theta, P_theta(d) = exp(theta d) P(d) /
     M(theta), each block of X stays a binomial of success probability
@@ -463,25 +448,31 @@ def _exact_tails(measures: Sequence[tuple[int, int, Sequence[TrialGroup], Sequen
     1e-300 is 0.  Every entry, theta, window and FFT length follows from the
     measure's own blocks, so a tail does not depend on its batch-mates.
     """
-    tails: list = []
-    tilted = []  # (measure, v, shift, deviation, its blocks' range) per tilted measure
-    blocks = []  # (n, p, sign) of every tilted measure's live blocks
-    for v, deviation, pos, neg in measures:
-        signed = [(g.count, g.success_prob, sign) for sign, side in ((1, pos), (-1, neg))
-                  for g in side if g.count > 0]
-        live = [(n, p, sign) for n, p, sign in signed if 0.0 < p < 1.0]
-        shift = sum(sign * n for n, p, sign in signed if p == 1.0)
-        tails.append(_edge_tail(live, v - shift, deviation))
-        if tails[-1] is None:
-            tilted.append((len(tails) - 1, v, shift, deviation, len(blocks), len(blocks) + len(live)))
-            blocks += live
-    if not tilted:
-        return tails
-    n, p, sign = (np.array(column) for column in zip(*blocks))
+    measure, n, p, sign = blocks
+    live, of = (n > 0) & (p > 0.0) & (p < 1.0), deviation[measure]
+    sums = np.zeros((len(v), 3), np.int64)  # exact: the point masses' shift, trials ahead, behind
+    np.add.at(sums, measure, np.stack([sign * n * (p == 1.0), n * (live & (sign == of)),
+                                       n * (live & (sign == -of))], axis=1))
+    shift, ahead, behind = sums.T
+    reach = deviation * (v - shift)  # where the tail starts, counted in its direction
+    tails = (reach <= -behind).astype(float)  # 1 at the mean or for the whole support
+    for i in np.flatnonzero((reach == ahead) & (reach > -behind)).tolist():  # on the edge
+        mine = live & (measure == i)
+        trials, signs = n[mine], sign[mine]
+        at = _binom_pmf(np.where(signs == deviation[i], trials, 0), trials, p[mine])
+        tail = math.prod(at[signs < 0].tolist()) * math.prod(at[signs > 0].tolist())
+        tails[i] = tail if tail >= _PMF_FLOOR else 0.0
+    inside = (reach < ahead) & (reach > -behind)  # theta is finite
+    if not inside.any():
+        return tails.tolist()
+    kept, tilted = live & inside[measure], np.flatnonzero(inside)
+    n, p, sign = n[kept], p[kept], sign[kept]
+    ranges = np.searchsorted(measure[kept], [tilted, tilted + 1]).T.tolist()
+    tilted, v, shift = tilted.tolist(), v.tolist(), shift.tolist()
     logit = np.log(p) - np.log1p(-p)
     rows = list(zip(n.tolist(), logit.tolist(), sign.tolist()))
-    thetas = [_tilt(rows[a:b], v - shift) for _, v, shift, _, a, b in tilted]
-    z = (logit + sign * np.repeat(thetas, [b - a for *_, a, b in tilted])).tolist()
+    thetas = [_tilt(rows[a:b], v[i] - shift[i]) for i, (a, b) in zip(tilted, ranges)]
+    z = (logit + sign * np.repeat(thetas, [b - a for a, b in ranges])).tolist()
     p_t, q_t = np.array([_expit(x) for x in z]), np.array([_expit(-x) for x in z])
     deviance = _bd0(n * p_t, n * p) + _bd0(n * q_t, n * (1.0 - p))
     # each block as the count k of its rarer outcome, then as a PMF over
@@ -492,8 +483,8 @@ def _exact_tails(measures: Sequence[tuple[int, int, Sequence[TrialGroup], Sequen
     pmf, start, end = _binom_entries(n, rarer, lo, hi)
     mirrored = (flip != (sign < 0)).tolist()
     least = np.where(flip, np.where(sign > 0, n - hi, lo - n), np.where(sign > 0, lo, -hi))
-    for (i, v, shift, deviation, a, b), theta in zip(tilted, thetas):
-        log_scale = theta * (float(sign[a:b] @ (n[a:b] * p_t[a:b])) + shift - v) - float(
+    for i, (a, b), theta in zip(tilted, ranges, thetas):
+        log_scale = theta * (float(sign[a:b] @ (n[a:b] * p_t[a:b])) + shift[i] - v[i]) - float(
             np.sum(deviance[a:b]))
         size = int(np.sum(hi[a:b] - lo[a:b])) + 1
         length = 1 << (size - 1).bit_length()
@@ -506,11 +497,11 @@ def _exact_tails(measures: Sequence[tuple[int, int, Sequence[TrialGroup], Sequen
         if abs(total - 1.0) > _PMF_SUM_TOL:
             raise NumericalIntegrityError(f"tilted difference pmf sums to {total!r}, deviating "
                                           f"from 1 by more than {_PMF_SUM_TOL}")
-        at = v - shift - int(least[a:b].sum())  # index of v
-        d = np.arange(max(at, 0), size) if deviation > 0 else np.arange(min(at + 1, size))
+        at = v[i] - shift[i] - int(least[a:b].sum())  # index of v
+        d = np.arange(max(at, 0), size) if deviation[i] > 0 else np.arange(min(at + 1, size))
         tail = math.exp(log_scale) * float(np.exp(-theta * (d - at)) @ density[d])
         tails[i] = tail if tail >= _PMF_FLOOR else 0.0
-    return tails
+    return tails.tolist()
 
 
 # The 15 non-empty sets of (r, s) outcome columns, in the order of their
@@ -521,33 +512,22 @@ _SET_RANK = np.zeros(16, np.intp)  # column bit mask (column c is bit c) -> rank
 _SET_RANK[[sum(1 << c for c in cols) for cols in _COLUMN_SETS]] = np.arange(15)
 
 
-def _block_masses(model: NullModel, weights: np.ndarray) -> np.ndarray:
-    """Trials of each binomial block of ``_side_blocks``, as a (2k, 60) array
-    by side and by (p, q) row and column set; 0 where there is no block."""
-    on_side = weights.reshape(-1, 1, 16, 4) == np.array([1, -1])[:, None, None]
-    columns = (on_side @ (1 << np.arange(4))).reshape(-1, 16)  # column bit mask by side, group
-    masses = model.masses.ravel()
-    side, group = np.nonzero((columns > 0) & (masses > 0))
-    mass = np.zeros((len(columns), 60), np.int64)
-    np.add.at(mass, (side, (group & 3) * 15 + _SET_RANK[columns[side, group]]), masses[group])
-    return mass
-
-
 # Most entries a side's tilted windows may span for the exact engine to
 # run: 4 MB of PMF a side, and an FFT of at most 2**20 entries a measure.
 _MAX_SIDE_WINDOW = 1 << 19
 
 
-def _check_exact_work(mass: np.ndarray, measures: Sequence) -> np.ndarray:
+def _check_exact_work(side: np.ndarray, trials: np.ndarray, measures: Sequence) -> np.ndarray:
     """The most entries each side's tilted windows can span, as a (k, 2)
-    array from the (2k, 60) block trials of ``_block_masses``; InputError,
-    before any window is allocated, for the first measure with a side over
-    ``_MAX_SIDE_WINDOW``.  By Pinsker's inequality n KL(k / n || p) >= 2 (k
-    - np)^2 / n, so a block of n trials keeps at most sqrt(2 n
+    array from the sides and trials of the blocks of ``_side_blocks``;
+    InputError, before any window is allocated, for the first measure with a
+    side over ``_MAX_SIDE_WINDOW``.  By Pinsker's inequality n KL(k / n ||
+    p) >= 2 (k - np)^2 / n, so a block of n trials keeps at most sqrt(2 n
     ``_TILT_LOG``) + 3 values, whatever its tilt; a measure's FFT spans both
     sides' windows."""
-    n = mass.astype(float)
-    sides = np.minimum(n + 1, np.sqrt(2 * _TILT_LOG * n) + 3 * (n > 0)).sum(axis=1).reshape(-1, 2)
+    n = trials.astype(float)
+    sides = np.bincount(side, np.minimum(n + 1, np.sqrt(2 * _TILT_LOG * n) + 3),
+                        2 * len(measures)).reshape(-1, 2)
     for measure, width in zip(measures, sides.max(axis=1).tolist()):
         if width > _MAX_SIDE_WINDOW:
             raise InputError(f"{measure if isinstance(measure, MeasureId) else 'custom measure'}: "
@@ -557,12 +537,13 @@ def _check_exact_work(mass: np.ndarray, measures: Sequence) -> np.ndarray:
     return sides
 
 
-def _side_blocks(model: NullModel, mass: np.ndarray) -> list[list[TrialGroup]]:
-    """The binomial blocks of each side of (k, 64) weight rows, from their
-    (2k, 60) block trials (``_block_masses``), in the order row 0's positive
-    side, its negative side, row 1's positive side, and so on.  A side's
-    cells are read off ``weights[i].reshape(2, 2, 2, 2, 4)`` by (x, y, p, q)
-    group and (r, s) outcome column.
+def _side_blocks(model: NullModel, weights: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The binomial blocks of each side of (k, 64) weight rows, as arrays of
+    their side, trials (>= 1) and success probability: side 2i is row i's
+    positive side, 2i + 1 its negative side, the blocks in side order.  A
+    side's cells are read off ``weights[i].reshape(2, 2, 2, 2, 4)`` by (x,
+    y, p, q) group and (r, s) outcome column.
 
     A group's success probability depends only on its (p, q) row and its
     outcome columns, so groups sharing both add up to one binomial of their
@@ -570,13 +551,16 @@ def _side_blocks(model: NullModel, mass: np.ndarray) -> list[list[TrialGroup]]:
     columns) order, each probability summed over its columns in ascending
     order.
     """
+    on_side = weights.reshape(-1, 1, 16, 4) == np.array([1, -1])[:, None, None]
+    columns = (on_side @ (1 << np.arange(4))).reshape(-1, 16)  # column bit mask by side, group
+    masses = model.masses.ravel()
+    side, group = np.nonzero((columns > 0) & (masses > 0))
+    mass = np.zeros((len(columns), 60), np.int64)  # by side, then (p, q) row and column set
+    np.add.at(mass, (side, (group & 3) * 15 + _SET_RANK[columns[side, group]]), masses[group])
     keys = np.flatnonzero(mass)
     side, rows, sets = keys // 60, keys // 15 % 4, keys % 15
     terms = np.where(_SET_COLUMNS[sets], model.p0.reshape(4, 4)[rows], 0.0)
-    probs = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
-    blocks = [TrialGroup(m, p) for m, p in zip(mass.flat[keys].tolist(), probs.tolist())]
-    cuts = np.searchsorted(side, np.arange(len(mass) + 1)).tolist()
-    return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+    return side, mass.flat[keys], ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
 
 
 def _null_mean(model: NullModel, weights: np.ndarray, observed: int) -> tuple[float, int]:
@@ -680,14 +664,14 @@ def _tail_counts(model: NullModel, weights: np.ndarray, observed: np.ndarray,
 class _Plan(NamedTuple):
     """One item's run: its settings and model, and per measure the weight
     row, the observed value, (null mean, sign of the deviation) and, for an
-    exact run, its sides' block trials and window widths."""
+    exact run, its sides' binomial blocks and window widths."""
 
     config: InferenceConfig
     model: NullModel
     weights: np.ndarray   # (k, 64)
     observed: np.ndarray  # (k,) int64
     means: list[tuple[float, int]]
-    masses: np.ndarray | None = None   # (2k, 60), ``_block_masses``
+    blocks: tuple[np.ndarray, ...] | None = None  # (side, trials, p), ``_side_blocks``
     windows: np.ndarray | None = None  # (k, 2), ``_check_exact_work``
 
 
@@ -697,27 +681,28 @@ def _plan(table: DyadTable, config: InferenceConfig, model: NullModel | None) ->
         raise InputError("cannot test against a null model fitted from an empty table")
     weights = np.stack([(spec_for(m) if isinstance(m, MeasureId) else m).weights
                         for m in config.measures])
-    masses = _block_masses(model, weights) if config.method != "bootstrap" else None
-    windows = None if masses is None else _check_exact_work(masses, config.measures)
+    blocks = _side_blocks(model, weights) if config.method != "bootstrap" else None
+    windows = None if blocks is None else _check_exact_work(*blocks[:2], config.measures)
     observed = weights @ table.counts
     return _Plan(config, model, weights, observed,
                  [_null_mean(model, w, int(v)) for w, v in zip(weights, observed)],
-                 masses, windows)
+                 blocks, windows)
 
 
 def _run_task(task: tuple[_Plan, range] | list[_Plan]):
     """One task of a run: an item's bootstrap tail counts over a range of
-    chunks, or the exact tail of every measure of a batch of items, all
-    their tilted blocks evaluated in one ``_exact_tails`` call."""
+    chunks, or the exact tail of every measure of a batch of items, their
+    block arrays joined into one ``_exact_tails`` call."""
     if isinstance(task, tuple):
         plan, chunks = task
         return _tail_counts(plan.model, plan.weights, plan.observed, plan.config.seed,
                             plan.config.trials, chunks)
-    measures = []
-    for plan in task:
-        sides = _side_blocks(plan.model, plan.masses)
-        measures += zip(plan.observed.tolist(), [d for _, d in plan.means], sides[::2], sides[1::2])
-    return _exact_tails(measures)
+    first = np.cumsum([0] + [len(plan.observed) for plan in task])  # each item's first measure
+    side = np.concatenate([plan.blocks[0] + 2 * i for plan, i in zip(task, first)])
+    trials, p = (np.concatenate([plan.blocks[j] for plan in task]) for j in (1, 2))
+    return _exact_tails(np.concatenate([plan.observed for plan in task]),
+                        np.array([d for plan in task for _, d in plan.means]),
+                        (side // 2, trials, p, 1 - 2 * (side % 2)))
 
 
 def _exact_batches(plans: list[_Plan], workers: int) -> list[list[_Plan]]:
@@ -782,10 +767,10 @@ def run_items(work: Sequence[tuple[DyadTable, InferenceConfig, NullModel | None]
     the InputError that stopped it (such as an empty table), in order.
 
     Each item's model is fitted once unless given, and each measure's
-    observed value, null mean, direction and binomial blocks are taken once.
-    The items' bootstrap chunks then go out in ranges, about four per worker
-    over all items, and their exact work as at most one batch per worker
-    (``_exact_batches``), each one ``_exact_tails`` call;
+    observed value, null mean, direction and binomial block arrays are taken
+    once.  The items' bootstrap chunks then go out in ranges, about four per
+    worker over all items, and their exact work as at most one batch per
+    worker (``_exact_batches``), each one ``_exact_tails`` call;
     ``map_tasks(fn, tasks)`` runs them and returns their outcomes in order
     (``map``, inline, by default; forked children from ``evaluate_items``).
     Counts over an item's ranges add up to its counts over all chunks, and

@@ -68,7 +68,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ._version import __version__
-from .census import CELL_BITS, DyadRecord, DyadTable, cell_codes, tally
+from .census import _MAX_COUNT, CELL_BITS, DyadRecord, DyadTable, cell_codes, tally
 from .errors import InputError
 from .inference import InferenceConfig, TestResult, run_items
 from .measures import MeasureId
@@ -632,11 +632,6 @@ def node_edge_items(nodes, edges, items: Sequence[str] | None = None,
         codes, stats = _join_codes(survey, dyads, item)
         built.append((item, tally(codes[codes >= 0]), stats.dropped))
     return built
-
-
-# Largest cell count a 64-cell table takes: every integer up to it is exact
-# as a float, and 64 such cells still sum within int64.
-_MAX_COUNT = 2**53
 
 
 def _parse_value(token: str, line_no: int, column: str, path, probabilities: bool) -> float:

@@ -31,7 +31,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .census import DyadTable, cell_codes, tally
+from .census import _MAX_COUNT, DyadTable, cell_codes, tally
 from .errors import InputError
 
 __all__ = [
@@ -339,11 +339,12 @@ def probabilities_to_counts(probability_table, scale: int) -> DyadTable:
 
     Each (x, y, p, q) row of four (r, s) probabilities must sum to 1 within
     1e-9; the resulting census total is (number of rows) * scale up to
-    rounding.
+    rounding.  A scale over 2**53, the most dyads a cell may hold, is an
+    InputError.
     """
     probs = np.asarray(probability_table, dtype=float).reshape(64)
-    if scale < 1:
-        raise InputError(f"scale must be >= 1, got {scale}")
+    if not 1 <= scale <= _MAX_COUNT:
+        raise InputError(f"scale must lie in [1, 2**53], got {scale}")
     if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails too
         raise InputError("probabilities must lie in [0, 1]")
     rows = probs.reshape(16, 4)

@@ -86,6 +86,20 @@ def test_table_bad_probabilities_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_table_scale_over_the_cell_bound_is_input_error(tmp_path, capsys):
+    # 2**62 would make every cell 2**60 and wrap the table's int64 total to
+    # 0, 10**20 would not fit an int64 cell; 2**53 dyads a cell still run
+    argv = ["table", "--table", str(uniform_table(tmp_path)), "--probabilities",
+            "--method", "bootstrap", "--trials", "100", "--out-csv", str(tmp_path / "r.csv")]
+    for scale in (2**62, 10**20, 2**53 + 1):
+        assert main(argv + ["--scale", str(scale)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: scale must lie in [1, 2**53], got {scale}\n"
+    assert main(argv + ["--scale", str(2**53)]) == 0
+    rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+    assert len(rows) == 8 and all(f",{64 * 2**51},0," in row for row in rows)
+
+
 def deviating_table(tmp_path):
     """A 64-cell table of 10 to 29 dyads a cell on which every measure
     deviates from its null mean, so that every exact tail is evaluated."""
@@ -331,6 +345,39 @@ def test_no_runtime_path_builds_a_record(tmp_path, monkeypatch, capsys, run):
             assert main(argv) == 0, capsys.readouterr()
         outputs[guarded] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     assert {"r.csv", "r.json", "r.svg"} <= set(outputs[True])
+    assert outputs[True] == outputs[False]
+
+
+_EXACT_RUNS = {
+    "table-exact": ["table", "--table", "{table}", "--method", "exact"],
+    "dyads-items": ["evaluate", "--dyads", "{dyads}", "--method", "exact"],
+    "nodes-both": ["evaluate", "--nodes", "{nodes}", "--edges", "{edges}", "--method", "both",
+                   "--trials", "2000", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(_EXACT_RUNS))
+def test_no_runtime_path_builds_a_trial_group(tmp_path, monkeypatch, capsys, run):
+    """The exact engine keeps each measure's binomial blocks as arrays from
+    plan to tail: with TrialGroup made unbuildable, a run at two forked
+    workers still succeeds, and its reports are byte-identical to a normal
+    run's."""
+    monkeypatch.setattr(io, "_worker_count", lambda: 2)
+    inputs = dict(_guard_inputs(tmp_path), table=str(deviating_table(tmp_path)),
+                  dyads=str(random_dyads(tmp_path)))
+    outputs = {}
+    for guarded in (False, True):
+        out = tmp_path / f"out{guarded}"
+        out.mkdir()
+        argv = [arg.format(**inputs) for arg in _EXACT_RUNS[run]] + report_flags(out)
+        with monkeypatch.context() as patch:
+            if guarded:
+                def unbuildable(group):
+                    raise AssertionError(f"a runtime path built {group!r}")
+                patch.setattr(inference.TrialGroup, "__post_init__", unbuildable)
+            assert main(argv) == 0, capsys.readouterr()
+        outputs[guarded] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert set(outputs[True]) == {"r.csv", "r.json", "r.svg"}
     assert outputs[True] == outputs[False]
 
 

@@ -16,7 +16,7 @@ from dyadeval import MeasureSpec, SimParams, sample
 from dyadeval import inference, io
 from dyadeval.inference import (_CHUNK_TRIALS, _MAX_SIDE_WINDOW, _PASS_ENTRIES, _STIRLERR,
                                 _TILT_LOG, _WINDOW_LOG, _binom_pmf, _binom_windows,
-                                _block_masses, _exact_tails, _side_blocks, _stirlerr,
+                                _exact_tails, _side_blocks, _stirlerr,
                                 run_items)
 from dyadeval.null_model import _sample_group_outcomes
 from dyadeval.measures import spec_for
@@ -180,6 +180,14 @@ def test_too_narrow_window_is_integrity_error(monkeypatch, side):
         _binom_windows([TrialGroup(40, 0.5), TrialGroup(1000, 0.3)])
 
 
+def side_groups(blocks, sides):
+    """The (side, trials, p) block arrays of ``_side_blocks`` as one list of
+    TrialGroups per side, for the oracles."""
+    side, trials, p = blocks
+    return [[TrialGroup(n, q) for n, q in zip(trials[side == s].tolist(), p[side == s].tolist())]
+            for s in range(sides)]
+
+
 def test_exact_tails_match_growth_oracle():
     # run_all's exact tails equal, within 1e-12 relative, the direct tails
     # of the per-block windows of the oracle, convolved side by side in the
@@ -190,7 +198,7 @@ def test_exact_tails_match_growth_oracle():
         for res in run_all(table, InferenceConfig(method="exact")):
             weights = spec_for(res.measure).weights
             sides = []
-            for blocks in _side_blocks(model, _block_masses(model, weights)):
+            for blocks in side_groups(_side_blocks(model, weights), 2):
                 support_min, pmf = 0, np.array([1.0])
                 for g in blocks:
                     lo, block = binom_window_by_growth(g.count, g.success_prob)
@@ -214,7 +222,7 @@ def test_side_blocks_match_per_side_oracle():
                               for w in weights for sign in (1, -1)]
     for seed in range(50):
         model = fit(simulate_dyad_table(SimParams(seed=seed), node_count=40 + 10 * seed))
-        assert _side_blocks(model, _block_masses(model, weights)) == expected(model), seed
+        assert side_groups(_side_blocks(model, weights), 2 * len(weights)) == expected(model), seed
     undefined = 0
     for case in range(30):
         # sparse random tables, some of whose pre-state rows are empty, so
@@ -223,7 +231,7 @@ def test_side_blocks_match_per_side_oracle():
         counts *= (rng.random((2, 2)) < 0.8)[:, :, None, None]
         model = fit(DyadTable(counts.ravel()))
         undefined += not model.row_defined.all()
-        assert _side_blocks(model, _block_masses(model, weights)) == expected(model), case
+        assert side_groups(_side_blocks(model, weights), 2 * len(weights)) == expected(model), case
     assert undefined >= 10
 
 
@@ -275,8 +283,9 @@ def test_exact_bound_sizes_the_windows_that_run(monkeypatch):
     counts[12] += rng.multinomial(3 * 10 ** 8, np.full(4, 1 / 4))  # group x=1, y=1, p=0, q=0
     table = DyadTable(counts.ravel())
     weights = np.stack([spec_for(m).weights for m in MeasureId])
-    n = inference._block_masses(fit(table), weights).astype(float)
-    direct_widths = np.minimum(n + 1, np.sqrt(2 * _WINDOW_LOG * n) + 3 * (n > 0)).sum(axis=1)
+    side, trials, _ = _side_blocks(fit(table), weights)
+    n = trials.astype(float)
+    direct_widths = np.bincount(side, np.minimum(n + 1, np.sqrt(2 * _WINDOW_LOG * n) + 3))
     assert direct_widths.max() > _MAX_SIDE_WINDOW
     windows = []
     full_entries = inference._binom_entries
@@ -612,15 +621,22 @@ def measure_sides(table):
     """(observed, sign of the deviation, positive blocks, negative blocks)
     of each of the eight measures."""
     plan = inference._plan(table, InferenceConfig(method="exact"), None)
-    sides = _side_blocks(plan.model, plan.masses)
+    sides = side_groups(plan.blocks, 2 * len(plan.observed))
     return [(v, deviation, pos, neg) for v, (_, deviation), pos, neg
             in zip(plan.observed.tolist(), plan.means, sides[::2], sides[1::2])]
 
 
 def engine_tail(pos, neg, v, deviation):
     """The exact engine's tail of one measure given by its sides' blocks."""
-    [tail] = _exact_tails([(v, deviation, pos, neg)])
+    [tail] = _exact_tails(np.array([v]), np.array([deviation]), measure_blocks(pos, neg))
     return tail
+
+
+def measure_blocks(pos, neg, measure=0):
+    """One measure's (measure, n, p, sign) block arrays, positive side first."""
+    signed = [(g.count, g.success_prob, sign) for sign, side in ((1, pos), (-1, neg)) for g in side]
+    return (np.full(len(signed), measure), np.array([n for n, _, _ in signed], np.int64),
+            np.array([p for _, p, _ in signed], float), np.array([s for *_, s in signed], np.int64))
 
 
 def test_tilted_tail_matches_direct_on_random_tables():
@@ -742,6 +758,22 @@ def test_tilted_tail_edges_give_the_direct_answer():
         assert engine_tail(*far) == direct_tail(*far) == 0.0
 
 
+def random_sides(rng):
+    """Two sides of one to four blocks of 0 to 79 trials, their success
+    probabilities uniform, near 1, 0 or 1."""
+    return ([TrialGroup(int(rng.integers(0, 80)),
+                        float(rng.choice([rng.uniform(), rng.uniform(0.9, 1.0), 0.0, 1.0],
+                                         p=[0.5, 0.3, 0.1, 0.1])))
+             for _ in range(int(rng.integers(1, 5)))] for _ in range(2))
+
+
+def support_edges(pos, neg):
+    """The least and the greatest value of X - Y of positive probability."""
+    reach = lambda side, other: (sum(g.count for g in side if g.success_prob > 0.0)
+                                 - sum(g.count for g in other if g.success_prob == 1.0))
+    return -reach(neg, pos), reach(pos, neg)
+
+
 def test_edge_tails_equal_the_direct_tails_bit_for_bit():
     # on the edge of the support in the tail's direction, random sides with
     # point-mass and empty blocks: the closed form is the direct engine's
@@ -749,18 +781,36 @@ def test_edge_tails_equal_the_direct_tails_bit_for_bit():
     rng = np.random.default_rng(4242)
     nonzero = 0
     for _ in range(300):
-        pos, neg = ([TrialGroup(int(rng.integers(0, 80)),
-                                float(rng.choice([rng.uniform(), rng.uniform(0.9, 1.0), 0.0, 1.0],
-                                                 p=[0.5, 0.3, 0.1, 0.1])))
-                     for _ in range(int(rng.integers(1, 5)))] for _ in range(2))
-        reach = {s: sum(g.count for g in side if g.success_prob > 0.0)
-                 - sum(g.count for g in other if g.success_prob == 1.0)
-                 for s, side, other in ((1, pos, neg), (-1, neg, pos))}
-        for v, deviation in ((reach[1], 1), (-reach[-1], -1)):
+        pos, neg = random_sides(rng)
+        least, greatest = support_edges(pos, neg)
+        for v, deviation in ((greatest, 1), (least, -1)):
             want = direct_tail(pos, neg, v, deviation)
             assert engine_tail(pos, neg, v, deviation) == (want if want >= 1e-300 else 0.0)
             nonzero += want >= 1e-300
     assert nonzero > 300
+
+
+def test_one_batch_equals_one_call_per_measure_bit_for_bit():
+    # 400 random measures, each in direction -1, 0 or +1 at a value inside
+    # its support, on its edge or past it: one _exact_tails call over all
+    # of them gives each measure's own tail, bit for bit
+    rng = np.random.default_rng(4343)
+    cases = []
+    for _ in range(400):
+        pos, neg = random_sides(rng)
+        deviation = int(rng.integers(-1, 2))
+        least, greatest = support_edges(pos, neg)
+        edge = greatest if deviation >= 0 else least
+        step = int(rng.choice([-int(rng.integers(1, 60)), 0, int(rng.integers(1, 4))]))
+        cases.append((pos, neg, edge + (deviation or 1) * step, deviation))
+    alone = [engine_tail(*case) for case in cases]
+    blocks = [measure_blocks(pos, neg, i) for i, (pos, neg, _, _) in enumerate(cases)]
+    together = _exact_tails(np.array([v for *_, v, _ in cases]),
+                            np.array([deviation for *_, deviation in cases]),
+                            tuple(np.concatenate(column) for column in zip(*blocks)))
+    assert together == alone
+    inside = [0.0 < tail < 1.0 for tail in alone]
+    assert sum(inside) > 100 and alone.count(0.0) > 50 and alone.count(1.0) > 100
 
 
 # -------------------------------------------------- bootstrap_test
