@@ -87,6 +87,8 @@ class DyadTable:
         if not np.issubdtype(arr.dtype, np.integer):
             if not np.all(arr == np.floor(arr)):
                 raise ValueError("counts must be integers")
+        if np.any(arr > _MAX_COUNT):  # before the cast, which could wrap it
+            raise ValueError("counts must be at most 2**53")
         arr = arr.astype(np.int64)
         if np.any(arr < 0):
             raise ValueError("counts must be non-negative")

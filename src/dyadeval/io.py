@@ -9,10 +9,10 @@ dyad CSV      header ego_id, alter_id, ego_part, alter_part, ego_b0,
               Repeated (ego, alter, item) rows are tallied as given, once
               per row: detecting them would need a key set as large as the
               file, and the file is streamed in blocks.  ``dyad_csv_items``
-              tallies plain lines (ASCII, LF or CRLF line ends, no quote,
-              NUL or lone CR, not over-long) in numpy, block by block, and
-              hands the lines of a block from its first line that is not
-              plain to its last to csv, which reads on only to end a row
+              tallies each run of plain lines (ASCII, LF or CRLF line ends,
+              no quote, NUL or lone CR, not over-long) in numpy, and hands
+              each run of other lines, with any short plain run between two,
+              to a csv reader of its own, which reads on only to end a row
               left open; ``parse_dyad_csv`` reads the whole file through csv.
               Rows csv reads and rows numpy does not keep go through one
               row rule, ``_check_row``.
@@ -60,7 +60,6 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from io import StringIO
 from itertools import chain, count, repeat, starmap
-from math import inf
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -306,18 +305,20 @@ def parse_dyad_csv(path, delimiter: str = ",") -> tuple[list[DyadRecord], list[t
 
 
 def _plain_lines(block: bytes, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """``block`` with CRLF made LF and a final newline, as bytes, and the
-    position of each newline, if csv reads every line of it as the line
-    split at the delimiter: ASCII with no quote, NUL or lone CR, and no line
-    longer than ``limit``, csv's field size limit.  None if not."""
+    """``_lf_lines`` of ``block`` with CRLF made LF if csv reads each line
+    of it as the line split at the delimiter: ASCII with no quote, NUL or
+    lone CR, no line over ``limit`` (csv's field size limit); else None."""
     block = block.replace(b"\r\n", b"\n") if b"\r" in block else block
     if not block.isascii() or b'"' in block or b"\r" in block or b"\0" in block:
         return None
+    buf, ends = _lf_lines(block)
+    return None if np.diff(ends, prepend=-1).max() > limit + 1 else (buf, ends)
+
+
+def _lf_lines(block: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """LF-ended ``block`` with a final newline, as bytes, and its newlines."""
     buf = np.frombuffer(block if block.endswith(b"\n") else block + b"\n", np.uint8)
-    ends = np.flatnonzero(buf == 10)
-    if np.diff(ends, prepend=-1).max() > limit + 1:
-        return None
-    return buf, ends
+    return buf, np.flatnonzero(buf == 10)
 
 
 def _plain_rows(buf: np.ndarray, ends: np.ndarray, line_no: int, path: Path,
@@ -375,77 +376,75 @@ def _plain_rows(buf: np.ndarray, ends: np.ndarray, line_no: int, path: Path,
     return np.concatenate([code, slow_code]), np.concatenate([item, slow_item]), drops
 
 
-def _csv_cut(block: bytes, limit: int) -> tuple[int, int]:
-    """(byte offset, line index) at which to cut ``block``, which is not
-    plain (see ``_plain_lines``): the start of its first line that is not
-    plain or, if that is its first line, the end of its last.  A line is
-    not plain if it holds a byte that is not ASCII, a quote, a NUL or a lone
-    CR, or is over ``limit`` bytes long with its line end."""
-    buf = np.frombuffer(block, np.uint8)
-    lone = (buf == 13) & (np.r_[buf[1:], 0] != 10)
-    ends = np.flatnonzero((buf == 10) | lone)  # the last byte of each ended line
-    bounds = np.r_[-1, ends, buf.size]  # line k is bounds[k] + 1 .. bounds[k + 1]
-    lines = np.r_[np.searchsorted(ends, np.flatnonzero((buf > 127) | (buf == 34) | (buf == 0) | lone)),
-                  np.flatnonzero(np.diff(bounds) > limit + 1)]
-    line = int(lines.min()) or int(lines.max()) + 1
-    return min(int(bounds[line]) + 1, buf.size), line
+def _runs(path: Path, limit: int, byte_path: bool
+          ) -> Iterator[tuple[int, bytes, tuple[np.ndarray, np.ndarray] | None]]:
+    """(first line, bytes, ``_lf_lines`` of them made LF if plain, else
+    None) of each run of ``path``'s lines, in file order: a block whose lines
+    are all plain (``_plain_lines``), else the maximal runs of a block's lines
+    that are plain and that are not, a plain run between two that are not
+    joining them if it has no more lines than the block has runs that are
+    not.  A line is not plain if it holds a byte that is not ASCII, a quote,
+    a NUL or a lone CR, or is over ``limit`` bytes long with its line end;
+    no line is plain without ``byte_path``."""
+    for line_no, block in _byte_blocks(path):
+        plain = _plain_lines(block, limit) if byte_path else None
+        if plain is not None or not byte_path:
+            yield line_no, block, plain
+            continue
+        buf = np.frombuffer(block if block.endswith((b"\n", b"\r")) else block + b"\n", np.uint8)
+        lone = (buf == 13) & (np.r_[buf[1:], 0] != 10)
+        bounds = np.r_[-1, np.flatnonzero((buf == 10) | lone)]  # line k: bounds[k] + 1 .. bounds[k + 1]
+        bad = (buf > 127) | (buf == 34) | (buf == 0) | lone  # not ASCII, a quote, a NUL, a lone CR
+        odd = np.logical_or.reduceat(bad, bounds[:-1] + 1) | (np.diff(bounds) > limit + 1)
+        firsts = np.flatnonzero(np.diff(odd, prepend=~odd[0]))  # the first line of each run
+        sizes = np.diff(firsts, append=odd.size)
+        # so csv takes short plain runs and a block makes at most ~sqrt(its lines) + 2 numpy passes
+        odd |= np.repeat(~odd[firsts] & (firsts > 0) & (firsts + sizes < odd.size)
+                         & (sizes <= odd[firsts].sum()), sizes)
+        cuts = np.r_[np.flatnonzero(np.diff(odd, prepend=~odd[0])), odd.size].tolist()
+        for first, stop in zip(cuts, cuts[1:]):
+            run = block[bounds[first] + 1:bounds[stop] + 1]
+            yield line_no + first, run, None if odd[first] else _lf_lines(run.replace(b"\r\n", b"\n"))
 
 
 def _tallied_blocks(path: Path, delimiter: str, items: _ItemIndex
                     ) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, str | None]]]]:
     """(cell code, item index) of the kept rows of a dyad CSV, and its
-    drops, part by part: ``_plain_rows`` tallies plain lines (the header
-    read through csv), and one csv reader, which lives for the whole file,
-    reads the lines of each block ``_csv_cut`` does not leave plain, and
-    reads on only while its last row is still open (a quoted field across a
-    line end); csv reads every line if the delimiter is not plain ASCII."""
+    drops, run by run (``_runs``; no run is plain if the delimiter is not
+    plain ASCII): ``_plain_rows`` tallies a plain run, and a csv reader of its
+    own reads a run that is not, and the runs after it only while its last
+    row is open (a quoted field across a line end)."""
     _check_delimiter(delimiter)
-    limit = csv.field_size_limit()
-    byte_path = delimiter.isascii() and delimiter not in '"\r\n\0'
-    blocks, ahead = _byte_blocks(path), []  # ahead: (first line, bytes) of parts to read next
-    offset, last = 0, inf  # line = offset + csv's line count; the last line of csv's part
+    runs = _runs(path, csv.field_size_limit(), delimiter.isascii() and delimiter not in '"\r\n\0')
+    last = 0  # the last line of the runs csv has taken
 
-    def next_part() -> tuple[int, bytes] | None:
-        return ahead.pop() if ahead else next(blocks, None)
-
-    def csv_lines(line_no: int, part: bytes) -> Iterator[str]:
-        """The lines of a part csv reads, the last of which bounds its rows."""
+    def csv_lines(line_no: int, run: bytes, _) -> Iterator[str]:
         nonlocal last
-        last = line_no + _line_count(part) - 1
-        return _block_lines(path, line_no, part)
+        last = line_no + _line_count(run) - 1
+        return _block_lines(path, line_no, run)
 
     def next_row_line() -> int | None:
-        """The line csv's next row starts on, None once csv has read its part."""
-        line = offset + reader.line_num + 1
+        """The line csv's next row starts on, None once csv has read its runs."""
+        line = line_no + reader.line_num
         return line if line <= last else None
 
-    reader = csv.reader(chain.from_iterable(starmap(csv_lines, iter(next_part, None))),
-                        delimiter=delimiter)
     layout = None
-    for line_no, block in iter(next_part, None):
-        plain = _plain_lines(block, limit) if byte_path else None
-        if plain is None and byte_path:  # put back what follows the cut, read what precedes it
-            cut, lines = _csv_cut(block, limit)
-            if cut < len(block):
-                ahead.append((line_no + lines, block[cut:]))
-                block = block[:cut]
-                plain = _plain_lines(block, limit)
-        if plain is not None:
-            buf, ends = plain
-            if layout is None:
-                header = buf[:ends[0]].tobytes().decode()
-                layout = _dyad_layout(next(csv.reader([header], delimiter=delimiter)), path)
-                buf, ends, line_no = buf[ends[0] + 1:], ends[1:] - (ends[0] + 1), line_no + 1
-            if ends.size:
-                yield _plain_rows(buf, ends, line_no, path, delimiter, layout, items)
+    for line_no, run, plain in runs:
+        if plain is None:
+            lines = chain(csv_lines(line_no, run, None), chain.from_iterable(starmap(csv_lines, runs)))
+            reader = csv.reader(lines, delimiter=delimiter)
+            try:
+                layout = layout or _dyad_layout(next(reader, None), path)
+                yield _checked_rows(zip(iter(next_row_line, None), reader), path, layout, items)
+            except csv.Error as exc:
+                raise InputError(f"{path}: line {line_no - 1 + reader.line_num}: {exc}") from None
             continue
-        ahead.append((line_no, block))  # for csv, which sets ``last`` as it takes it
-        offset, last = line_no - 1 - reader.line_num, inf
-        try:
-            layout = layout or _dyad_layout(next(reader, None), path)
-            yield _checked_rows(zip(iter(next_row_line, None), reader), path, layout, items)
-        except csv.Error as exc:
-            raise InputError(f"{path}: line {offset + reader.line_num}: {exc}") from None
+        buf, ends = plain
+        if layout is None:  # csv splits a plain line at the delimiter
+            layout = _dyad_layout(buf[:ends[0]].tobytes().decode().split(delimiter), path)
+            buf, ends, line_no = buf[ends[0] + 1:], ends[1:] - (ends[0] + 1), line_no + 1
+        if ends.size:
+            yield _plain_rows(buf, ends, line_no, path, delimiter, layout, items)
     if layout is None:  # an empty file
         _dyad_layout(None, path)
 
@@ -461,23 +460,24 @@ def _tally_dyad_csv(path, delimiter: str
     counts = np.zeros(0, dtype=np.int64)
     dropped: dict[str | None, int] = {}
     for code, item, drops in _tallied_blocks(Path(path), delimiter, items):
-        tally = np.bincount(item * 64 + code, minlength=64 * len(items.ids))
-        tally[: counts.size] += counts
-        counts = tally
+        if counts.size < 64 * len(items.ids):  # doubled, so O(run) a run; no view of counts exists
+            counts.resize(max(64 * len(items.ids), 2 * counts.size), refcheck=False)
+        np.add.at(counts, item * 64 + code, 1)
         for _, item_id in drops:
             dropped[item_id] = dropped.get(item_id, 0) + 1
+    counts.resize(64 * len(items.ids), refcheck=False)  # gives back the spare capacity
     by_item = counts.reshape(-1, 64)
-    return ({item: by_item[i] for item, i in items.ids.items() if by_item[i].any()},
-            dropped)
+    kept = by_item.any(axis=1).tolist()
+    return {item: by_item[i] for item, i in items.ids.items() if kept[i]}, dropped
 
 
 def dyad_csv_items(path, items: Sequence[str] | None = None, delimiter: str = ","
                    ) -> list[tuple[str, DyadTable, int]]:
     """(item, census, dyads dropped) of a dyad CSV for each of ``items``, or
     for each item with at least one kept row, sorted.  An item the file
-    lacks gets an empty census.  The file is streamed: each block is added
-    into per-item counts with one ``bincount`` and no per-row record, so
-    memory is O(block + items) whatever the row count.  The row rules are
+    lacks gets an empty census.  The file is streamed: each run of lines is
+    added into per-item counts in place, with no per-row record, so memory is
+    O(block + items) whatever the row count.  The row rules are
     those of ``parse_dyad_csv`` (same drops, same first error)."""
     counts, dropped = _tally_dyad_csv(path, delimiter)
     return [(item, DyadTable(counts.get(item, np.zeros(64, dtype=np.int64))),

@@ -99,6 +99,15 @@ def test_table_validation():
         DyadTable(np.full(64, 0.5))
 
 
+def test_table_cells_over_2_to_the_53_are_refused():
+    # 64 cells of 2**53 still sum within int64; a larger cell would let the
+    # total wrap (64 cells of 2**60 summed to 0)
+    assert DyadTable(np.full(64, 2**53)).total == 2**59
+    for cell in (2**53 + 1, 2**60, 2.0**60):
+        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+            DyadTable(np.full(64, cell))
+
+
 def test_table_counts_immutable():
     table = DyadTable(np.zeros(64, dtype=np.int64))
     with pytest.raises(ValueError):

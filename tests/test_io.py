@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import os
 import time
@@ -429,31 +430,105 @@ def test_byte_path_matches_row_reference(tmp_path, monkeypatch, low_field_limit,
 
 
 def test_quoted_ids_send_only_their_lines_to_csv(tmp_path, monkeypatch):
-    # a quoted id on lines 5 and 10,000 of a 20k-row file: csv and the row
-    # rules read just those two lines, every other line but the missing-bit
-    # rows goes through _plain_rows, and the tables equal the unquoted file's
+    # a quoted id on lines 5 and 10,000 of a 20k-row file, or on lines 5 and
+    # 40 of its first block: csv and the row rules read just those two lines,
+    # every other line but the missing-bit rows (those between the two too)
+    # goes through _plain_rows, and the tables equal the unquoted file's
     monkeypatch.setattr(io, "_BLOCK_BYTES", 16_384)
-    lines = [DYAD_HEADER] + [f"e{i},a{i},{i & 1},0,{'NA' if i % 97 == 5 else 1},"
-                             f"{i >> 1 & 1},0,1,q{i % 7}" for i in range(20_000)]
-    plain_file = write(tmp_path, "plain.csv", "\n".join(lines) + "\n")
-    quoted_lines = [5, 10_000]
-    for line in quoted_lines:
-        lines[line - 1] = f'"e{line - 2}",' + lines[line - 1].partition(",")[2]
-    quoted = write(tmp_path, "quoted.csv", "\n".join(lines) + "\n")
+    rows = [DYAD_HEADER] + [f"e{i},a{i},{i & 1},0,{'NA' if i % 97 == 5 else 1},"
+                            f"{i >> 1 & 1},0,1,q{i % 7}" for i in range(20_000)]
+    plain_file = write(tmp_path, "plain.csv", "\n".join(rows) + "\n")
     expected = tally_outcome(plain_file)
     checked = []
     check_row = io._check_row
     monkeypatch.setattr(io, "_check_row", lambda row, line_no, *rest: (
         checked.append(line_no) or check_row(row, line_no, *rest)))
     handed, plain = record_csv_blocks(monkeypatch), record_plain_rows(monkeypatch)
-    assert tally_outcome(quoted) == expected
-    assert handed == [(line, lines[line - 1].encode() + b"\n") for line in quoted_lines]
-    firsts = [line_no for line_no, _ in io._byte_blocks(quoted)]
-    assert len(firsts) > 20
-    assert plain == sorted({2, *firsts[1:], *(line + 1 for line in quoted_lines)}
-                           - set(quoted_lines))
-    na = [i + 2 for i in range(20_000) if i % 97 == 5]
-    assert checked == sorted({*quoted_lines, *na})
+    for quoted_lines in ([5, 10_000], [5, 40]):
+        lines = list(rows)
+        for line in quoted_lines:
+            lines[line - 1] = f'"e{line - 2}",' + lines[line - 1].partition(",")[2]
+        quoted = write(tmp_path, "quoted.csv", "\n".join(lines) + "\n")
+        checked.clear()
+        handed.clear()
+        plain.clear()
+        assert tally_outcome(quoted) == expected
+        assert handed == [(line, lines[line - 1].encode() + b"\n") for line in quoted_lines]
+        firsts = [line_no for line_no, _ in io._byte_blocks(quoted)]
+        assert len(firsts) > 20 and (quoted_lines[1] < firsts[1]) == (quoted_lines[1] == 40)
+        assert plain == sorted({2, *firsts[1:], *(line + 1 for line in quoted_lines)}
+                               - set(quoted_lines))
+        na = [i + 2 for i in range(20_000) if i % 97 == 5]
+        assert checked == sorted({*quoted_lines, *na})
+
+
+def test_quoted_field_across_a_block_edge_hands_csv_only_its_lines(tmp_path, monkeypatch):
+    # an ego id quoted across the line end that ends a block: csv takes that
+    # line and, while the row is open, the next block's first run, the closing
+    # quote's line alone; _plain_rows takes the line after it
+    monkeypatch.setattr(io, "_BLOCK_BYTES", 16_384)
+    lines = [DYAD_HEADER] + [f"e{i},a{i},{i & 1},0,{'NA' if i % 97 == 5 else 1},"
+                             f"{i >> 1 & 1},0,1,q{i % 7}" for i in range(2_000)]
+    ends = np.cumsum([len(line) + 1 for line in lines])  # the offset after each line
+    n = int(np.searchsorted(ends, 16_384 - 16))  # the row on line n + 1 opens the quote
+    lines[n] = '"' + "y" * int(16_384 - 8 - ends[n - 1]) + '\nx",' + lines[n].partition(",")[2]
+    path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+    firsts = [line_no for line_no, _ in io._byte_blocks(path)]
+    assert firsts[1] == n + 2 and len(firsts) > 2  # line n + 1 ends the first block
+    handed, plain = record_csv_blocks(monkeypatch), record_plain_rows(monkeypatch)
+    assert tally_outcome(path) == reference_tally(path, ",")
+    opening, closing = lines[n].encode().split(b"\n")
+    assert handed == [(n + 1, opening + b"\n"), (n + 2, closing + b"\n")]
+    assert plain == [2, n + 3, *firsts[2:]]
+
+
+def rule_runs(path):
+    """(first line, last line, plain) of each run the dyad tally should make
+    of ``path``, a file of LF lines whose only lines that are not plain hold
+    a quote: per block, the maximal runs of plain lines and of lines that
+    are not, a plain run between two that are not joining them if it has no
+    more lines than the block has runs that are not."""
+    runs = []
+    for first, block in io._byte_blocks(path):
+        block_runs = []
+        for odd, group in itertools.groupby(enumerate(block.splitlines(), first),
+                                            key=lambda pair: b'"' in pair[1]):
+            lines = [line_no for line_no, _ in group]
+            block_runs.append([lines[0], lines[-1], not odd])
+        odd_runs = sum(not plain for _, _, plain in block_runs)
+        for run in block_runs[1:-1]:
+            run[2] = run[2] and run[1] - run[0] + 1 > odd_runs
+        for k, run in enumerate(block_runs):
+            if k and run[2] == runs[-1][2]:
+                runs[-1][1] = run[1]
+            else:
+                runs.append(run)
+    return runs
+
+
+def test_dense_quoted_ids_bound_the_numpy_passes_of_a_block(tmp_path, monkeypatch):
+    # with a quoted id on 0.3-50% of the rows, csv and _plain_rows take the
+    # runs of ``rule_runs``, so a block makes at most ~sqrt(its lines) + 2
+    # _plain_rows passes, and the tables equal the row reference's
+    monkeypatch.setattr(io, "_BLOCK_BYTES", 4_096)
+    handed, plain = record_csv_blocks(monkeypatch), record_plain_rows(monkeypatch)
+    rng = np.random.default_rng(29)
+    for rate in (0.003, 0.03, 0.1, 0.5):
+        lines = [DYAD_HEADER] + [(f'"e{i}"' if rng.random() < rate else f"e{i}")
+                                 + f",a{i},{i & 1},0,1,{i >> 1 & 1},0,1,q{i % 7}"
+                                 for i in range(3_000)]
+        path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+        handed.clear()
+        plain.clear()
+        assert tally_outcome(path) == reference_tally(path, ","), rate
+        runs = rule_runs(path)
+        assert [(line_no, line_no + io._line_count(part) - 1)
+                for line_no, part in handed] == [(a, b) for a, b, p in runs if not p], rate
+        assert plain == [max(a, 2) for a, b, p in runs if p and b > 1], rate
+        for first, block in io._byte_blocks(path):
+            lines = block.count(b"\n")
+            passes = sum(first <= line_no < first + lines for line_no in plain)
+            assert passes <= math.sqrt(lines) + 2, (rate, first)
 
 
 def test_dyad_tally_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
