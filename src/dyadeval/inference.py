@@ -41,13 +41,13 @@ tilted blocks, evaluated on +-15 tilted sd, give the tilted PMF of X - Y
 from one FFT product, and the tail is its sum over the tail weighted by
 exp(-theta (d - v)), times exp(log M(theta) - theta v).  FFT round-off is
 then relative to the PMF near v, the answer's own scale, and the work is
-O(W log W) in the windows' width W.  An exact task evaluates the tilted
-windows of all its measures' blocks in one batch, in passes of at most
-8,192 entries, each first bounded by the Chernoff bound n KL(k / n || p) <=
-15^2 / 2.  A tail follows from its measure's own blocks and observed value
-alone, whatever measures share its run.  A measure whose side's windows
-could span over 2**19 entries in all is an InputError when its run is
-planned, before any is allocated.
+O(W log W) in the windows' width W.  An exact task solves its measures'
+theta together, by Newton steps on arrays, and evaluates their tilted
+windows in one batch, in passes of at most 8,192 entries, each first bounded
+by the Chernoff bound n KL(k / n || p) <= 15^2 / 2.  A tail follows from its
+measure's own blocks and observed value alone, whatever measures share its
+run.  A measure whose side's windows could span over 2**19 entries in all is
+an InputError when its run is planned, before any is allocated.
 
 ``pb_pmf``, the PMF of one sum of binomials, is the module's one direct
 convolution: each block evaluated on the window where it is >= 1e-300
@@ -385,41 +385,42 @@ def pb_pmf(groups: Sequence[TrialGroup] | Iterable[TrialGroup]) -> DiscreteDistr
 _TILT_LOG = 15.0 ** 2 / 2
 
 
-def _expit(z: float) -> float:
-    """1 / (1 + exp(-z)) without overflow."""
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+def _expits(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """expit(z) and expit(-z) without overflow, from one e = exp(-|z|):
+    1 / (1 + e) for whichever of z, -z is >= 0, e / (1 + e) for the other."""
+    e = np.exp(-np.abs(z))
+    big, small, ahead = 1.0 / (1.0 + e), e / (1.0 + e), z >= 0.0
+    return np.where(ahead, big, small), np.where(ahead, small, big)
 
 
-def _tilt(blocks: Sequence[tuple[int, float, int]], v: float) -> float:
-    """theta with E_theta[D] = v for D = sum of sign * Binomial(n, expit(logit
-    + sign theta)) over the (n, logit, sign) blocks: Newton steps in Python
-    floats, kept inside the bracket of the root found so far and bisecting it
-    (or doubling the step while it is open) when a step leaves it.  Stops
-    once the tilted mean is within 1e-6 sd of v; any theta gives the same
-    tail, a closer one only a better-centred tilted PMF."""
-    theta, below, above = 0.0, -math.inf, math.inf
-    for _ in range(200):
-        mean = var = 0.0
-        for n, logit, sign in blocks:
-            z = logit + sign * theta
-            p, q = _expit(z), _expit(-z)
-            mean += sign * n * p
-            var += n * p * q
-        gap = mean - v
-        if abs(gap) <= 1e-6 * math.sqrt(var):
-            break
-        if gap < 0:
-            below = theta
-        else:
-            above = theta
-        step = theta - gap / var if var > 0.0 else math.nan
-        if not below < step < above:
-            step = (0.5 * (below + above) if math.isfinite(below + above)
-                    else theta - math.copysign(max(1.0, 2.0 * abs(theta)), gap))
-        theta = step
+def _thetas(owner: np.ndarray, n: np.ndarray, logit: np.ndarray, sign: np.ndarray,
+            v: np.ndarray) -> np.ndarray:
+    """theta[i] with E_theta[D] = v[i] for D the sum of sign * Binomial(n,
+    expit(logit + sign theta)) over the (n, logit, sign) blocks with owner
+    i: Newton steps on arrays, each measure's kept inside the bracket of its
+    root found so far, bisecting it (or doubling the step while it is open)
+    when a step leaves it.  A measure stops once its tilted mean is within
+    1e-6 sd of v[i], or after 200 steps; its sums add its own blocks in
+    order (``np.bincount``), so its theta does not depend on the others.
+    Any theta gives the same tail, a closer one only a better-centred PMF."""
+    theta, below, above = np.zeros(len(v)), np.full(len(v), -np.inf), np.full(len(v), np.inf)
+    todo = np.arange(len(v))
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan and inf as in Python floats
+        for _ in range(200):
+            p, q = _expits(logit + sign * theta[owner])
+            var = np.bincount(owner, n * p * q, len(v))[todo]
+            gap = np.bincount(owner, sign * n * p, len(v))[todo] - v[todo]
+            going = np.abs(gap) > 1e-6 * np.sqrt(var)
+            todo, gap, var = todo[going], gap[going], var[going]
+            if not todo.size:
+                break
+            t, low = theta[todo], gap < 0
+            below[todo[low]], above[todo[~low]] = t[low], t[~low]
+            b, a, step = below[todo], above[todo], t - gap / var
+            theta[todo] = np.where((b < step) & (step < a), step, np.where(np.isfinite(b + a),
+                0.5 * (b + a), t - np.copysign(np.maximum(1.0, 2.0 * np.abs(t)), gap)))
+            kept = np.isin(owner, todo)
+            owner, n, logit, sign = owner[kept], n[kept], logit[kept], sign[kept]
     return theta
 
 
@@ -435,7 +436,7 @@ def _exact_tails(v: np.ndarray, deviation: np.ndarray,
     Under the measure tilted by theta, P_theta(d) = exp(theta d) P(d) /
     M(theta), each block of X stays a binomial of success probability
     expit(logit p + theta) and each of Y one of expit(logit p - theta).
-    theta is solved so that the tilted mean is v (``_tilt``), and then
+    theta is solved so that the tilted mean is v (``_thetas``), and then
 
         P(D >= v) = exp(log M(theta) - theta v) sum_{d >= v} exp(-theta (d - v)) P_theta(d),
 
@@ -468,12 +469,10 @@ def _exact_tails(v: np.ndarray, deviation: np.ndarray,
     kept, tilted = live & inside[measure], np.flatnonzero(inside)
     n, p, sign = n[kept], p[kept], sign[kept]
     ranges = np.searchsorted(measure[kept], [tilted, tilted + 1]).T.tolist()
-    tilted, v, shift = tilted.tolist(), v.tolist(), shift.tolist()
-    logit = np.log(p) - np.log1p(-p)
-    rows = list(zip(n.tolist(), logit.tolist(), sign.tolist()))
-    thetas = [_tilt(rows[a:b], v[i] - shift[i]) for i, (a, b) in zip(tilted, ranges)]
-    z = (logit + sign * np.repeat(thetas, [b - a for a, b in ranges])).tolist()
-    p_t, q_t = np.array([_expit(x) for x in z]), np.array([_expit(-x) for x in z])
+    owner, logit = np.searchsorted(tilted, measure[kept]), np.log(p) - np.log1p(-p)
+    thetas = _thetas(owner, n, logit, sign, (v - shift)[tilted])
+    p_t, q_t = _expits(logit + sign * thetas[owner])
+    tilted, v, shift, thetas = tilted.tolist(), v.tolist(), shift.tolist(), thetas.tolist()
     deviance = _bd0(n * p_t, n * p) + _bd0(n * q_t, n * (1.0 - p))
     # each block as the count k of its rarer outcome, then as a PMF over
     # increasing values of sign * successes from the least of them

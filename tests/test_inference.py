@@ -604,6 +604,24 @@ def test_exact_test_tie_with_explicit_model():
     assert res.p_value == 1.0
 
 
+def test_flag_rate_under_the_fitted_null_per_measure():
+    # 2,000 censuses drawn from the model fitted to a paper-scale table
+    # (2,365 dyads), each refitted as the CLI does.  The one-sided tail
+    # takes its direction from the data, so its flag fires between alpha
+    # and 2 alpha of the time; the doubled tail fires at most alpha of the
+    # time.  The slack is 4 binomial SE of 2,000 draws, fixed in advance.
+    alpha, replicates = 0.05, 2_000
+    model = fit(simulate_dyad_table(SimParams(seed=3)))
+    assert model.total == 2_365
+    censuses = [sample(model, seed) for seed in np.random.SeedSequence(2024).spawn(replicates)]
+    rates = [np.mean([[res.significant for res in results] for results in run_items(
+        [(census, InferenceConfig(method="exact", alpha=alpha, two_sided=two_sided), None)
+         for census in censuses])], axis=0) for two_sided in (False, True)]
+    assert rates[0].min() >= alpha
+    assert rates[0].max() <= 2 * alpha + 4 * math.sqrt(2 * alpha * (1 - 2 * alpha) / replicates)
+    assert rates[1].max() <= alpha + 4 * math.sqrt(alpha * (1 - alpha) / replicates)
+
+
 # ---------------------------------------------------- tilted tails
 
 def near_null_table(rng, dyads, noise):
@@ -685,8 +703,8 @@ def test_tilted_tail_does_not_depend_on_theta(monkeypatch, factor):
               in measure_sides(near_null_table(np.random.default_rng(77), 200_000, 0.01))
               if deviation]
     expected = [engine_tail(*case) for case in cases]
-    tilt = inference._tilt
-    monkeypatch.setattr(inference, "_tilt", lambda blocks, v: factor * tilt(blocks, v))
+    thetas = inference._thetas
+    monkeypatch.setattr(inference, "_thetas", lambda *args: factor * thetas(*args))
     for case, want in zip(cases, expected):
         assert abs(engine_tail(*case) - want) <= 1e-11 * want
 
@@ -792,8 +810,11 @@ def test_edge_tails_equal_the_direct_tails_bit_for_bit():
 
 def test_one_batch_equals_one_call_per_measure_bit_for_bit():
     # 400 random measures, each in direction -1, 0 or +1 at a value inside
-    # its support, on its edge or past it: one _exact_tails call over all
-    # of them gives each measure's own tail, bit for bit
+    # its support, on its edge or past it, and the forced deviations 3 to 30
+    # sd out at three scales, shuffled: theta takes two Newton steps for a
+    # forced deviation and up to eight, some bisecting, for a random measure;
+    # one _exact_tails call over all of them gives each measure's own tail,
+    # bit for bit
     rng = np.random.default_rng(4343)
     cases = []
     for _ in range(400):
@@ -803,6 +824,10 @@ def test_one_batch_equals_one_call_per_measure_bit_for_bit():
         edge = greatest if deviation >= 0 else least
         step = int(rng.choice([-int(rng.integers(1, 60)), 0, int(rng.integers(1, 4))]))
         cases.append((pos, neg, edge + (deviation or 1) * step, deviation))
+    for scale in (1, 10, 100):
+        pos, neg, values = forced_deviations(scale)
+        cases += [(pos, neg, v, deviation) for v, deviation in values]
+    rng.shuffle(cases)
     alone = [engine_tail(*case) for case in cases]
     blocks = [measure_blocks(pos, neg, i) for i, (pos, neg, _, _) in enumerate(cases)]
     together = _exact_tails(np.array([v for *_, v, _ in cases]),
