@@ -54,6 +54,8 @@ def emit_bubble_chart(reports: Sequence, path, method: str | None = None,
     """
     if not reports:
         raise InputError("nothing to chart")
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
     use_method = method if method is not None else _pick_method(reports)
     measures = list(MeasureId)
     items = [(r.item_id, r) for r in reports]

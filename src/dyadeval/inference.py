@@ -33,7 +33,8 @@ Every measure's tail takes one path (``_exact_tails``), its blocks kept as
 arrays from its run plan on (``_side_blocks``).  At the null mean the tail
 is 1 and nothing is evaluated; on or past the edge of the difference's
 support it is the product of each block's PMF at its extreme, or 0, told
-apart for all measures at once by exact integer sums of their trials.
+apart for all measures at once by exact integer sums of their trials; the
+extremes of all measures on the edge are evaluated in one call.
 Every other tail is taken by exponential tilting (Keich, J. Comput.
 Biol. 2005; Wilson and Keich, CSDA 2016): the null is tilted by theta so
 that its mean is the observed value, each block staying a binomial; the
@@ -61,15 +62,15 @@ direction "none" and p = 1.  Set ``two_sided=True`` to double the tail
 (capped at 1).
 
 One run plan serves every entry point.  ``run_items`` fits each item's
-model once, takes each measure's observed value, null mean, direction and
-binomial blocks once, and splits the work into tasks: ranges of bootstrap
-chunks plus the exact work of all items in at most one batch per worker.
-The tasks run inline or through a map the caller supplies
+model once, takes all its measures' null means and directions at once over
+one common denominator (``_null_means``), takes each measure's observed
+value and binomial blocks once, and splits the work into tasks: ranges of
+bootstrap chunks plus the exact work of all items in at most one batch per
+worker.  The tasks run inline or through a map the caller supplies
 (``io.evaluate_items``, which takes one census per item from any source,
 passes one that runs them in forked children); only this module knows the
-chunk layout and the split.  ``run_all`` is the
-one-item case, inline; ``bootstrap_test`` and ``exact_test`` are its
-one-measure cases.
+chunk layout and the split.  ``run_all`` is the one-item case, inline;
+``bootstrap_test`` and ``exact_test`` are its one-measure cases.
 """
 
 from __future__ import annotations
@@ -100,11 +101,6 @@ __all__ = [
 
 _PMF_SUM_TOL = 1e-9
 _PMF_FLOOR = 1e-300
-
-DIRECTION_POSITIVE = "positive"
-DIRECTION_NEGATIVE = "negative"
-DIRECTION_NONE = "none"
-
 
 @dataclass(frozen=True)
 class TrialGroup:
@@ -193,6 +189,8 @@ class InferenceConfig:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n / e)^n) for n = 0..15; entry 0
@@ -405,7 +403,8 @@ def _thetas(owner: np.ndarray, n: np.ndarray, logit: np.ndarray, sign: np.ndarra
     Any theta gives the same tail, a closer one only a better-centred PMF."""
     theta, below, above = np.zeros(len(v)), np.full(len(v), -np.inf), np.full(len(v), np.inf)
     todo = np.arange(len(v))
-    with np.errstate(divide="ignore", invalid="ignore"):  # nan and inf as in Python floats
+    # a nan or inf step fails the bracket test, so it is bisected or doubled
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(200):
             p, q = _expits(logit + sign * theta[owner])
             var = np.bincount(owner, n * p * q, len(v))[todo]
@@ -431,7 +430,9 @@ def _exact_tails(v: np.ndarray, deviation: np.ndarray,
     (each sign * Binomial(n, p), grouped by measure in ascending order): 1
     at the null mean or with the whole support in the tail, 0 past its
     edge, the product of each block's PMF at its extreme (Y's side times
-    X's) on the edge, else by tilting.
+    X's) on the edge, else by tilting.  The extremes of all measures on the
+    edge come from one ``_binom_pmf`` call, multiplied per measure and side
+    in block order (``np.multiply.at``).
 
     Under the measure tilted by theta, P_theta(d) = exp(theta d) P(d) /
     M(theta), each block of X stays a binomial of success probability
@@ -445,7 +446,7 @@ def _exact_tails(v: np.ndarray, deviation: np.ndarray,
     tilted blocks of all measures are evaluated in one batch, each on its
     ``_TILT_LOG`` window as the count of its rarer outcome, and each
     measure's P_theta comes from its own rfft product.  A difference mass
-    farther than 1e-9 from 1 is a NumericalIntegrityError; a tail below
+    farther than 1e-9 from 1 is a NumericalIntegrityError; any tail below
     1e-300 is 0.  Every entry, theta, window and FFT length follows from the
     measure's own blocks, so a tail does not depend on its batch-mates.
     """
@@ -457,50 +458,48 @@ def _exact_tails(v: np.ndarray, deviation: np.ndarray,
     shift, ahead, behind = sums.T
     reach = deviation * (v - shift)  # where the tail starts, counted in its direction
     tails = (reach <= -behind).astype(float)  # 1 at the mean or for the whole support
-    for i in np.flatnonzero((reach == ahead) & (reach > -behind)).tolist():  # on the edge
-        mine = live & (measure == i)
-        trials, signs = n[mine], sign[mine]
-        at = _binom_pmf(np.where(signs == deviation[i], trials, 0), trials, p[mine])
-        tail = math.prod(at[signs < 0].tolist()) * math.prod(at[signs > 0].tolist())
-        tails[i] = tail if tail >= _PMF_FLOOR else 0.0
+    on_edge = (reach == ahead) & (reach > -behind)
+    edge = live & on_edge[measure]
+    at = _binom_pmf(np.where(sign == of, n, 0)[edge], n[edge], p[edge])
+    products = np.ones((len(v), 2))  # by measure, Y's side then X's, in block order
+    np.multiply.at(products, (measure[edge], (1 + sign[edge]) // 2), at)
+    tails[on_edge] = products[on_edge, 0] * products[on_edge, 1]
     inside = (reach < ahead) & (reach > -behind)  # theta is finite
-    if not inside.any():
-        return tails.tolist()
-    kept, tilted = live & inside[measure], np.flatnonzero(inside)
-    n, p, sign = n[kept], p[kept], sign[kept]
-    ranges = np.searchsorted(measure[kept], [tilted, tilted + 1]).T.tolist()
-    owner, logit = np.searchsorted(tilted, measure[kept]), np.log(p) - np.log1p(-p)
-    thetas = _thetas(owner, n, logit, sign, (v - shift)[tilted])
-    p_t, q_t = _expits(logit + sign * thetas[owner])
-    tilted, v, shift, thetas = tilted.tolist(), v.tolist(), shift.tolist(), thetas.tolist()
-    deviance = _bd0(n * p_t, n * p) + _bd0(n * q_t, n * (1.0 - p))
-    # each block as the count k of its rarer outcome, then as a PMF over
-    # increasing values of sign * successes from the least of them
-    flip = p_t > 0.5
-    rarer = np.where(flip, q_t, p_t)
-    lo, hi = _first_windows(n, rarer, _TILT_LOG)
-    pmf, start, end = _binom_entries(n, rarer, lo, hi)
-    mirrored = (flip != (sign < 0)).tolist()
-    least = np.where(flip, np.where(sign > 0, n - hi, lo - n), np.where(sign > 0, lo, -hi))
-    for i, (a, b), theta in zip(tilted, ranges, thetas):
-        log_scale = theta * (float(sign[a:b] @ (n[a:b] * p_t[a:b])) + shift[i] - v[i]) - float(
-            np.sum(deviance[a:b]))
-        size = int(np.sum(hi[a:b] - lo[a:b])) + 1
-        length = 1 << (size - 1).bit_length()
-        spectrum = 1.0
-        for j in range(a, b):
-            window = pmf[start[j]:end[j]]
-            spectrum = spectrum * np.fft.rfft(window[::-1] if mirrored[j] else window, length)
-        density = np.maximum(np.fft.irfft(spectrum, length)[:size], 0.0)
-        total = float(density.sum())
-        if abs(total - 1.0) > _PMF_SUM_TOL:
-            raise NumericalIntegrityError(f"tilted difference pmf sums to {total!r}, deviating "
-                                          f"from 1 by more than {_PMF_SUM_TOL}")
-        at = v[i] - shift[i] - int(least[a:b].sum())  # index of v
-        d = np.arange(max(at, 0), size) if deviation[i] > 0 else np.arange(min(at + 1, size))
-        tail = math.exp(log_scale) * float(np.exp(-theta * (d - at)) @ density[d])
-        tails[i] = tail if tail >= _PMF_FLOOR else 0.0
-    return tails.tolist()
+    if inside.any():
+        kept, tilted = live & inside[measure], np.flatnonzero(inside)
+        n, p, sign = n[kept], p[kept], sign[kept]
+        ranges = np.searchsorted(measure[kept], [tilted, tilted + 1]).T.tolist()
+        owner, logit = np.searchsorted(tilted, measure[kept]), np.log(p) - np.log1p(-p)
+        thetas = _thetas(owner, n, logit, sign, (v - shift)[tilted])
+        p_t, q_t = _expits(logit + sign * thetas[owner])
+        deviance = _bd0(n * p_t, n * p) + _bd0(n * q_t, n * (1.0 - p))
+        # each block as the count k of its rarer outcome, then as a PMF over
+        # increasing values of sign * successes from the least of them
+        flip = p_t > 0.5
+        rarer = np.where(flip, q_t, p_t)
+        lo, hi = _first_windows(n, rarer, _TILT_LOG)
+        pmf, start, end = _binom_entries(n, rarer, lo, hi)
+        mirrored = (flip != (sign < 0)).tolist()
+        least = np.where(flip, np.where(sign > 0, n - hi, lo - n), np.where(sign > 0, lo, -hi))
+        # each window size and index of v: float sums of integers below 2**53, so exact
+        sizes = np.bincount(owner, hi - lo, len(tilted)).astype(np.int64) + 1
+        ats = (v - shift)[tilted] - np.bincount(owner, least, len(tilted)).astype(np.int64)
+        for i, (a, b), theta, size, at in zip(tilted, ranges, thetas, sizes.tolist(), ats.tolist()):
+            log_scale = theta * (float(sign[a:b] @ (n[a:b] * p_t[a:b])) + shift[i] - v[i]) - float(
+                np.sum(deviance[a:b]))
+            length = 1 << (size - 1).bit_length()
+            spectrum = 1.0
+            for j in range(a, b):
+                window = pmf[start[j]:end[j]]
+                spectrum = spectrum * np.fft.rfft(window[::-1] if mirrored[j] else window, length)
+            density = np.maximum(np.fft.irfft(spectrum, length)[:size], 0.0)
+            total = float(density.sum())
+            if abs(total - 1.0) > _PMF_SUM_TOL:
+                raise NumericalIntegrityError(f"tilted difference pmf sums to {total!r}, "
+                                              f"deviating from 1 by more than {_PMF_SUM_TOL}")
+            d = np.arange(max(at, 0), size) if deviation[i] > 0 else np.arange(min(at + 1, size))
+            tails[i] = math.exp(log_scale) * float(np.exp(-theta * (d - at)) @ density[d])
+    return np.where(tails >= _PMF_FLOOR, tails, 0.0).tolist()
 
 
 # The 15 non-empty sets of (r, s) outcome columns, in the order of their
@@ -562,21 +561,22 @@ def _side_blocks(model: NullModel, weights: np.ndarray
     return side, mass.flat[keys], ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
 
 
-def _null_mean(model: NullModel, weights: np.ndarray, observed: int) -> tuple[float, int]:
-    """The measure's null mean under the model and the sign of the observed
-    deviation from it, shared by both engines.
+def _null_means(model: NullModel, weights: np.ndarray, observed: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The null mean under the model of each of the (k, 64) weight rows and
+    the sign of its observed deviation from it, shared by both engines.
 
-    The mean sums mass * signed transitions / row total over the groups as
-    one integer numerator over the lcm of the row totals, so it is correctly
-    rounded and observed-vs-mean ties are decided exactly.
+    A mean sums mass * signed transitions / row total over the groups.  All
+    rows share one denominator, the lcm of the defined rows' totals, so one
+    object-dtype integer product gives every numerator.  Python's int / int
+    is correctly rounded, so each mean is the float nearest its rational
+    value, and one comparison of integers decides each observed-vs-mean tie.
     """
-    signed = (weights.reshape(2, 2, 2, 2, 4) * model.row_counts.reshape(2, 2, 4)).sum(axis=-1)
-    groups = np.nonzero(signed)
-    totals = model.row_totals[groups[2:]].tolist()
-    den = math.lcm(*totals)
-    num = sum(mass * count * (den // total) for mass, count, total in
-              zip(model.masses[groups].tolist(), signed[groups].tolist(), totals))
-    return num / den, (observed * den > num) - (observed * den < num)
+    signed = (weights.reshape(-1, 2, 2, 2, 2, 4) * model.row_counts.reshape(2, 2, 4)).sum(axis=-1)
+    den = math.lcm(*model.row_totals[model.row_defined].tolist())
+    scale = den // np.maximum(model.row_totals.ravel(), 1).astype(object)  # empty rows: no mass
+    num = signed.reshape(-1, 16).astype(object) @ (model.masses.reshape(4, 4) * scale).ravel()
+    return (num / den).astype(float), np.sign(observed.astype(object) * den - num).astype(int)
 
 
 def exact_test(table: DyadTable, measure: MeasureId | MeasureSpec,
@@ -662,14 +662,15 @@ def _tail_counts(model: NullModel, weights: np.ndarray, observed: np.ndarray,
 
 class _Plan(NamedTuple):
     """One item's run: its settings and model, and per measure the weight
-    row, the observed value, (null mean, sign of the deviation) and, for an
-    exact run, its sides' binomial blocks and window widths."""
+    row, the observed value, the null mean, the sign of the deviation and,
+    for an exact run, its sides' binomial blocks and window widths."""
 
     config: InferenceConfig
     model: NullModel
-    weights: np.ndarray   # (k, 64)
-    observed: np.ndarray  # (k,) int64
-    means: list[tuple[float, int]]
+    weights: np.ndarray    # (k, 64)
+    observed: np.ndarray   # (k,) int64
+    means: np.ndarray      # (k,) float, ``_null_means``
+    deviation: np.ndarray  # (k,) int, -1, 0 or 1
     blocks: tuple[np.ndarray, ...] | None = None  # (side, trials, p), ``_side_blocks``
     windows: np.ndarray | None = None  # (k, 2), ``_check_exact_work``
 
@@ -683,8 +684,7 @@ def _plan(table: DyadTable, config: InferenceConfig, model: NullModel | None) ->
     blocks = _side_blocks(model, weights) if config.method != "bootstrap" else None
     windows = None if blocks is None else _check_exact_work(*blocks[:2], config.measures)
     observed = weights @ table.counts
-    return _Plan(config, model, weights, observed,
-                 [_null_mean(model, w, int(v)) for w, v in zip(weights, observed)],
+    return _Plan(config, model, weights, observed, *_null_means(model, weights, observed),
                  blocks, windows)
 
 
@@ -700,7 +700,7 @@ def _run_task(task: tuple[_Plan, range] | list[_Plan]):
     side = np.concatenate([plan.blocks[0] + 2 * i for plan, i in zip(task, first)])
     trials, p = (np.concatenate([plan.blocks[j] for plan in task]) for j in (1, 2))
     return _exact_tails(np.concatenate([plan.observed for plan in task]),
-                        np.array([d for plan in task for _, d in plan.means]),
+                        np.concatenate([plan.deviation for plan in task]),
                         (side // 2, trials, p, 1 - 2 * (side % 2)))
 
 
@@ -723,9 +723,6 @@ def _exact_batches(plans: list[_Plan], workers: int) -> list[list[_Plan]]:
     return batches
 
 
-_DIRECTIONS = {1: DIRECTION_POSITIVE, -1: DIRECTION_NEGATIVE, 0: DIRECTION_NONE}
-
-
 def _results(plan: _Plan, counts: np.ndarray | None, tails: list[float] | None
              ) -> list[TestResult]:
     """An item's results, by measure then method, from its tail counts over
@@ -736,8 +733,8 @@ def _results(plan: _Plan, counts: np.ndarray | None, tails: list[float] | None
     """
     config, trials = plan.config, plan.config.trials
     results = []
-    for i, (m, v, (null_mean, deviation)) in enumerate(
-            zip(config.measures, plan.observed.tolist(), plan.means)):
+    for i, (m, v, null_mean, deviation) in enumerate(zip(
+            config.measures, plan.observed.tolist(), plan.means.tolist(), plan.deviation.tolist())):
         found = []
         if counts is not None:
             ge, le = counts[i].tolist()
@@ -752,7 +749,7 @@ def _results(plan: _Plan, counts: np.ndarray | None, tails: list[float] | None
                     p_addone = min(1.0, 2.0 * p_addone)
             results.append(TestResult(
                 measure=m if isinstance(m, MeasureId) else None, observed=v,
-                null_mean=float(null_mean), direction=_DIRECTIONS[deviation],
+                null_mean=null_mean, direction=("none", "positive", "negative")[deviation],
                 p_value=float(p), method=method, alpha=config.alpha,
                 significant=bool(p < config.alpha), trials=n, p_value_addone=p_addone,
                 two_sided=config.two_sided))
@@ -765,9 +762,9 @@ def run_items(work: Sequence[tuple[DyadTable, InferenceConfig, NullModel | None]
     and ``evaluate_items``: each (table, config, model) item's results, or
     the InputError that stopped it (such as an empty table), in order.
 
-    Each item's model is fitted once unless given, and each measure's
-    observed value, null mean, direction and binomial block arrays are taken
-    once.  The items' bootstrap chunks then go out in ranges, about four per
+    Each item's model is fitted once unless given, and its measures' observed
+    values, null means, directions and binomial block arrays are taken once,
+    as arrays.  The items' bootstrap chunks then go out in ranges, about four per
     worker over all items, and their exact work as at most one batch per
     worker (``_exact_batches``), each one ``_exact_tails`` call;
     ``map_tasks(fn, tasks)`` runs them and returns their outcomes in order

@@ -76,6 +76,8 @@ class SimParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InputError(f"{name} must lie in [0, 1], got {value}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,8 @@ class SimNetwork:
 
 
 def _near_regular_degrees(node_count: int, mean_degree: float) -> np.ndarray:
+    if not 0.0 <= mean_degree <= node_count - 1:
+        raise InputError(f"mean degree must lie in [0, node_count - 1], got {mean_degree}")
     stubs = int(round(mean_degree * node_count))
     if stubs % 2:
         stubs -= 1
@@ -196,6 +200,8 @@ def _small_world(node_count: int, k: int, rewire_prob: float,
         raise InputError(f"small-world k must be a non-negative even integer, got {k}")
     if k >= node_count:
         raise InputError(f"small-world k={k} needs more than {node_count} nodes")
+    if not 0.0 <= rewire_prob <= 1.0:
+        raise InputError(f"small-world rewire probability must lie in [0, 1], got {rewire_prob}")
     edge_set = {
         (u, (u + j) % node_count) if u < (u + j) % node_count
         else ((u + j) % node_count, u)

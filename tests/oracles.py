@@ -11,7 +11,8 @@ tilted tail built from the same blocks.  The dyad CSV, node+edge join and simula
 build the package's ``DyadRecord`` (and ``JoinStats``) and raise its
 ``InputError``, so that records, counters and error messages compare
 directly; the side-block reference builds the package's ``TrialGroup``
-from the fitted model's ``p0``.
+from the fitted model's ``p0``, and the null-mean reference reads the
+fitted model's tallies one measure at a time.
 """
 
 from __future__ import annotations
@@ -232,6 +233,21 @@ def side_blocks_by_columns(model, weights, sign) -> list[TrialGroup]:
         masses[key] = masses.get(key, 0) + int(model.masses[x, y, p, q])
     return [TrialGroup(mass, float(sum(model.p0[p, q].ravel()[c] for c in cols)))
             for (p, q, cols), mass in sorted(masses.items())]
+
+
+def null_mean_by_measure(model, weights, observed: int) -> tuple[float, int]:
+    """One weight row's null mean under the model and the sign of the
+    observed deviation from it, as the engine took them one measure at a
+    time: mass * signed transitions / row total summed over the groups with
+    signed transitions, as one integer numerator over the lcm of their row
+    totals."""
+    signed = (weights.reshape(2, 2, 2, 2, 4) * model.row_counts.reshape(2, 2, 4)).sum(axis=-1)
+    groups = np.nonzero(signed)
+    totals = model.row_totals[groups[2:]].tolist()
+    den = math.lcm(*totals)
+    num = sum(mass * count * (den // total) for mass, count, total in
+              zip(model.masses[groups].tolist(), signed[groups].tolist(), totals))
+    return num / den, (observed * den > num) - (observed * den < num)
 
 
 def distribution_mean(support_min: int, pmf) -> float:

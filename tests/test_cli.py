@@ -757,6 +757,56 @@ def test_unwritable_output_is_input_error(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("command", ["table", "evaluate", "simulate"])
+def test_negative_seed_is_input_error(tmp_path, capsys, command, where):
+    # numpy's SeedSequence refuses a negative seed with a ValueError
+    argv = {"table": ["table", "--table", str(deviating_table(tmp_path))],
+            "evaluate": ["evaluate", "--dyads", str(frozen_dyads(tmp_path))],
+            "simulate": ["simulate", "--node-count", "40", "--evaluate"]}[command]
+    argv += ["--trials", "50", "--out-csv", str(tmp_path / "r.csv")]
+    seed = "-1" if where == "flag" else "-2"
+    if where == "flag":
+        argv += ["--seed", seed]
+    else:
+        (tmp_path / "dyadeval.cfg").write_text(f"seed = {seed}\n")
+        argv = ["--config", str(tmp_path / "dyadeval.cfg"), *argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e300", "-1"])
+def test_simulate_mean_degree_out_of_range_is_input_error(tmp_path, capsys, value):
+    assert main(["simulate", "--mean-degree", value, "--out-dyads", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: mean degree must lie in [0, node_count - 1], got {float(value)}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.1", "1.5"])
+def test_simulate_ws_beta_out_of_range_is_input_error(tmp_path, capsys, value):
+    assert main(["simulate", "--edge-kind", "small_world", "--ws-beta", value,
+                 "--out-dyads", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: small-world rewire probability must lie in [0, 1], got {float(value)}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["7", "nan", "0", "1", "-0.5"])
+def test_chart_alpha_out_of_range_is_input_error(tmp_path, capsys, value):
+    # --alpha 7 once drew glyphs for results that are not significant, and
+    # --alpha nan drew none
+    report = tmp_path / "r.json"
+    assert main(["evaluate", "--dyads", str(frozen_dyads(tmp_path)), "--method", "exact",
+                 "--out-json", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["chart", "--results", str(report), "--out", str(tmp_path / "c.svg"),
+                 "--alpha", value]) == 1
+    assert capsys.readouterr().err == f"error: alpha must lie in (0, 1), got {float(value)}\n"
+    assert not (tmp_path / "c.svg").exists()
+
+
 def test_summary_printed(tmp_path, capsys):
     dyads = frozen_dyads(tmp_path)
     assert main(["evaluate", "--dyads", str(dyads), "--method", "exact"]) == 0
@@ -826,6 +876,18 @@ class BlockScipy:
 
 sys.meta_path.insert(0, BlockScipy())
 """
+
+
+def test_exact_run_whose_newton_step_overflows_writes_nothing_to_stderr(tmp_path):
+    # M8's Newton step for theta overflows on this 39,434-dyad census
+    counts = {1: 14, 2: 9, 9: 72, 16: 5284, 27: 726, 29: 9025, 47: 12093, 50: 11602, 53: 604,
+              54: 1, 57: 1, 60: 3}
+    table = tmp_path / "t64.csv"
+    table.write_text("x,y,p,q,r,s,value\n" + "".join(
+        f"{','.join(map(str, bits))},{counts.get(code, 0)}\n"
+        for code, bits in enumerate(np.ndindex(*(2,) * 6))))
+    run = run_python(RUN_CLI, "table", "--table", str(table), "--method", "exact")
+    assert (run.returncode, run.stderr) == (0, b"")
 
 
 def test_runtime_never_imports_scipy(tmp_path, capsys):

@@ -26,7 +26,7 @@ from oracles import (binom_window_by_growth, cell_code, difference_distribution,
                      difference_tail, direct_tail, distribution_mean,
                      enumeration_cost, exact_test_by_full_convolution,
                      measure_cells_by_formula, measure_values_by_formula,
-                     null_distribution_by_enumeration,
+                     null_distribution_by_enumeration, null_mean_by_measure,
                      pb_pmf_by_subsets, side_blocks_by_columns,
                      tail_probability_from_distribution)
 
@@ -484,6 +484,38 @@ def test_exact_null_mean_matches_distribution_mean():
             distribution_mean(*difference_distribution(*sides)), abs=1e-9)
 
 
+def test_null_means_match_the_per_measure_reference_bit_for_bit():
+    # an item's null means and deviation signs over one common denominator
+    # against the per-measure reference, which takes the lcm of the rows its
+    # groups use: 1,200 tables, Dirichlet-skewed up to 1M dyads, sparse with
+    # undefined rows, and with every measure exactly at its null mean, for
+    # the eight measures and a random custom spec
+    rng = np.random.default_rng(5151)
+    eight = np.stack([spec_for(m).weights for m in MeasureId])
+    ties = undefined = 0
+    for case in range(1200):
+        if case % 3 == 0:
+            total = int(np.exp(rng.uniform(np.log(5), np.log(10 ** 6))))
+            counts = rng.multinomial(total, rng.dirichlet(np.full(64, rng.uniform(0.05, 5.0))))
+        elif case % 3 == 1:
+            counts = rng.integers(0, 50, (2,) * 6) * (rng.random((2,) * 6) < 0.6)
+            counts *= (rng.random((2, 2)) < 0.7)[:, :, None, None]  # empty (p, q) rows
+        else:  # each group's post-states a multiple of its row's, so each value is its mean
+            counts = rng.integers(0, 30, (2, 2, 2, 2, 1)) * rng.integers(0, 30, (2, 2, 4))
+        table = DyadTable(counts.ravel().astype(np.int64))
+        if table.total == 0:
+            continue
+        model = fit(table)
+        weights = np.concatenate([eight, MeasureSpec(*random_spec(rng)).weights[None]])
+        observed = weights @ table.counts
+        means, deviation = inference._null_means(model, weights, observed)
+        assert list(zip(means.tolist(), deviation.tolist())) == [
+            null_mean_by_measure(model, w, v) for w, v in zip(weights, observed.tolist())], case
+        ties += int(np.count_nonzero(deviation == 0))
+        undefined += not model.row_defined.all()
+    assert ties >= 400 * len(eight) and undefined >= 300
+
+
 def test_exact_matches_untrimmed_unmerged_reference_on_large_table():
     table = simulate_dyad_table(SimParams(seed=2024), node_count=3700)
     assert 18_000 <= table.total <= 22_000
@@ -640,8 +672,8 @@ def measure_sides(table):
     of each of the eight measures."""
     plan = inference._plan(table, InferenceConfig(method="exact"), None)
     sides = side_groups(plan.blocks, 2 * len(plan.observed))
-    return [(v, deviation, pos, neg) for v, (_, deviation), pos, neg
-            in zip(plan.observed.tolist(), plan.means, sides[::2], sides[1::2])]
+    return [(v, deviation, pos, neg) for v, deviation, pos, neg
+            in zip(plan.observed.tolist(), plan.deviation.tolist(), sides[::2], sides[1::2])]
 
 
 def engine_tail(pos, neg, v, deviation):
@@ -707,6 +739,19 @@ def test_tilted_tail_does_not_depend_on_theta(monkeypatch, factor):
     monkeypatch.setattr(inference, "_thetas", lambda *args: factor * thetas(*args))
     for case, want in zip(cases, expected):
         assert abs(engine_tail(*case) - want) <= 1e-11 * want
+
+
+def test_overflowing_newton_step_warns_nothing():
+    # on this 39,434-dyad census a Newton step of M8's theta overflows; the
+    # bracket takes over from it, and the tail is the one it always was
+    counts = np.zeros(64, np.int64)
+    for code, n in {1: 14, 2: 9, 9: 72, 16: 5284, 27: 726, 29: 9025, 47: 12093, 50: 11602,
+                    53: 604, 54: 1, 57: 1, 60: 3}.items():
+        counts[code] = n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = exact_test(DyadTable(counts), MeasureId.M8)
+    assert (res.direction, res.p_value) == ("positive", 5.773551111856453e-38)
 
 
 def test_both_engines_match_exact_rational_tails():
@@ -836,6 +881,11 @@ def test_one_batch_equals_one_call_per_measure_bit_for_bit():
     assert together == alone
     inside = [0.0 < tail < 1.0 for tail in alone]
     assert sum(inside) > 100 and alone.count(0.0) > 50 and alone.count(1.0) > 100
+    # the batch holds many measures on the edge, whose tails are products
+    # of extremes taken together
+    on_edge = [deviation != 0 and v == support_edges(pos, neg)[deviation > 0]
+               for pos, neg, v, deviation in cases]
+    assert sum(edge and 0.0 < tail < 1.0 for edge, tail in zip(on_edge, alone)) > 50
 
 
 # -------------------------------------------------- bootstrap_test
@@ -847,6 +897,14 @@ def test_bootstrap_degenerate_table():
     assert res.p_value == 1.0
     assert res.direction == "none"
     assert res.trials == 50
+
+
+def test_negative_int_seed_is_input_error():
+    for seed in (-1, np.int64(-3)):
+        with pytest.raises(InputError, match=f"seed must be >= 0, got {seed}"):
+            InferenceConfig(seed=seed)
+    for seed in (np.random.SeedSequence(5), np.random.default_rng(5)):
+        assert InferenceConfig(seed=seed).seed is seed
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0])
