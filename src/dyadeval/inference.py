@@ -191,6 +191,10 @@ class InferenceConfig:
             raise InputError(f"alpha must lie in (0, 1), got {self.alpha}")
         if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
+        if not (isinstance(self.measures, Sequence) and self.measures and all(
+                isinstance(m, (MeasureId, MeasureSpec)) for m in self.measures)):
+            raise InputError(f"measures must be a non-empty sequence of MeasureId or "
+                             f"MeasureSpec, got {self.measures!r}")
 
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n / e)^n) for n = 0..15; entry 0
@@ -245,38 +249,24 @@ def _binom_pmf(k: np.ndarray, n, p) -> np.ndarray:
     arrays of k's shape.
 
     exp(stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, np)
-    - bd0(n - k, nq)) / sqrt(2 pi k (n - k) / n) inside, n log(1 - p) and
-    n log(p) at k = 0 and k = n, point masses for p in {0, 1}.  The
-    log(2 pi k (n - k) / n) term is a sum of logs, not Loader's
-    log1p(-k / n), which cancels at k = n - 1.  The terms of (n, p) alone
-    are taken once per run of entries sharing them, their logs and
-    exponentials in Python floats, so an entry's value does not depend on
-    which entries are evaluated with it.
+    - bd0(n - k, nq)) / sqrt(2 pi k (n - k) / n) inside, exp(n log(1 - p))
+    and exp(n log p) at k = 0 and k = n, where log 0 = -inf gives the point
+    masses for p in {0, 1}.  The log(2 pi k (n - k) / n) term is a sum of
+    logs, not Loader's log1p(-k / n), which cancels at k = n - 1.  Every
+    step is elementwise, so an entry's value does not depend on which
+    entries are evaluated with it.
     """
     k = np.asarray(k, dtype=float)
     n = np.broadcast_to(np.asarray(n, dtype=float), k.shape)
     p = np.broadcast_to(np.asarray(p, dtype=float), k.shape)
-    out = np.zeros_like(k)
-    if k.size == 0:
-        return out
-    new = np.ones(k.shape, dtype=bool)
-    new[1:] = (n[1:] != n[:-1]) | (p[1:] != p[:-1])
-    starts = np.flatnonzero(new)
-    lengths = np.diff(np.append(starts, k.size))
-    run_n, run_p = n[starts], p[starts]
-    # per run: the PMF at k = 0 and at k = n, and log n
-    terms = [(math.exp(nn * math.log1p(-pp)), math.exp(nn * math.log1p(-(1.0 - pp))),
-              math.log(nn)) if 0.0 < pp < 1.0 else (float(pp == 0.0), float(pp == 1.0), 0.0)
-             for nn, pp in zip(run_n.tolist(), run_p.tolist())]
-    at_0, at_n, log_n = (np.repeat(column, lengths) for column in zip(*terms))
-    out[k == 0] = at_0[k == 0]
-    out[k == n] = at_n[k == n]
-    inner = (k > 0) & (k < n) & np.repeat((run_p > 0.0) & (run_p < 1.0), lengths)
+    with np.errstate(divide="ignore"):
+        out = np.select([k == 0, k == n], [np.exp(n * np.log1p(-p)), np.exp(n * np.log(p))])
+    inner = (k > 0) & (k < n) & (p > 0.0) & (p < 1.0)
     if inner.any():
         x, nn, pp = k[inner], n[inner], p[inner]
-        lc = (np.repeat(_stirlerr(run_n), lengths)[inner] - _stirlerr(x) - _stirlerr(nn - x)
+        lc = (_stirlerr(nn) - _stirlerr(x) - _stirlerr(nn - x)
               - _bd0(x, nn * pp) - _bd0(nn - x, nn * (1.0 - pp)))
-        out[inner] = np.exp(lc - 0.5 * (_LN_2PI + np.log(x) + np.log(nn - x) - log_n[inner]))
+        out[inner] = np.exp(lc - 0.5 * (_LN_2PI + np.log(x) + np.log(nn - x) - np.log(nn)))
     return out
 
 
@@ -547,7 +537,7 @@ def _side_blocks(model: NullModel, weights: np.ndarray
     outcome columns, so groups sharing both add up to one binomial of their
     summed mass (exact in distribution).  A side's blocks come in (p, q,
     columns) order, each probability summed over its columns in ascending
-    order.
+    order and capped at 1, which a row's four columns can round past.
     """
     on_side = weights.reshape(-1, 1, 16, 4) == np.array([1, -1])[:, None, None]
     columns = (on_side @ (1 << np.arange(4))).reshape(-1, 16)  # column bit mask by side, group
@@ -558,7 +548,8 @@ def _side_blocks(model: NullModel, weights: np.ndarray
     keys = np.flatnonzero(mass)
     side, rows, sets = keys // 60, keys // 15 % 4, keys % 15
     terms = np.where(_SET_COLUMNS[sets], model.p0.reshape(4, 4)[rows], 0.0)
-    return side, mass.flat[keys], ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
+    summed = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
+    return side, mass.flat[keys], np.minimum(summed, 1.0)
 
 
 def _null_means(model: NullModel, weights: np.ndarray, observed: np.ndarray

@@ -71,6 +71,7 @@ from .census import _MAX_COUNT, CELL_BITS, DyadRecord, DyadTable, cell_codes, ta
 from .errors import InputError
 from .inference import InferenceConfig, TestResult, run_items
 from .measures import MeasureId
+from .null_model import _seed_children
 from .sim import probabilities_to_counts
 
 __all__ = [
@@ -118,7 +119,11 @@ def _byte_blocks(path: Path) -> Iterator[tuple[int, bytes]]:
     CRLF, as csv ends them) and the rest carried, so no line is cut."""
     if not path.exists():
         raise InputError(f"no such file: {path}")
-    with path.open("rb") as handle:
+    try:
+        handle = path.open("rb")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    with handle:
         if handle.read(len(BOM_UTF8)) != BOM_UTF8:
             handle.seek(0)
         line_no, carry = 1, []
@@ -766,7 +771,8 @@ def evaluate_items(items: Sequence[tuple[str, str, DyadTable, int]],
     """Null model -> all measures, for each (item id, label, census, dyads
     dropped) of ``items``.
 
-    Item i draws from child i of SeedSequence(config.seed), so results are
+    Item i draws from child i of the seed (an int or a ``SeedSequence``,
+    left as it was; a ``Generator`` is an InputError), so results are
     reproducible and independent of which other items are present only
     when the item list is unchanged.  An item whose census cannot be tested
     (no dyads) produces a report carrying its error; other items still run.
@@ -780,7 +786,10 @@ def evaluate_items(items: Sequence[tuple[str, str, DyadTable, int]],
     at a time (16,384 x 64 int64 cell counts) plus running tail counts,
     whatever the trial count.
     """
-    children = np.random.SeedSequence(config.seed).spawn(len(items))
+    if isinstance(config.seed, np.random.Generator):
+        raise InputError("a Generator seed cannot be split across items; "
+                         "give an int or a SeedSequence")
+    children = _seed_children(config.seed, range(len(items)))
     outcomes = run_items([(table, replace(config, seed=child), None)
                           for (_, _, table, _), child in zip(items, children)],
                          _worker_count(), _run_tasks)

@@ -106,16 +106,22 @@ def _sample_group_outcomes(model: NullModel, trials: int, rng: np.random.Generat
     return outcomes.reshape(trials, 64)
 
 
+def _seed_children(seed, indices: range) -> Iterator[np.random.SeedSequence]:
+    """Child j of an int or ``SeedSequence`` seed for each j of ``indices``,
+    derived as ``spawn`` would make it from a fresh root, but without
+    spawning, so the seed is left as it was."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return (np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (j,),
+                                   pool_size=root.pool_size) for j in indices)
+
+
 def _chunk_streams(seed, chunks: range) -> Iterator[np.random.Generator]:
     """The stream of each chunk in ``chunks``, in order: stream j of the
     seed for chunk j, or a ``Generator`` seed itself for each chunk in
     turn (see the module docstring)."""
     if isinstance(seed, np.random.Generator):
         return itertools.repeat(seed, len(chunks))
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return (np.random.default_rng(np.random.SeedSequence(
-                root.entropy, spawn_key=root.spawn_key + (j,), pool_size=root.pool_size))
-            for j in chunks)
+    return map(np.random.default_rng, _seed_children(seed, chunks))
 
 
 def sample(model: NullModel, seed) -> DyadTable:

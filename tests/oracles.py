@@ -225,13 +225,14 @@ def side_blocks_by_columns(model, weights, sign) -> list[TrialGroup]:
     (x, y, p, q) group with mass and cells on the side is keyed by its (p, q)
     row and its tuple of (r, s) outcome columns, masses with equal keys are
     added, and each block's probability is the row's entries summed over
-    its columns in ascending order, the blocks in key order."""
+    its columns in ascending order and capped at 1, the blocks in key
+    order."""
     side = weights.reshape(2, 2, 2, 2, 4) == sign
     masses: dict[tuple[int, int, tuple[int, ...]], int] = {}
     for x, y, p, q in np.argwhere(side.any(axis=-1) & (model.masses > 0)):
         key = (int(p), int(q), tuple(np.flatnonzero(side[x, y, p, q]).tolist()))
         masses[key] = masses.get(key, 0) + int(model.masses[x, y, p, q])
-    return [TrialGroup(mass, float(sum(model.p0[p, q].ravel()[c] for c in cols)))
+    return [TrialGroup(mass, min(float(sum(model.p0[p, q].ravel()[c] for c in cols)), 1.0))
             for (p, q, cols), mass in sorted(masses.items())]
 
 

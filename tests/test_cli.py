@@ -62,6 +62,26 @@ def test_missing_file_is_input_error(tmp_path, capsys):
     assert main(["evaluate", "--dyads", str(tmp_path / "nope.csv")]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--dyads", "{dir}"],
+    ["evaluate", "--nodes", "{dir}", "--edges", "{edges}"],
+    ["evaluate", "--nodes", "{nodes}", "--edges", "{dir}"],
+    ["evaluate", "--dyads", "{dyads}", "--items", "{dir}"],
+    ["table", "--table", "{dir}"],
+    ["--config", "{dir}", "table", "--table", "{table}"],
+    ["chart", "--results", "{dir}", "--out", "{out}/c.svg"],
+    ["simulate", "--edge-kind", "edge_list", "--edges-file", "{dir}", "--evaluate"],
+], ids=["dyads", "nodes", "edges", "items", "table", "config", "results", "edges-file"])
+def test_directory_as_input_is_input_error(tmp_path, capsys, argv):
+    inputs = dict(_guard_inputs(tmp_path), dir=str(tmp_path / "a dir"), out=str(tmp_path))
+    (tmp_path / "a dir").mkdir()
+    capsys.readouterr()
+    assert main([arg.format(**inputs) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / "a dir") in err
+    assert "Traceback" not in err
+
+
 def test_table_subcommand_probabilities(tmp_path, capsys):
     table = uniform_table(tmp_path)
     out_csv = tmp_path / "r.csv"

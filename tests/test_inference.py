@@ -306,6 +306,27 @@ def test_binom_pmf_point_masses():
     assert _binom_pmf(k, 7, 1.0).tolist() == [0.0] * 7 + [1.0]
 
 
+@pytest.mark.parametrize("prob", [1e-300, 1e-17, 1.1e-16, 1e-3, 0.5, 1 - 1e-12])
+def test_binom_pmf_matches_scipy_at_extreme_probabilities(prob):
+    # every k from 0 to n, including both ends, where p or 1 - p is below
+    # the spacing of floats near 1
+    for n in (1, 2, 5, 15, 16, 17, 50, 1000):
+        k = np.arange(n + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = _binom_pmf(k, n, prob)
+        ref = binom.pmf(k, n, prob)
+        big = ref >= 1e-300
+        assert np.all(np.abs(ours[big] - ref[big]) <= 1e-12 * ref[big]), n
+        assert np.all(ours[~big] < 1e-290), n
+
+
+def test_pb_pmf_of_a_nearly_impossible_block():
+    dist = pb_pmf([TrialGroup(5, 1e-17)])
+    assert abs(dist.pmf.sum() - 1.0) <= 1e-9
+    assert dist.support_min == 0 and abs(dist.pmf[0] - 1.0) <= 1e-15
+
+
 def test_stirlerr_table_and_series_match_mpmath():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
@@ -567,6 +588,34 @@ def random_spec(rng):
                 for p, q, r, s in itertools.product((0, 1), repeat=4) if rng.random() < 0.5}
 
     return cells(quadrants[:n_pos]), cells(quadrants[n_pos:n_pos + n_neg])
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_custom_specs_with_extreme_tilts_match_direct_tails(seed):
+    # 1,000 custom specs a seed on sparse skewed censuses of 20 to 300
+    # dyads, positive cells in quadrant (x, y) = (1, 1) and negative ones in
+    # (1, 0): tilted blocks whose rarer probability is below 1e-16, and
+    # sides holding all four outcome columns of a row, whose probability
+    # sums can round past 1.  Only an InputError may be raised, and every
+    # tail is the direct engine's
+    rng = np.random.default_rng(seed)
+    bits = list(itertools.product((0, 1), repeat=4))
+    for case in range(1000):
+        counts = rng.multinomial(int(rng.integers(20, 301)),
+                                 rng.dirichlet(np.full(64, rng.uniform(0.02, 0.5))))
+        table = DyadTable(counts.astype(np.int64))
+        pos = {(1, 1, *b) for b in bits if rng.random() < 0.5} or {(1, 1, 0, 0, 0, 0)}
+        neg = {(1, 0, *b) for b in bits if rng.random() < 0.5} or {(1, 0, 0, 0, 0, 0)}
+        spec = MeasureSpec(pos, neg)
+        try:
+            res = exact_test(table, spec)
+        except InputError:
+            continue
+        model = fit(table)
+        want = direct_tail(side_blocks_by_columns(model, spec.weights, 1),
+                           side_blocks_by_columns(model, spec.weights, -1), res.observed,
+                           {"positive": 1, "negative": -1, "none": 0}[res.direction])
+        assert abs(res.p_value - want) <= 1e-9 * want, case
 
 
 def test_custom_specs_through_the_weight_row():
@@ -905,6 +954,21 @@ def test_negative_int_seed_is_input_error():
             InferenceConfig(seed=seed)
     for seed in (np.random.SeedSequence(5), np.random.default_rng(5)):
         assert InferenceConfig(seed=seed).seed is seed
+
+
+@pytest.mark.parametrize("measures", [(), [], ("M1",), (MeasureId.M1, "M2"), "M1", None,
+                                      MeasureId.M1, (m for m in MeasureId)])
+def test_malformed_measures_are_input_error(measures):
+    with pytest.raises(InputError, match="measures must be a non-empty sequence"):
+        InferenceConfig(measures=measures)
+
+
+def test_single_tests_reject_a_measure_name():
+    table = simulate_dyad_table()
+    with pytest.raises(InputError, match="measures must be a non-empty sequence"):
+        bootstrap_test(table, "M1", trials=10, seed=0)
+    with pytest.raises(InputError, match="measures must be a non-empty sequence"):
+        exact_test(table, "M1")
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0])

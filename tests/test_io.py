@@ -992,6 +992,27 @@ def test_evaluate_items_deterministic(tmp_path):
     assert evaluate_dyad_csv(path, **config) == evaluate_dyad_csv(path, **config)
 
 
+def test_evaluate_items_seed_sequence_equals_its_int(tmp_path):
+    # items 0 and 1 draw from children 0 and 1 of the seed, whether it is
+    # given as an int or as a SeedSequence, which is left as it was
+    items = [(f"q{i}", f"q{i}", simulate_dyad_table(SimParams(seed=i), node_count=60), 0)
+             for i in (1, 2)]
+    texts = {}
+    seed = np.random.SeedSequence(7)
+    for name, given in (("int", 7), ("sequence", seed), ("again", seed), ("other", 8)):
+        reports = evaluate_items(items, InferenceConfig(method="bootstrap", trials=300, seed=given))
+        emit_report(reports, "csv", tmp_path / f"{name}.csv", seed=7)
+        texts[name] = (tmp_path / f"{name}.csv").read_bytes()
+    assert texts["sequence"] == texts["int"] == texts["again"] != texts["other"]
+    assert seed.n_children_spawned == 0
+
+
+def test_evaluate_items_generator_seed_is_input_error(tmp_path):
+    path = frozen_dyad_csv(tmp_path)
+    with pytest.raises(InputError, match="Generator seed cannot be split across items"):
+        evaluate_dyad_csv(path, method="bootstrap", trials=10, seed=np.random.default_rng(7))
+
+
 def _worker_pid(task):
     return os.getpid()
 
